@@ -12,7 +12,8 @@ accumulation order are fixed, so repeated runs return bit-identical
 values; nothing here depends on threads, hashing or global state.
 
 Integrands are called with a numpy array of abscissae and should return
-an array of the same shape.  Plain scalar functions (for example
+an array of the same shape, or one row of components per abscissa for a
+vector-valued integral.  Plain scalar functions (for example
 ``math``-based lambdas) are detected on the first call and evaluated
 point by point instead.
 """
@@ -77,7 +78,7 @@ class Tolerance:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureResult:
     """Value of an integral together with bookkeeping.
 
@@ -85,6 +86,7 @@ class QuadratureResult:
     minus Gauss differences, plus propagated inner errors for iterated
     integrals); ``evaluations`` counts integrand calls; ``converged``
     records whether the tolerance targets were met within budget.
+    ``value`` and ``error_estimate`` are arrays for a vector integrand.
     """
 
     value: float
@@ -162,34 +164,53 @@ def _eval_panels(fv, lefts, rights):
     return kron, np.abs(kron - gauss)
 
 
-def _adaptive(fv, edges, rel_tol, abs_tol, max_evaluations):
+def _adaptive(fv, edges, rel_tol, abs_tol, max_evaluations, lead=None):
     """Globally adaptive refinement over initial panels given by ``edges``.
 
-    Splits the panel with the largest error estimate of the first
-    component until the summed estimate meets the tolerance or the budget
-    runs out.  Returns (value, error, evaluations, converged) with value
-    and error of shape (m,), summed over panels in left-edge order.
+    Each of the first ``lead`` components (default: all) must meet the
+    tolerance; the rest ride along.  The panel with the largest error
+    estimate is split first; with several leading components, errors are
+    first divided by their component's tolerance on the initial panels.
+    Splitting stops when the summed estimates meet the tolerance or the
+    budget runs out.  Returns (value, error, evaluations, converged) with
+    value and error of shape (m,), summed over panels in left-edge order.
     """
     lefts = np.asarray(edges[:-1], dtype=float)
     rights = np.asarray(edges[1:], dtype=float)
     vals, errs = _eval_panels(fv, lefts, rights)
     evaluations = 15 * len(lefts)
 
+    lead = vals.shape[1] if lead is None else lead
+    if lead == 1:
+        pick = 0
+        total_v = float(np.sum(vals[:, 0]))
+        total_e = float(np.sum(errs[:, 0]))
+    else:
+        pick = slice(0, lead)
+        total_v = np.sum(vals[:, pick], axis=0)
+        total_e = np.sum(errs[:, pick], axis=0)
+        weight = 1.0 / np.maximum(np.maximum(abs_tol, rel_tol * np.abs(total_v)), 1e-300)
+
+    def keys(e):
+        return e[:, 0] if lead == 1 else np.max(e[:, pick] * weight, axis=1)
+
     panels = {}
     heap = []
     seq = 0
-    for i in range(len(lefts)):
+    for i, priority in enumerate(keys(errs)):
         panels[seq] = (lefts[i], rights[i], vals[i], errs[i])
-        heapq.heappush(heap, (-errs[i][0], seq))
+        heapq.heappush(heap, (-priority, seq))
         seq += 1
     done = []
 
-    total_v = float(np.sum(vals[:, 0]))
-    total_e = float(np.sum(errs[:, 0]))
     min_width = (edges[-1] - edges[0]) * 1e-13
     converged = True
     while True:
-        if total_e <= max(abs_tol, rel_tol * abs(total_v)):
+        if lead == 1:
+            met = total_e <= max(abs_tol, rel_tol * abs(total_v))
+        else:
+            met = np.all(total_e <= np.maximum(abs_tol, rel_tol * np.abs(total_v)))
+        if met:
             break
         if not heap or evaluations + 30 > max_evaluations:
             converged = False
@@ -203,11 +224,11 @@ def _adaptive(fv, edges, rel_tol, abs_tol, max_evaluations):
         mid = 0.5 * (a + b)
         cv, ce = _eval_panels(fv, np.array([a, mid]), np.array([mid, b]))
         evaluations += 30
-        total_v += cv[0, 0] + cv[1, 0] - v[0]
-        total_e += ce[0, 0] + ce[1, 0] - e[0]
-        for half in (0, 1):
+        total_v += cv[0, pick] + cv[1, pick] - v[pick]
+        total_e += ce[0, pick] + ce[1, pick] - e[pick]
+        for half, priority in enumerate(keys(ce)):
             panels[seq] = ((a, mid)[half], (mid, b)[half], cv[half], ce[half])
-            heapq.heappush(heap, (-ce[half][0], seq))
+            heapq.heappush(heap, (-priority, seq))
             seq += 1
 
     done.extend(panels.values())
@@ -218,7 +239,7 @@ def _adaptive(fv, edges, rel_tol, abs_tol, max_evaluations):
 
 
 def _scalar_tolerant(f):
-    """Wrap ``f`` so it always maps (n,) arrays to (n,) arrays.
+    """Wrap ``f`` so it always maps (n,) arrays to (n,) or (n, m) arrays.
 
     Vectorized callables pass through; scalar-only callables (detected by
     a failed or mis-shaped array call) fall back to a point loop.
@@ -229,7 +250,7 @@ def _scalar_tolerant(f):
         if not state["loop"]:
             try:
                 y = np.asarray(f(x), dtype=float)
-                if y.shape == x.shape:
+                if y.shape == x.shape or (y.ndim == 2 and len(y) == len(x)):
                     return y
             except (TypeError, ValueError):
                 pass
@@ -241,7 +262,7 @@ def _scalar_tolerant(f):
 
 def _check_finite(y, x, where):
     if not np.all(np.isfinite(y)):
-        bad = np.asarray(x)[~np.isfinite(y)]
+        bad = np.asarray(x)[~np.isfinite(y).reshape(len(x), -1).all(axis=1)]
         raise QuadratureError(
             f"integrand returned a non-finite value at {where} = {bad.flat[0]!r}"
         )
@@ -285,6 +306,7 @@ def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> Qu
     ----------
     f : callable
         Integrand; called with an abscissa array, scalar fallback applies.
+        It may return shape (n, m) for m components integrated together.
     decay_scale : float
         Expected scale L of the falloff, exp(-x/L) style.  The rational
         map x = L*s/(1-s) places half of the unit interval below x = L.
@@ -294,6 +316,8 @@ def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> Qu
     Returns
     -------
     QuadratureResult
+        Of shape (m,) values and errors for an (n, m) integrand, each
+        component meeting the tolerance on its own.
 
     Notes
     -----
@@ -306,26 +330,30 @@ def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> Qu
         raise ValueError("decay_scale must be a positive finite number")
     tol = tol or _DEFAULT_TOL
     fs = _scalar_tolerant(f)
+    shape = {}
 
     def fv(s):
         one_m = 1.0 - s
         ok = one_m > 0.0
         safe = np.where(ok, one_m, 1.0)
         x = decay_scale * s / safe
-        out = np.zeros_like(s)
-        if ok.all():
-            y = fs(x)
-            _check_finite(y, x, "x")
-            out = y * decay_scale / safe**2
-        elif ok.any():
-            y = fs(x[ok])
-            _check_finite(y, x[ok], "x")
-            out[ok] = y * decay_scale / safe[ok] ** 2
-        return out[:, None]
+        if not ok.all():
+            x, safe = x[ok], safe[ok]
+        y = fs(x)
+        _check_finite(y, x, "x")
+        shape["vector"] = y.ndim == 2
+        y = y.reshape(len(x), -1) * decay_scale / (safe**2)[:, None]
+        if len(x) == len(s):
+            return y
+        out = np.zeros((len(s), y.shape[1]))
+        out[ok] = y
+        return out
 
     v, e, n, ok = _adaptive(
         fv, np.linspace(0.0, 1.0, 9), tol.rel_tol, tol.abs_tol, tol.max_evaluations
     )
+    if shape["vector"]:
+        return QuadratureResult(v, e, n, ok)
     return QuadratureResult(float(v[0]), float(e[0]), n, ok)
 
 
@@ -389,7 +417,8 @@ def integrate_2d(
         return out
 
     v, e, _, ok = _adaptive(
-        fv, np.linspace(0.0, 1.0, 9), tol.rel_tol, tol.abs_tol, tol.max_evaluations
+        fv, np.linspace(0.0, 1.0, 9), tol.rel_tol, tol.abs_tol, tol.max_evaluations,
+        lead=1,
     )
     if failures:
         shown = ", ".join(f"{x:.6g}" for x in failures[:3])
@@ -403,50 +432,60 @@ def integrate_2d(
     return QuadratureResult(float(v[0]), error, counters["evals"], ok)
 
 
+def _ratio(num, den):
+    """num/den of non-negative arrays, with 0/0 = 0 and x/0 = inf."""
+    return np.divide(num, den, out=np.where(num > 0.0, np.inf, 0.0), where=den > 0.0)
+
+
 def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureResult:
     """Weighted thermal sum (1/beta) * [g(0)/2 + sum_{n>=1} g(2*pi*n/beta)].
 
-    The n = 0 term carries half weight.  Summation stops once three
-    consecutive terms fall below rel_tol times the running (unscaled)
-    sum, with a hard cap of 1e5 terms.  The error estimate is a geometric
-    tail extrapolation from the last two terms; ``evaluations`` counts
-    calls to ``g``.
+    ``g`` gets an array of up to 64 consecutive frequencies at a time and
+    returns one value, or one row of m components, per frequency (scalar
+    fallback applies).  The n = 0 term carries half weight.  Summation
+    stops at the first n where every component's geometric tail is within
+    rel_tol*|sum| + abs_tol (unscaled); the decay ratio is the larger of
+    the last two term ratios and the tail is summed from the larger of the
+    last two terms, so a term that is small only by a sign change cannot
+    end the sum.  A hard cap of 1e5 terms returns ``converged=False``.
+    The error estimate is that tail plus abs_tol, over beta; values and
+    errors have shape (m,) for m components.  ``evaluations`` counts the
+    terms summed.
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError("beta must be a positive finite number")
     tol = tol or _DEFAULT_TOL
-
-    total = 0.5 * float(g(0.0))
-    evaluations = 1
-    consecutive = 0
-    second_last = 0.0
-    last = 0.0
-    converged = False
+    gs = _scalar_tolerant(g)
     cap = 100_000
-    for n in range(1, cap + 1):
-        term = float(g(2.0 * math.pi * n / beta))
-        evaluations += 1
-        total += term
-        second_last, last = last, abs(term)
-        if last <= tol.rel_tol * abs(total) + tol.abs_tol:
-            consecutive += 1
-            if consecutive >= 3:
-                converged = True
-                break
-        else:
-            consecutive = 0
-
-    ratio = last / second_last if second_last > 0.0 else 0.0
-    if 0.0 < ratio < 0.999:
-        tail = last * ratio / (1.0 - ratio)
-    else:
-        tail = last
-    return QuadratureResult(
-        value=total / beta,
-        error_estimate=(tail + tol.abs_tol) / beta,
-        evaluations=evaluations,
-        converged=converged,
-    )
+    converged = False
+    n = 0
+    while n <= cap and not converged:
+        count = min(64, cap + 1 - n)
+        block = gs(2.0 * math.pi * np.arange(n, n + count, dtype=float) / beta)
+        vector = block.ndim == 2
+        block = block.reshape(count, -1)
+        if n == 0:
+            total, recent, block, n = 0.5 * block[0], block[:0], block[1:], 1
+        # Running sums in term order, and the tail after each term that
+        # has two predecessors with n >= 1.
+        sums = np.cumsum(np.vstack([total, block]), axis=0)[1:]
+        mags = np.vstack([recent, np.abs(block)])
+        a, b, c = mags[:-2], mags[1:-1], mags[2:]
+        ratio = np.maximum(_ratio(c, b), _ratio(b, a))
+        tails = np.divide(np.maximum(b, c) * ratio, 1.0 - ratio,
+                          out=np.full_like(ratio, np.inf), where=ratio < 1.0)
+        first = 2 - len(recent)
+        met = np.all(tails <= tol.rel_tol * np.abs(sums[first:]) + tol.abs_tol, axis=1)
+        stop = int(np.argmax(met)) if met.any() else len(tails) - 1
+        converged = bool(met[stop])
+        total, tail, recent = sums[first + stop], tails[stop], mags[-2:]
+        n += first + stop + 1
+    if not converged:
+        tail = np.where(np.isfinite(tail), tail, np.max(recent, axis=0))
+    value, error = total / beta, (tail + tol.abs_tol) / beta
+    if not vector:
+        value, error = float(value[0]), float(error[0])
+    return QuadratureResult(value, error, n, converged)
 
 
 def bracket_root(

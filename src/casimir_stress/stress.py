@@ -30,10 +30,11 @@ At finite temperature the continuous frequency integral becomes a sum
 over Matsubara frequencies ``zeta_n = 2*pi*n/beta`` (half weight at
 ``n = 0``) and the homogeneous blackbody contribution is added back:
 ``pi**2/(15*beta**4)`` to the energy density, one third of that to each
-pressure, and ``4*pi**2/(45*beta**4)`` to the transverse null-energy
-combination.  The summand is even analytic in ``zeta``, so the truncated
-sum converges to the zero-temperature integral exponentially fast as
-``beta`` grows.
+pressure, and ``4*pi**2/(45*beta**4)`` to both null-energy combinations.
+The summand is even analytic in ``zeta``, so the truncated sum converges
+to the zero-temperature integral exponentially fast as ``beta`` grows.
+One kernel gives every component as a single integrand over
+``x = kappa - zeta``, on a grid a block of frequencies shares.
 
 Sign conventions: negative energy density means the vacuum energy lies
 below the free-space value; negative ``pressure_zz`` means the walls
@@ -67,6 +68,7 @@ __all__ = [
     "SlowConvergenceWarning",
     "StressDiagonal",
     "ThermalState",
+    "clear_caches",
     "critical_omega_pa",
     "energy_density",
     "mean_sq_B",
@@ -207,12 +209,6 @@ def _combine(*weighted: tuple[float, QuadratureResult]) -> QuadratureResult:
     return QuadratureResult(value, math.sqrt(variance), evaluations, converged)
 
 
-def _plus_constant(result: QuadratureResult, shift: float) -> QuadratureResult:
-    return QuadratureResult(
-        result.value + shift, result.error_estimate, result.evaluations, result.converged
-    )
-
-
 # ----------------------------------------------------------------------
 # Integrands in (zeta, k) coordinates.
 #
@@ -238,12 +234,6 @@ def _mirror(kappa, z_over_a):
     return 0.5 * (
         np.exp(-2.0 * kappa * z_over_a) + np.exp(-2.0 * kappa * (1.0 - z_over_a))
     )
-
-
-def _interference_stable(zeta, kappa, r_s, r_p, damp, den_s, den_p, omega_p):
-    """r_s/den_s + r_p/den_p computed without the r_p + r_s cancellation."""
-    pair_sum = dielectric.rp_plus_rs_ut(kappa, zeta / kappa, omega_p)
-    return pair_sum * (1.0 - r_s * r_p * damp) / (den_s * den_p)
 
 
 def _f_energy_indep(omega_p):
@@ -308,66 +298,19 @@ def _f_sq_b_dep(omega_p, z_over_a):
     return f
 
 
-def _f_nec_transverse_indep(omega_p):
-    def f(zeta, k):
-        kappa, r_s, r_p, damp, den_s, den_p = _zk_fields(zeta, k, omega_p)
-        return (
-            (k / kappa)
-            * (k * k - 2.0 * zeta * zeta)
-            * _bound_sum(r_s, r_p, damp, den_s, den_p)
-        )
-
-    return f
-
-
-def _f_nec_transverse_dep(omega_p, z_over_a):
-    def f(zeta, k):
-        kappa, r_s, r_p, damp, den_s, den_p = _zk_fields(zeta, k, omega_p)
-        inter = _interference_stable(
-            zeta, kappa, r_s, r_p, damp, den_s, den_p, omega_p
-        )
-        return (k / kappa) * 3.0 * k * k * inter * _mirror(kappa, z_over_a)
-
-    return f
-
-
-def _f_nec_transverse_mid(omega_p):
-    # Midpoint fast path: with z = a/2 the k-integral of the transverse
-    # null-energy summand collapses, via k dk = kappa dkappa, to a single
-    # integral over kappa = zeta + x:
-    #     (kappa**2 - 3*zeta**2)*bound + 3*(kappa**2 - zeta**2)*inter*exp(-kappa)
-    # where kappa**2 - zeta**2 is formed as x*(x + 2*zeta) to keep full
-    # precision at small x.
-    def f(zeta, x):
-        kappa = zeta + x
-        tpol = zeta / kappa
-        r_s, r_p = dielectric.rs_rp_ut(kappa, tpol, omega_p)
-        damp = np.exp(-2.0 * kappa)
-        den_s = 1.0 - r_s * r_s * damp
-        den_p = 1.0 - r_p * r_p * damp
-        bound = _bound_sum(r_s, r_p, damp, den_s, den_p)
-        pair_sum = dielectric.rp_plus_rs_ut(kappa, tpol, omega_p)
-        inter = pair_sum * (1.0 - r_s * r_p * damp) / (den_s * den_p)
-        k2 = x * (x + 2.0 * zeta)
-        return (kappa * kappa - 3.0 * zeta * zeta) * bound + 3.0 * k2 * inter * np.exp(
-            -kappa
-        )
-
-    return f
-
-
 # ----------------------------------------------------------------------
 # Integrands in polar spectral coordinates (u, t), used for the zero-
 # temperature null-energy combinations.  The outer variable is u (the
 # evanescent decay constant), the inner is t = zeta/u on (0, 1); both
 # integrand pieces live under one integral here, which is what makes the
-# sign structure manifest.
+# sign structure manifest.  The finite-temperature kernel shares
+# _ut_fields with u = kappa and t = zeta_n/kappa.
 # ----------------------------------------------------------------------
 
 
-def _ut_fields(u, t, omega_p):
+def _ut_fields(u, t, omega_p, damp):
+    """Bound sum b and interference factor I at kappa = u, zeta = u*t."""
     r_s, r_p = dielectric.rs_rp_ut(u, t, omega_p)
-    damp = math.exp(-2.0 * u)
     den_s = 1.0 - r_s * r_s * damp
     den_p = 1.0 - r_p * r_p * damp
     bound = _bound_sum(r_s, r_p, damp, den_s, den_p)
@@ -378,7 +321,7 @@ def _ut_fields(u, t, omega_p):
 
 def _f_nec_transverse_ut(omega_p, z_over_a):
     def f(u, t):
-        bound, inter = _ut_fields(u, t, omega_p)
+        bound, inter = _ut_fields(u, t, omega_p, math.exp(-2.0 * u))
         mirror = 0.5 * (
             math.exp(-2.0 * u * z_over_a) + math.exp(-2.0 * u * (1.0 - z_over_a))
         )
@@ -390,7 +333,7 @@ def _f_nec_transverse_ut(omega_p, z_over_a):
 
 def _f_nec_longitudinal_ut(omega_p, z_over_a):
     def f(u, t):
-        bound, inter = _ut_fields(u, t, omega_p)
+        bound, inter = _ut_fields(u, t, omega_p, math.exp(-2.0 * u))
         mirror = 0.5 * (
             math.exp(-2.0 * u * z_over_a) + math.exp(-2.0 * u * (1.0 - z_over_a))
         )
@@ -403,10 +346,11 @@ def _f_nec_longitudinal_ut(omega_p, z_over_a):
 # ----------------------------------------------------------------------
 # Assembly: zero-temperature double integrals and Matsubara sums.
 #
-# Position-independent parts depend only on (part, omega_p, tolerance)
-# and are cached, as are the per-frequency inner integrals of the
-# thermal sums; a midpoint profile then reuses every z-independent piece
-# across positions.
+# Position-independent zero-temperature parts depend only on (part,
+# omega_p, tolerance) and are cached, so a profile reuses them across
+# positions.  At finite temperature the last point's sums are kept, so
+# the operations of one CLI row share a single evaluation, and the
+# z-independent tzz sum is kept across the rows of a profile.
 # ----------------------------------------------------------------------
 
 _ZK_PARTS = {
@@ -417,21 +361,12 @@ _ZK_PARTS = {
     "pressure_xx_dep": (_f_pressure_xx_dep, True),
     "sq_e_dep": (_f_sq_e_dep, True),
     "sq_b_dep": (_f_sq_b_dep, True),
-    "nec_transverse_indep": (_f_nec_transverse_indep, False),
-    "nec_transverse_dep": (_f_nec_transverse_dep, True),
-    "nec_transverse_mid": (_f_nec_transverse_mid, False),
 }
 
 
 def _part_integrand(name: str, omega_p: float, z_over_a):
     builder, needs_z = _ZK_PARTS[name]
     return builder(omega_p, z_over_a) if needs_z else builder(omega_p)
-
-
-def _part_scale(name: str, z_over_a) -> float:
-    if name == "nec_transverse_mid":
-        return 1.0
-    return _dep_scale(z_over_a) if _ZK_PARTS[name][1] else _IND_SCALE
 
 
 @lru_cache(maxsize=4096)
@@ -447,55 +382,85 @@ def _zero_t_dep(name: str, omega_p: float, z_over_a: float, tol: Tolerance):
     return integrate_2d(f, domain, domain, tol)
 
 
-@lru_cache(maxsize=262144)
-def _thermal_term(
-    name: str, omega_p: float, z_over_a, zeta: float, tol: Tolerance
-) -> QuadratureResult:
-    f = _part_integrand(name, omega_p, z_over_a)
-    return integrate_semiinf(
-        lambda k: f(zeta, k), _part_scale(name, z_over_a), tol
-    )
+def _thermal_integrands(omega_p, zeta, x, z_over_a):
+    """Finite-temperature integrands at kappa = zeta + x, shared x grid.
 
-
-def _thermal_sum(
-    names: list[str],
-    omega_p: float,
-    z_over_a: float,
-    beta: float,
-    tol: Tolerance,
-    prefactor: float,
-) -> QuadratureResult:
-    """Matsubara-sum the named inner integrals and scale by 2*pi*prefactor.
-
-    The inner-quadrature error of every term rides along with the same
-    weights as the values (half weight for the zero frequency) and is
-    added to the truncation estimate of the frequency sum.
+    With k**2 = x*(x + 2*zeta) and k dk = kappa dx every inner k-integral
+    becomes one over x on [0, inf).  From the bound sum b and the
+    interference term k**2*I*M the kernel forms the _ROW columns, shape
+    (x.size, zeta.size, 4); with z_over_a None, only tzz's -kappa**2*b,
+    shape (x.size, zeta.size).
     """
-    inner_errors: list[float] = []
-    state = {"evals": 0, "ok": True}
+    kappa = x[:, None] + zeta
+    bound, inter = _ut_fields(kappa, zeta / kappa, omega_p, np.exp(-2.0 * kappa))
+    tzz = -(kappa * kappa) * bound
+    if z_over_a is None:
+        return tzz
+    k2 = x[:, None] * (x[:, None] + 2.0 * zeta)
+    inter = k2 * inter * _mirror(kappa, z_over_a)
+    z2b = zeta * zeta * bound
+    t00 = inter - z2b
+    nec_x = k2 * bound - 2.0 * z2b + 3.0 * inter
+    return np.stack([t00, k2 * bound + inter, nec_x, t00 + tzz], axis=-1)
 
-    def summand(zeta: float) -> float:
-        value = 0.0
-        error = 0.0
-        for name in names:
-            z_key = z_over_a if _ZK_PARTS[name][1] else None
-            part = _thermal_term(name, omega_p, z_key, zeta, tol)
-            value += part.value
-            error += part.error_estimate
-            state["evals"] += part.evaluations
-            state["ok"] = state["ok"] and part.converged
-        inner_errors.append(error)
-        return value
+
+# Columns of _thermal_integrands: prefactor and blackbody coefficient.
+_ROW = {
+    "t00": (_HALF_PI2, math.pi**2 / 15.0),
+    "txx": (_QUARTER_PI2, math.pi**2 / 45.0),
+    "nec_x": (_QUARTER_PI2, 4.0 * math.pi**2 / 45.0),
+    "nec_z": (_HALF_PI2, 4.0 * math.pi**2 / 45.0),
+}
+_TZZ = (_HALF_PI2, math.pi**2 / 45.0)
+
+
+def _thermal_sum(omega_p, z_over_a, beta, tol, columns):
+    """Matsubara sums of the kernel's (prefactor, blackbody) columns.
+
+    Each term's inner-quadrature error joins the tail estimate with the
+    term's weight (half for the zero frequency).
+    """
+    decay = _IND_SCALE if z_over_a is None else _dep_scale(z_over_a)
+    parts = []
+
+    def summand(zeta):
+        def f(x):
+            return _thermal_integrands(omega_p, zeta, x, z_over_a).reshape(x.size, -1)
+
+        parts.append(integrate_semiinf(f, decay, tol))
+        return parts[-1].value.reshape(zeta.size, -1)
 
     summed = matsubara_sum(summand, beta, tol)
-    inner = (0.5 * inner_errors[0] + sum(inner_errors[1:])) / beta
-    scale = 2.0 * math.pi * prefactor
-    return QuadratureResult(
-        scale * summed.value,
-        abs(scale) * (summed.error_estimate + inner),
-        summed.evaluations + state["evals"],
-        summed.converged and state["ok"],
-    )
+    inner = np.vstack([p.error_estimate.reshape(-1, len(columns)) for p in parts])
+    inner = inner[: summed.evaluations]
+    error = summed.error_estimate + (np.sum(inner, axis=0) - 0.5 * inner[0]) / beta
+    evaluations = summed.evaluations + sum(p.evaluations for p in parts)
+    converged = summed.converged and all(p.converged for p in parts)
+    return [
+        QuadratureResult(
+            float(2.0 * math.pi * pre * v + blackbody / beta**4),
+            float(2.0 * math.pi * pre * err), evaluations, converged,
+        )
+        for v, err, (pre, blackbody) in zip(summed.value, error, columns)
+    ]
+
+
+@lru_cache(maxsize=1)
+def _thermal_row(omega_p, z_over_a, beta, tol) -> dict[str, QuadratureResult]:
+    return dict(zip(_ROW, _thermal_sum(omega_p, z_over_a, beta, tol, _ROW.values())))
+
+
+@lru_cache(maxsize=1)
+def _thermal_tzz(omega_p, beta, tol) -> QuadratureResult:
+    # Summed on its own, so that it cannot depend on the position.
+    return _thermal_sum(omega_p, None, beta, tol, [_TZZ])[0]
+
+
+def clear_caches() -> None:
+    """Forget all cached integrals; later results are bitwise the same."""
+    _zero_t_indep.cache_clear()
+    _thermal_row.cache_clear()
+    _thermal_tzz.cache_clear()
 
 
 _DEFAULT_TOL = Tolerance()
@@ -586,11 +551,7 @@ def energy_density(
         indep = _zero_t_indep("energy_indep", wp, tol)
         dep = _zero_t_dep("energy_dep", wp, zr, tol)
         return _combine((_HALF_PI2, indep), (_HALF_PI2, dep))
-    beta = thermal.beta
-    core = _thermal_sum(
-        ["energy_indep", "energy_dep"], wp, zr, beta, tol, _HALF_PI2
-    )
-    return _plus_constant(core, math.pi**2 / (15.0 * beta**4))
+    return _thermal_row(wp, zr, thermal.beta, tol)["t00"]
 
 
 def pressure_zz(
@@ -613,11 +574,7 @@ def pressure_zz(
     if thermal.is_zero:
         part = _zero_t_indep("pressure_zz", wp, tol)
         return _combine((_HALF_PI2, part))
-    beta = thermal.beta
-    core = _thermal_sum(
-        ["pressure_zz"], wp, geom.z_over_a, beta, tol, _HALF_PI2
-    )
-    return _plus_constant(core, math.pi**2 / (45.0 * beta**4))
+    return _thermal_tzz(wp, thermal.beta, tol)
 
 
 def pressure_xx(
@@ -642,11 +599,7 @@ def pressure_xx(
         indep = _zero_t_indep("pressure_xx_indep", wp, tol)
         dep = _zero_t_dep("pressure_xx_dep", wp, zr, tol)
         return _combine((_QUARTER_PI2, indep), (_QUARTER_PI2, dep))
-    beta = thermal.beta
-    core = _thermal_sum(
-        ["pressure_xx_indep", "pressure_xx_dep"], wp, zr, beta, tol, _QUARTER_PI2
-    )
-    return _plus_constant(core, math.pi**2 / (45.0 * beta**4))
+    return _thermal_row(wp, zr, thermal.beta, tol)["txx"]
 
 
 def stress_tensor(
@@ -684,9 +637,9 @@ def nec_transverse(
     zero temperature this evaluates a single double integral in polar
     spectral coordinates, where both integrand pieces carry their signs
     explicitly, rather than differencing two larger quantities.  At
-    finite temperature the blackbody part contributes
-    4*pi**2/(45*beta**4); at the midpoint the per-frequency integral
-    collapses to a single-variable integral and that fast path is used.
+    finite temperature each Matsubara term is likewise a single
+    integral of the combined integrand, and the blackbody part
+    contributes 4*pi**2/(45*beta**4).
     """
     thermal, tol = _resolve(thermal, tol)
     _warn_if_near_wall(geom)
@@ -700,13 +653,7 @@ def nec_transverse(
             tol,
         )
         return _combine((_QUARTER_PI2, part))
-    beta = thermal.beta
-    if zr == 0.5:
-        names = ["nec_transverse_mid"]
-    else:
-        names = ["nec_transverse_indep", "nec_transverse_dep"]
-    core = _thermal_sum(names, wp, zr, beta, tol, _QUARTER_PI2)
-    return _plus_constant(core, 4.0 * math.pi**2 / (45.0 * beta**4))
+    return _thermal_row(wp, zr, thermal.beta, tol)["nec_x"]
 
 
 def nec_longitudinal(
@@ -722,13 +669,15 @@ def nec_longitudinal(
     well (approaching -pi**2/180 in the perfect-conductor limit) while
     turning positive near the walls.  At zero temperature this is a
     single double integral in polar spectral coordinates; at finite
-    temperature it is assembled as energy_density + pressure_zz.
+    temperature each Matsubara term is a single integral of the summed
+    integrands of T_00 and T_zz, and the blackbody part contributes
+    4*pi**2/(45*beta**4).
     """
     thermal, tol = _resolve(thermal, tol)
+    _warn_if_near_wall(geom)
     wp = model.omega_p
     zr = geom.z_over_a
     if thermal.is_zero:
-        _warn_if_near_wall(geom)
         part = integrate_2d(
             _f_nec_longitudinal_ut(wp, zr),
             SemiInfinite(_dep_scale(zr)),
@@ -736,9 +685,7 @@ def nec_longitudinal(
             tol,
         )
         return _combine((_HALF_PI2, part))
-    energy = energy_density(geom, model, thermal, tol=tol)
-    pressure = pressure_zz(geom, model, thermal, tol=tol)
-    return _combine((1.0, energy), (1.0, pressure))
+    return _thermal_row(wp, zr, thermal.beta, tol)["nec_z"]
 
 
 def near_wall_asymptote(z: float, model: PlasmaModel) -> tuple[float, float]:

@@ -50,3 +50,54 @@ ORACLE = {
         "nec_longitudinal": -3.946433869712363e-02,
     },
 }
+
+
+# Finite-temperature reference values from the independent oracle in
+# ``perfbench/thermal_oracle.py`` (copied from its ``FROZEN`` table).  That
+# oracle shares no code with the package: textbook reflection
+# coefficients with the analytic zero-frequency limit, a fixed exp-sinh
+# rule in k at every Matsubara frequency, a plain half-weighted sum run
+# until the terms fall below 1e-18 of it, and the closed-form blackbody
+# terms.  Its two step sizes, differing by 2x, agree to 2.1e-15 relative
+# or better on every entry, far inside the 1e-10 relative slack the tests
+# allow; regenerate with ``python3 perfbench/thermal_oracle.py``.
+#
+# Keys are (omega_p * a, z / a, beta / a); values are in 1/a**4 and use
+# the CLI column names: nec_x = t00 + txx and nec_z = t00 + tzz.
+THERMAL_ORACLE = {
+    (100.0, 0.25, 5.0): {
+        "t00": +1.764546528814956e-01,
+        "txx": +1.077552289087571e-01,
+        "tzz": -3.905580493601854e-02,
+        "nec_x": +2.842098817902527e-01,
+        "nec_z": +1.373988479454771e-01,
+    },
+    (100.0, 0.5, 5.0): {
+        "t00": +2.650629389446128e-03,
+        "txx": +2.085321716273232e-02,
+        "tzz": -3.905580493601854e-02,
+        "nec_x": +2.350384655217845e-02,
+        "nec_z": -3.640517554657241e-02,
+    },
+    (100.0, 0.75, 5.0): {
+        "t00": +1.764546528814956e-01,
+        "txx": +1.077552289087571e-01,
+        "tzz": -3.905580493601854e-02,
+        "nec_x": +2.842098817902527e-01,
+        "nec_z": +1.373988479454771e-01,
+    },
+    (100.0, 0.5, 100.0): {
+        "t00": -4.386349733059328e-04,
+        "txx": +1.929334306228772e-02,
+        "tzz": -3.902532109788134e-02,
+        "nec_x": +1.885470808898179e-02,
+        "nec_z": -3.946395607118728e-02,
+    },
+    (100.0, 0.5, 1000.0): {
+        "t00": -4.390210390557430e-04,
+        "txx": +1.929314811819268e-02,
+        "tzz": -3.902531727544119e-02,
+        "nec_x": +1.885412707913693e-02,
+        "nec_z": -3.946433831449694e-02,
+    },
+}

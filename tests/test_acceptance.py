@@ -58,8 +58,7 @@ def sample_points(n=100):
 
 
 def clear_caches():
-    stress_mod._zero_t_indep.cache_clear()
-    stress_mod._thermal_term.cache_clear()
+    stress_mod.clear_caches()
 
 
 # Coefficient of 1/(omega_p*a) in each deviation from the perfect

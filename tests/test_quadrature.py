@@ -171,6 +171,19 @@ def test_matsubara_sum_approaches_integral_at_large_beta():
     assert abs(res.value - exact) <= 2e-3 * exact
 
 
+def test_matsubara_sum_meets_its_tolerance_on_slowly_decaying_sums():
+    # Small terms alone do not end the sum: the geometric tail they leave
+    # must be within the tolerance too.
+    tol = Tolerance()
+    for beta in (100.0, 1e3):
+        q = math.exp(-2.0 * math.pi / beta)
+        exact = (0.5 + q / (1.0 - q)) / beta
+        res = matsubara_sum(lambda z: math.exp(-z), beta, tol)
+        assert res.converged
+        assert abs(res.value - exact) <= 2.0 * tol.rel_tol * exact
+        assert abs(res.value - exact) <= res.error_estimate
+
+
 def test_matsubara_sum_validation():
     with pytest.raises(ValueError):
         matsubara_sum(lambda z: 0.0, beta=0.0)

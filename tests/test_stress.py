@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _frozen import ORACLE
+from _frozen import ORACLE, THERMAL_ORACLE
 from casimir_stress import (
     Geometry,
     PlasmaModel,
@@ -26,6 +26,7 @@ from casimir_stress import (
     reference_limits,
     stress_tensor,
 )
+from casimir_stress import dielectric
 from casimir_stress import stress as stress_mod
 
 QUICK = Tolerance(rel_tol=1e-7, abs_tol=1e-12)
@@ -185,24 +186,60 @@ def test_heating_raises_midpoint_energy_and_transverse_margin():
         ).value
 
 
-def test_midpoint_fast_path_matches_general_position_path():
-    # The midpoint Matsubara summand collapses to a one-dimensional
-    # integral; it must agree with the two-part general-position route.
-    beta = 5.0
-    th = ThermalState.finite(beta)
-    for omega_p in (10.0, 100.0):
-        fast = nec_transverse(Geometry(0.5), PlasmaModel(omega_p), th, tol=QUICK)
-        general = stress_mod._thermal_sum(
-            ["nec_transverse_indep", "nec_transverse_dep"],
-            omega_p,
-            0.5,
-            beta,
-            QUICK,
-            stress_mod._QUARTER_PI2,
-        )
-        general_total = general.value + 4.0 * math.pi**2 / (45.0 * beta**4)
-        err = fast.error_estimate + general.error_estimate
-        assert abs(fast.value - general_total) <= max(10.0 * err, 1e-9 * abs(fast.value))
+CLI_COLUMNS = {
+    "t00": energy_density,
+    "txx": pressure_xx,
+    "tzz": pressure_zz,
+    "nec_x": nec_transverse,
+    "nec_z": nec_longitudinal,
+}
+
+
+def test_thermal_values_match_frozen_oracle():
+    # An independent fixed-rule oracle; each null-energy combination is a
+    # single integrand here but a sum of two components there, so this
+    # also cross-checks the two routes at finite temperature.
+    for (omega_p, z, beta), expected in THERMAL_ORACLE.items():
+        geom = Geometry(z)
+        model = PlasmaModel(omega_p)
+        thermal = ThermalState.finite(beta)
+        for name, ref in expected.items():
+            res = CLI_COLUMNS[name](geom, model, thermal)
+            assert res.converged, (name, omega_p, z, beta)
+            miss = abs(res.value - ref)
+            assert miss <= res.error_estimate + 1e-10 * abs(ref), (
+                name, omega_p, z, beta, res.value, res.error_estimate)
+
+
+def test_cold_thermal_row_sums_frequencies_in_blocks(monkeypatch):
+    # One beta = 1000 row sums thousands of Matsubara frequencies; the
+    # reflection kernels must see them in blocks, not one call apiece.
+    calls = {"reflection": 0, "terms": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls["reflection"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def counted_sum(g, beta, tol=None):
+        result = original_sum(g, beta, tol)
+        calls["terms"] += result.evaluations
+        return result
+
+    original_sum = stress_mod.matsubara_sum
+    monkeypatch.setattr(dielectric, "rs_rp", counted(dielectric.rs_rp))
+    monkeypatch.setattr(dielectric, "rs_rp_ut", counted(dielectric.rs_rp_ut))
+    monkeypatch.setattr(stress_mod, "matsubara_sum", counted_sum)
+    stress_mod.clear_caches()
+    geom = Geometry(0.5)
+    model = PlasmaModel(100.0)
+    thermal = ThermalState.finite(1000.0)
+    for op in CLI_COLUMNS.values():
+        assert op(geom, model, thermal).converged
+    assert calls["terms"] > 1000
+    assert calls["reflection"] < calls["terms"]
 
 
 def test_transverse_null_energy_stays_nonnegative():
@@ -277,12 +314,16 @@ def test_stress_tensor_transverse_components_agree():
 def test_results_are_reproducible_after_cache_reset():
     geom = Geometry(0.5)
     model = PlasmaModel(10.0)
+    hot = ThermalState.finite(5.0)
     first = energy_density(geom, model, tol=QUICK)
-    stress_mod._zero_t_indep.cache_clear()
-    stress_mod._thermal_term.cache_clear()
+    first_hot = energy_density(geom, model, hot, tol=QUICK)
+    stress_mod.clear_caches()
     second = energy_density(geom, model, tol=QUICK)
+    second_hot = energy_density(geom, model, hot, tol=QUICK)
     assert first.value == second.value
     assert first.error_estimate == second.error_estimate
+    assert first_hot.value == second_hot.value
+    assert first_hot.error_estimate == second_hot.error_estimate
 
 
 def test_no_sign_change_when_hot():
