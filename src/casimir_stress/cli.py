@@ -21,9 +21,10 @@ machine identity.  Exit status is 0 on success, 1 on a usage error, and
 written, flagged in the ``converged`` column).
 
 Options may also come from a JSON config file (``--config``); explicit
-command-line flags win over config entries.  ``--jobs`` evaluates sweep
-and profile points in a process pool; rows stay in input order no
-matter what finishes first.  ``--si`` with ``--separation-um`` (and
+command-line flags win over config entries.  ``--jobs`` (and its config
+key) is still accepted but has no effect: rows are evaluated in order in
+one process, since a row takes milliseconds and a worker process longer
+to start.  ``--si`` with ``--separation-um`` (and
 optionally ``--kelvin``) converts densities to J/m**3 through the units
 module.  Diagnostics go to stderr and honor the NO_COLOR convention.
 """
@@ -36,7 +37,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,7 +86,7 @@ class RunSpec:
     Ranges are (low, high) tuples, single values plain floats;
     ``beta_over_a`` is None at zero temperature.  The spec is echoed
     into every output file, so two files with equal specs carry equal
-    data.
+    data.  ``jobs`` is validated but has no effect.
     """
 
     command: str
@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="output_path", help="output file (default stdout)")
     parser.add_argument("--rel-tol", type=float, help="relative quadrature tolerance")
     parser.add_argument("--abs-tol", type=float, help="absolute quadrature tolerance")
-    parser.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
+    parser.add_argument("--jobs", type=int, help="accepted for compatibility; no effect")
     parser.add_argument("--si", action="store_true", default=None,
                         help="report J/m**3 instead of 1/a**4 units")
     parser.add_argument("--separation-um", type=float,
@@ -351,12 +351,12 @@ def _validate_spec(spec: RunSpec) -> None:
 
 
 # ----------------------------------------------------------------------
-# Point evaluation (also the process-pool worker).
+# Point evaluation.
 # ----------------------------------------------------------------------
 
 
 def _evaluate_point(task: tuple) -> tuple[list[float], int, tuple[str, ...]]:
-    """Evaluate one row; module-level so a process pool can pickle it.
+    """Evaluate one row.
 
     task = (kind, omega_pa, z_over_a, beta_or_none, rel_tol, abs_tol)
     Returns (flat [value, error, ...] pairs, converged flag, warning texts).
@@ -391,16 +391,9 @@ def _evaluate_point(task: tuple) -> tuple[list[float], int, tuple[str, ...]]:
     return flat, int(converged), notes
 
 
-def _run_points(spec: RunSpec, kind: str, axis: list[tuple[float, float]]):
-    """Evaluate rows for (axis value, task) pairs, possibly in parallel."""
-    tasks = []
-    for _, point in axis:
-        tasks.append(point)
-    if spec.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            outcomes = list(pool.map(_evaluate_point, tasks))
-    else:
-        outcomes = [_evaluate_point(task) for task in tasks]
+def _run_points(axis: list[tuple[float, tuple]]):
+    """Evaluate rows for (axis value, task) pairs, in order."""
+    outcomes = [_evaluate_point(task) for _, task in axis]
 
     rows = []
     all_notes: list[str] = []
@@ -459,7 +452,7 @@ def _cmd_profile(spec: RunSpec, kind: str):
         (z, (kind, spec.omega_pa, z, spec.beta_over_a, spec.rel_tol, spec.abs_tol))
         for z in zs
     ]
-    rows, failed, notes = _run_points(spec, kind, axis)
+    rows, failed, notes = _run_points(axis)
     _scale_rows(rows, _si_scale(spec))
     columns = ["z_over_a", *_quantity_header(_QUANTITY_COLUMNS[kind]), "converged"]
     return columns, rows, failed, notes
@@ -471,7 +464,7 @@ def _cmd_sweep(spec: RunSpec):
         (wp, ("stress", wp, spec.z_over_a, spec.beta_over_a, spec.rel_tol, spec.abs_tol))
         for wp in wps
     ]
-    rows, failed, notes = _run_points(spec, "stress", axis)
+    rows, failed, notes = _run_points(axis)
     _scale_rows(rows, _si_scale(spec))
     columns = ["omega_pa", *_quantity_header(_QUANTITY_COLUMNS["stress"]), "converged"]
     return columns, rows, failed, notes

@@ -35,17 +35,9 @@ import numpy as np
 
 __all__ = [
     "PlasmaModel",
-    "SpectralPoint",
-    "AngularSpectralPoint",
-    "ReflectionCoefficients",
     "eps_imag",
-    "reflection",
-    "reflection_ut",
-    "d_rp_dt",
-    "rp_plus_rs",
     "rs_rp",
     "rs_rp_ut",
-    "drp_dt_ut",
     "rp_plus_rs_ut",
 ]
 
@@ -63,70 +55,6 @@ class PlasmaModel:
     def __post_init__(self):
         if math.isnan(self.omega_p) or self.omega_p < 0.0:
             raise ValueError("omega_p must be >= 0 (math.inf allowed)")
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One (zeta, k) point of the imaginary-frequency spectrum.
-
-    kappa is the vacuum decay constant sqrt(k**2 + zeta**2) and kappa1
-    its in-medium counterpart; use :meth:`make` so that kappa1 is built
-    through the cancellation-free plasma identity kappa1**2 = kappa**2 +
-    omega_p**2.
-    """
-
-    zeta: float
-    k: float
-    kappa: float
-    kappa1: float
-
-    @classmethod
-    def make(cls, zeta: float, k: float, model: PlasmaModel) -> "SpectralPoint":
-        if zeta < 0.0 or k < 0.0:
-            raise ValueError("zeta and k must be non-negative")
-        kappa = math.hypot(zeta, k)
-        if math.isinf(model.omega_p):
-            kappa1 = math.inf
-        else:
-            kappa1 = math.sqrt(kappa * kappa + model.omega_p**2)
-        return cls(zeta=zeta, k=k, kappa=kappa, kappa1=kappa1)
-
-
-@dataclass(frozen=True)
-class AngularSpectralPoint:
-    """Polar spectral coordinates u = kappa, t = zeta/kappa.
-
-    The map zeta = u*t, k = u*sqrt(1 - t**2) turns the quarter-plane
-    integrals into a half-line in u times the unit interval in t.
-    """
-
-    u: float
-    t: float
-
-    def __post_init__(self):
-        if not (self.u > 0.0):
-            raise ValueError("u must be positive")
-        if not (0.0 <= self.t <= 1.0):
-            raise ValueError("t must lie in [0, 1]")
-
-    def to_spectral(self, model: PlasmaModel) -> SpectralPoint:
-        return SpectralPoint.make(
-            zeta=self.u * self.t,
-            k=self.u * math.sqrt((1.0 - self.t) * (1.0 + self.t)),
-            model=model,
-        )
-
-
-@dataclass(frozen=True)
-class ReflectionCoefficients:
-    """S- and P-polarization amplitudes at imaginary frequency.
-
-    Always real with -1 <= r_s <= 0 <= r_p <= 1 and r_p >= |r_s| for the
-    plasma model.
-    """
-
-    r_s: float
-    r_p: float
 
 
 def eps_imag(zeta: float, model: PlasmaModel) -> float:
@@ -173,10 +101,10 @@ def _rs_rp_k2(zeta, k2, kappa, omega_p):
 def rs_rp(zeta, k, omega_p: float):
     """Reflection coefficients (r_s, r_p) at (zeta, k); array friendly.
 
-    Hot-path variant without object wrapping: ``zeta`` and ``k`` may be
-    floats or numpy arrays (broadcast together), ``omega_p`` is a scalar.
-    The point (0, 0) is outside the domain and is never produced by the
-    quadrature nodes; no check is performed here.
+    ``zeta`` and ``k`` may be floats or numpy arrays (broadcast
+    together), ``omega_p`` is a scalar.  The point (0, 0) is outside the
+    domain; no check is performed here.  The stress integrals use the
+    polar form rs_rp_ut; this Cartesian form is its cross-check.
     """
     if omega_p == 0.0:
         zero = np.zeros(np.broadcast(zeta, k).shape)
@@ -212,16 +140,6 @@ def rs_rp_ut(u, t, omega_p: float):
     return rs, rp
 
 
-def drp_dt_ut(u, t, omega_p: float):
-    """Partial derivative of r_p with respect to t at fixed u; <= 0."""
-    if omega_p == 0.0 or math.isinf(omega_p):
-        return np.zeros(np.broadcast(u, t).shape)
-    wp2 = omega_p * omega_p
-    q = np.sqrt(u * u + wp2)
-    den = u * t * t * (u + q) + wp2
-    return -4.0 * u * wp2 * t * q / (den * den)
-
-
 def rp_plus_rs_ut(u, t, omega_p: float):
     """The sum r_p + r_s without cancellation; >= 0, zero at t = 1.
 
@@ -239,31 +157,3 @@ def rp_plus_rs_ut(u, t, omega_p: float):
     t2 = t * t
     den = q * (2.0 * t2 * u * u + wp2) + 2.0 * t2 * u**3 + u * wp2 * (t2 + 1.0)
     return 2.0 * wp2 * (1.0 - t2) * u / den
-
-
-def reflection(point: SpectralPoint, model: PlasmaModel) -> ReflectionCoefficients:
-    """Reflection coefficients at a spectral point.
-
-    Raises ValueError at the degenerate corner zeta = k = 0, where the
-    coefficients have no limit.
-    """
-    if point.kappa == 0.0 and model.omega_p > 0.0:
-        raise ValueError("reflection is undefined at zeta = k = 0")
-    r_s, r_p = rs_rp(point.zeta, point.k, model.omega_p)
-    return ReflectionCoefficients(r_s=float(r_s), r_p=float(r_p))
-
-
-def reflection_ut(point: AngularSpectralPoint, model: PlasmaModel) -> ReflectionCoefficients:
-    """Reflection coefficients in polar spectral coordinates."""
-    r_s, r_p = rs_rp_ut(point.u, point.t, model.omega_p)
-    return ReflectionCoefficients(r_s=float(r_s), r_p=float(r_p))
-
-
-def d_rp_dt(point: AngularSpectralPoint, model: PlasmaModel) -> float:
-    """d r_p / dt at fixed u; non-positive everywhere on the domain."""
-    return float(drp_dt_ut(point.u, point.t, model.omega_p))
-
-
-def rp_plus_rs(point: AngularSpectralPoint, model: PlasmaModel) -> float:
-    """Cancellation-free r_p + r_s; non-negative, vanishing at t = 1."""
-    return float(rp_plus_rs_ut(point.u, point.t, model.omega_p))

@@ -10,21 +10,26 @@ computed in units of the gap width: lengths in ``a``, frequencies in
 
 Every quantity is a mode sum over imaginary frequency ``zeta`` and
 transverse wavenumber ``k``, with ``kappa = sqrt(zeta**2 + k**2)`` the
-decay constant of evanescent modes.  Two integrand building blocks appear
-throughout, both built from the reflection coefficients ``r_s``, ``r_p``
-and the round-trip factor ``E = exp(-2*kappa*a)``:
+decay constant of evanescent modes.  In polar spectral coordinates
+``u = kappa``, ``t = zeta/kappa`` each one is ``u**3`` times a polynomial
+in ``t**2`` times one of two building blocks, both built from the
+reflection coefficients ``r_s``, ``r_p`` and the round-trip factor
+``E = exp(-2*kappa*a)``:
 
-* a position-independent part proportional to
-  ``r**2*E / (1 - r**2*E)`` summed over both polarizations, and
-* a position-dependent interference part proportional to
-  ``r / (1 - r**2*E)`` times the mirror factor
+* the position-independent bound sum ``r**2*E / (1 - r**2*E)`` over
+  both polarizations, and
+* the interference term ``r / (1 - r**2*E)``, summed over both
+  polarizations in a cancellation-free form, times the mirror factor
   ``(exp(-2*kappa*z) + exp(-2*kappa*(a-z))) / 2``,
 
 which is the overflow-free form of ``exp(-kappa*a)*cosh(kappa*(2z-a))``.
-The null-energy-condition combinations are also offered in polar spectral
-coordinates ``(u, t)`` with ``zeta = u*t``, ``kappa = u``, where their
-integrands are manifestly sign-definite term by term; the two coordinate
-routes agree to quadrature tolerance and serve as a cross-check.
+At zero temperature two double integrals over ``(u, t)`` give every
+quantity: a bound pass that does not depend on the position and a
+position pass, each integrating three columns at once, and each
+quantity is a fixed combination of those six columns.  The transverse
+null-energy combination integrates the bound sum minus its value at
+``t = 1``, so for perfect conductors both of its columns vanish
+identically instead of cancelling.
 
 At finite temperature the continuous frequency integral becomes a sum
 over Matsubara frequencies ``zeta_n = 2*pi*n/beta`` (half weight at
@@ -195,35 +200,14 @@ def _dep_scale(z_over_a: float) -> float:
     return 1.0 / (2.0 * min(z_over_a, 1.0 - z_over_a))
 
 
-def _combine(*weighted: tuple[float, QuadratureResult]) -> QuadratureResult:
-    """Weighted sum of quadrature results with root-sum-square errors."""
-    value = 0.0
-    variance = 0.0
-    evaluations = 0
-    converged = True
-    for coeff, part in weighted:
-        value += coeff * part.value
-        variance += (coeff * part.error_estimate) ** 2
-        evaluations += part.evaluations
-        converged = converged and part.converged
-    return QuadratureResult(value, math.sqrt(variance), evaluations, converged)
-
-
 # ----------------------------------------------------------------------
-# Integrands in (zeta, k) coordinates.
-#
-# Each factory closes over the model (and the position where needed) and
-# returns f(zeta, k) accepting a scalar zeta with an array of k values.
+# The spectral kernel.  In polar coordinates u = kappa, t = zeta/kappa
+# (zeta = u*t, k = u*sqrt(1 - t**2), dzeta dk = u/sqrt(1 - t**2) du dt)
+# every component is u**3 times a polynomial in t**2 times either the
+# bound sum b or the interference term I*M.  Zero temperature integrates
+# over (u, t) directly; finite temperature keeps u = kappa and
+# t = zeta_n/kappa for each Matsubara frequency.
 # ----------------------------------------------------------------------
-
-
-def _zk_fields(zeta, k, omega_p):
-    kappa = np.sqrt(zeta * zeta + k * k)
-    r_s, r_p = dielectric.rs_rp(zeta, k, omega_p)
-    damp = np.exp(-2.0 * kappa)
-    den_s = 1.0 - r_s * r_s * damp
-    den_p = 1.0 - r_p * r_p * damp
-    return kappa, r_s, r_p, damp, den_s, den_p
 
 
 def _bound_sum(r_s, r_p, damp, den_s, den_p):
@@ -234,78 +218,6 @@ def _mirror(kappa, z_over_a):
     return 0.5 * (
         np.exp(-2.0 * kappa * z_over_a) + np.exp(-2.0 * kappa * (1.0 - z_over_a))
     )
-
-
-def _f_energy_indep(omega_p):
-    def f(zeta, k):
-        kappa, r_s, r_p, damp, den_s, den_p = _zk_fields(zeta, k, omega_p)
-        return -(zeta * zeta) * (k / kappa) * _bound_sum(r_s, r_p, damp, den_s, den_p)
-
-    return f
-
-
-def _f_energy_dep(omega_p, z_over_a):
-    def f(zeta, k):
-        kappa, r_s, r_p, damp, den_s, den_p = _zk_fields(zeta, k, omega_p)
-        inter = r_s / den_s + r_p / den_p
-        return (k / kappa) * k * k * inter * _mirror(kappa, z_over_a)
-
-    return f
-
-
-def _f_pressure_zz(omega_p):
-    def f(zeta, k):
-        kappa, r_s, r_p, damp, den_s, den_p = _zk_fields(zeta, k, omega_p)
-        return -(k * kappa) * _bound_sum(r_s, r_p, damp, den_s, den_p)
-
-    return f
-
-
-def _f_pressure_xx_indep(omega_p):
-    def f(zeta, k):
-        kappa, r_s, r_p, damp, den_s, den_p = _zk_fields(zeta, k, omega_p)
-        return (k**3 / kappa) * _bound_sum(r_s, r_p, damp, den_s, den_p)
-
-    return f
-
-
-def _f_pressure_xx_dep(omega_p, z_over_a):
-    def f(zeta, k):
-        kappa, r_s, r_p, damp, den_s, den_p = _zk_fields(zeta, k, omega_p)
-        inter = r_s / den_s + r_p / den_p
-        return (k**3 / kappa) * inter * _mirror(kappa, z_over_a)
-
-    return f
-
-
-def _f_sq_e_dep(omega_p, z_over_a):
-    def f(zeta, k):
-        kappa, r_s, r_p, damp, den_s, den_p = _zk_fields(zeta, k, omega_p)
-        z2 = zeta * zeta
-        weighted = -z2 * r_s / den_s + (2.0 * k * k + z2) * r_p / den_p
-        return (k / kappa) * weighted * _mirror(kappa, z_over_a)
-
-    return f
-
-
-def _f_sq_b_dep(omega_p, z_over_a):
-    def f(zeta, k):
-        kappa, r_s, r_p, damp, den_s, den_p = _zk_fields(zeta, k, omega_p)
-        z2 = zeta * zeta
-        weighted = -z2 * r_p / den_p + (2.0 * k * k + z2) * r_s / den_s
-        return (k / kappa) * weighted * _mirror(kappa, z_over_a)
-
-    return f
-
-
-# ----------------------------------------------------------------------
-# Integrands in polar spectral coordinates (u, t), used for the zero-
-# temperature null-energy combinations.  The outer variable is u (the
-# evanescent decay constant), the inner is t = zeta/u on (0, 1); both
-# integrand pieces live under one integral here, which is what makes the
-# sign structure manifest.  The finite-temperature kernel shares
-# _ut_fields with u = kappa and t = zeta_n/kappa.
-# ----------------------------------------------------------------------
 
 
 def _ut_fields(u, t, omega_p, damp):
@@ -319,67 +231,104 @@ def _ut_fields(u, t, omega_p, damp):
     return bound, inter
 
 
-def _f_nec_transverse_ut(omega_p, z_over_a):
-    def f(u, t):
-        bound, inter = _ut_fields(u, t, omega_p, math.exp(-2.0 * u))
-        mirror = 0.5 * (
-            math.exp(-2.0 * u * z_over_a) + math.exp(-2.0 * u * (1.0 - z_over_a))
+def _polar_integrands(u, t, omega_p, z_over_a):
+    """Zero-temperature integrands over (u, t); u (r, 1), t (1, n).
+
+    With z_over_a None these are the bound columns B0, B2, N: u**3*b,
+    u**3*t**2*b and u**3*(1 - 3*t**2)*(b - b(t=1)).  Otherwise the
+    position columns D, D_E, D_B: u**3*(1 - t**2)*I*M, then the <E**2>
+    and <B**2> parts, which weight u**3*M*r/(1 - r**2*E) of the p and s
+    polarizations by 2 - t**2 and -t**2 the one way round and the other.
+    Shape (r, n, 3).
+    """
+    damp = np.exp(-2.0 * u)
+    r_s, r_p = dielectric.rs_rp_ut(u, t, omega_p)
+    den_s = 1.0 - r_s * r_s * damp
+    rp_damp = r_p * damp
+    den_p = 1.0 - r_p * rp_damp
+    u3 = u**3
+    t2 = t * t
+    if z_over_a is None:
+        bound_s = r_s * r_s * damp / den_s
+        bound_p = r_p * rp_damp / den_p
+        bound = u3 * (bound_s + bound_p)
+        # r_p = -r_s at t = 1, so b - b(t=1) = b_p - b_s: zero wherever b
+        # does not depend on t, as for perfect conductors.  It integrates
+        # to B0 - 3*B2, because 1 - 3*t**2 integrates to zero over t.
+        columns = (bound, t2 * bound, (u3 * (1.0 - 3.0 * t2)) * (bound_p - bound_s))
+    else:
+        weight = u3 * _mirror(u, z_over_a)
+        pair_sum = dielectric.rp_plus_rs_ut(u, t, omega_p)
+        inter = pair_sum * (1.0 - r_s * rp_damp) * (weight / den_s) / den_p
+        part_s = weight * r_s / den_s
+        part_p = weight * r_p / den_p
+        columns = (
+            (1.0 - t2) * inter,
+            (2.0 - t2) * part_p - t2 * part_s,
+            (2.0 - t2) * part_s - t2 * part_p,
         )
-        t2 = t * t
-        return u**3 * (-(3.0 * t2 - 1.0) * bound + 3.0 * (1.0 - t2) * inter * mirror)
-
-    return f
-
-
-def _f_nec_longitudinal_ut(omega_p, z_over_a):
-    def f(u, t):
-        bound, inter = _ut_fields(u, t, omega_p, math.exp(-2.0 * u))
-        mirror = 0.5 * (
-            math.exp(-2.0 * u * z_over_a) + math.exp(-2.0 * u * (1.0 - z_over_a))
-        )
-        t2 = t * t
-        return u**3 * (-(1.0 + t2) * bound + (1.0 - t2) * inter * mirror)
-
-    return f
+    return np.stack(columns, axis=-1)
 
 
 # ----------------------------------------------------------------------
 # Assembly: zero-temperature double integrals and Matsubara sums.
 #
-# Position-independent zero-temperature parts depend only on (part,
-# omega_p, tolerance) and are cached, so a profile reuses them across
-# positions.  At finite temperature the last point's sums are kept, so
-# the operations of one CLI row share a single evaluation, and the
+# At zero temperature two passes give every quantity: the bound pass,
+# which does not depend on the position and is kept for a profile's
+# rows, and the position pass, kept for the operations of one row.  At
+# finite temperature the last point's sums are kept likewise, and the
 # z-independent tzz sum is kept across the rows of a profile.
 # ----------------------------------------------------------------------
 
-_ZK_PARTS = {
-    "energy_indep": (_f_energy_indep, False),
-    "energy_dep": (_f_energy_dep, True),
-    "pressure_zz": (_f_pressure_zz, False),
-    "pressure_xx_indep": (_f_pressure_xx_indep, False),
-    "pressure_xx_dep": (_f_pressure_xx_dep, True),
-    "sq_e_dep": (_f_sq_e_dep, True),
-    "sq_b_dep": (_f_sq_b_dep, True),
+# Each zero-temperature quantity: its prefactor and its weights on the
+# columns (B0, B2, N) of the bound pass and, if more weights follow, on
+# (D, D_E, D_B) of the position pass; see _polar_integrands.
+_ZERO_T = {
+    "t00": (_HALF_PI2, (0.0, -1.0, 0.0, 1.0)),
+    "txx": (_QUARTER_PI2, (1.0, -1.0, 0.0, 1.0)),
+    "tzz": (_HALF_PI2, (-1.0, 0.0, 0.0)),
+    "nec_x": (_QUARTER_PI2, (0.0, 0.0, 1.0, 3.0)),
+    "nec_z": (_HALF_PI2, (-1.0, -1.0, 0.0, 1.0)),
+    "sq_e": (_HALF_PI2, (0.0, -1.0, 0.0, 0.0, 1.0)),
+    "sq_b": (_HALF_PI2, (0.0, -1.0, 0.0, 0.0, 0.0, 1.0)),
 }
 
 
-def _part_integrand(name: str, omega_p: float, z_over_a):
-    builder, needs_z = _ZK_PARTS[name]
-    return builder(omega_p, z_over_a) if needs_z else builder(omega_p)
+@lru_cache(maxsize=1)
+def _zero_t_bound(omega_p, tol) -> QuadratureResult:
+    return integrate_2d(
+        lambda u, t: _polar_integrands(u, t, omega_p, None),
+        SemiInfinite(_IND_SCALE),
+        UnitInterval(),
+        tol,
+    )
 
 
-@lru_cache(maxsize=4096)
-def _zero_t_indep(name: str, omega_p: float, tol: Tolerance) -> QuadratureResult:
-    f = _part_integrand(name, omega_p, None)
-    domain = SemiInfinite(_IND_SCALE)
-    return integrate_2d(f, domain, domain, tol)
+@lru_cache(maxsize=1)
+def _zero_t_position(omega_p, z_over_a, tol) -> QuadratureResult:
+    return integrate_2d(
+        lambda u, t: _polar_integrands(u, t, omega_p, z_over_a),
+        SemiInfinite(_dep_scale(z_over_a)),
+        UnitInterval(),
+        tol,
+    )
 
 
-def _zero_t_dep(name: str, omega_p: float, z_over_a: float, tol: Tolerance):
-    f = _part_integrand(name, omega_p, z_over_a)
-    domain = SemiInfinite(_dep_scale(z_over_a))
-    return integrate_2d(f, domain, domain, tol)
+def _zero_t(name, omega_p, z_over_a, tol) -> QuadratureResult:
+    """One _ZERO_T quantity, with root-sum-square column errors."""
+    prefactor, weights = _ZERO_T[name]
+    passes = [_zero_t_bound(omega_p, tol)]
+    if len(weights) > 3:
+        passes.append(_zero_t_position(omega_p, z_over_a, tol))
+    weights = np.array(weights)
+    value = np.concatenate([p.value for p in passes])[: weights.size]
+    error = np.concatenate([p.error_estimate for p in passes])[: weights.size]
+    return QuadratureResult(
+        float(prefactor * (weights @ value)),
+        float(prefactor * math.sqrt(np.sum((weights * error) ** 2))),
+        sum(p.evaluations for p in passes),
+        all(p.converged for p in passes),
+    )
 
 
 def _thermal_integrands(omega_p, zeta, x, z_over_a):
@@ -458,7 +407,8 @@ def _thermal_tzz(omega_p, beta, tol) -> QuadratureResult:
 
 def clear_caches() -> None:
     """Forget all cached integrals; later results are bitwise the same."""
-    _zero_t_indep.cache_clear()
+    _zero_t_bound.cache_clear()
+    _zero_t_position.cache_clear()
     _thermal_row.cache_clear()
     _thermal_tzz.cache_clear()
 
@@ -496,11 +446,7 @@ def mean_sq_E(
     """
     _, tol = _resolve(None, tol)
     _warn_if_near_wall(geom)
-    wp = model.omega_p
-    zr = geom.z_over_a
-    indep = _zero_t_indep("energy_indep", wp, tol)
-    dep = _zero_t_dep("sq_e_dep", wp, zr, tol)
-    return _combine((_HALF_PI2, indep), (_HALF_PI2, dep))
+    return _zero_t("sq_e", model.omega_p, geom.z_over_a, tol)
 
 
 def mean_sq_B(
@@ -513,11 +459,7 @@ def mean_sq_B(
     """
     _, tol = _resolve(None, tol)
     _warn_if_near_wall(geom)
-    wp = model.omega_p
-    zr = geom.z_over_a
-    indep = _zero_t_indep("energy_indep", wp, tol)
-    dep = _zero_t_dep("sq_b_dep", wp, zr, tol)
-    return _combine((_HALF_PI2, indep), (_HALF_PI2, dep))
+    return _zero_t("sq_b", model.omega_p, geom.z_over_a, tol)
 
 
 def energy_density(
@@ -548,9 +490,7 @@ def energy_density(
     wp = model.omega_p
     zr = geom.z_over_a
     if thermal.is_zero:
-        indep = _zero_t_indep("energy_indep", wp, tol)
-        dep = _zero_t_dep("energy_dep", wp, zr, tol)
-        return _combine((_HALF_PI2, indep), (_HALF_PI2, dep))
+        return _zero_t("t00", wp, zr, tol)
     return _thermal_row(wp, zr, thermal.beta, tol)["t00"]
 
 
@@ -572,8 +512,7 @@ def pressure_zz(
     thermal, tol = _resolve(thermal, tol)
     wp = model.omega_p
     if thermal.is_zero:
-        part = _zero_t_indep("pressure_zz", wp, tol)
-        return _combine((_HALF_PI2, part))
+        return _zero_t("tzz", wp, None, tol)
     return _thermal_tzz(wp, thermal.beta, tol)
 
 
@@ -596,9 +535,7 @@ def pressure_xx(
     wp = model.omega_p
     zr = geom.z_over_a
     if thermal.is_zero:
-        indep = _zero_t_indep("pressure_xx_indep", wp, tol)
-        dep = _zero_t_dep("pressure_xx_dep", wp, zr, tol)
-        return _combine((_QUARTER_PI2, indep), (_QUARTER_PI2, dep))
+        return _zero_t("txx", wp, zr, tol)
     return _thermal_row(wp, zr, thermal.beta, tol)["txx"]
 
 
@@ -634,10 +571,10 @@ def nec_transverse(
 
     Nonnegative for every plasma frequency, position, and temperature;
     the margin shrinks toward zero in the perfect-conductor limit.  At
-    zero temperature this evaluates a single double integral in polar
-    spectral coordinates, where both integrand pieces carry their signs
-    explicitly, rather than differencing two larger quantities.  At
-    finite temperature each Matsubara term is likewise a single
+    zero temperature this combines the interference column with the
+    bound sum minus its value at t = 1, both of which vanish identically
+    for perfect conductors, rather than differencing two larger
+    quantities.  At finite temperature each Matsubara term is a single
     integral of the combined integrand, and the blackbody part
     contributes 4*pi**2/(45*beta**4).
     """
@@ -646,13 +583,7 @@ def nec_transverse(
     wp = model.omega_p
     zr = geom.z_over_a
     if thermal.is_zero:
-        part = integrate_2d(
-            _f_nec_transverse_ut(wp, zr),
-            SemiInfinite(_dep_scale(zr)),
-            UnitInterval(),
-            tol,
-        )
-        return _combine((_QUARTER_PI2, part))
+        return _zero_t("nec_x", wp, zr, tol)
     return _thermal_row(wp, zr, thermal.beta, tol)["nec_x"]
 
 
@@ -667,24 +598,17 @@ def nec_longitudinal(
 
     Genuinely negative in the middle of the gap once the walls reflect
     well (approaching -pi**2/180 in the perfect-conductor limit) while
-    turning positive near the walls.  At zero temperature this is a
-    single double integral in polar spectral coordinates; at finite
-    temperature each Matsubara term is a single integral of the summed
-    integrands of T_00 and T_zz, and the blackbody part contributes
-    4*pi**2/(45*beta**4).
+    turning positive near the walls.  At zero temperature this combines
+    the columns of the two polar passes; at finite temperature each
+    Matsubara term is a single integral of the summed integrands of T_00
+    and T_zz, and the blackbody part contributes 4*pi**2/(45*beta**4).
     """
     thermal, tol = _resolve(thermal, tol)
     _warn_if_near_wall(geom)
     wp = model.omega_p
     zr = geom.z_over_a
     if thermal.is_zero:
-        part = integrate_2d(
-            _f_nec_longitudinal_ut(wp, zr),
-            SemiInfinite(_dep_scale(zr)),
-            UnitInterval(),
-            tol,
-        )
-        return _combine((_HALF_PI2, part))
+        return _zero_t("nec_z", wp, zr, tol)
     return _thermal_row(wp, zr, thermal.beta, tol)["nec_z"]
 
 

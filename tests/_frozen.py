@@ -101,3 +101,30 @@ THERMAL_ORACLE = {
         "nec_z": -3.946433831449694e-02,
     },
 }
+
+
+# Zero-temperature values at a plasma frequency so small that the p-wave
+# reflection lives in a thin layer zeta < omega_p, that is t < omega_p/u
+# in polar coordinates.  Produced by ``tests/de_oracle.py``
+# (``stress_quantities`` and ``nec_quantities``) at step h = 0.0125.  The
+# run at h = 0.025 gives, in the same order,
+#   +1.144933213727710e-07, +6.115184200360381e-08, -7.810362634436622e-09,
+#   +2.289866849618325e-07, -4.221629052031352e-14,
+#   +1.756457785336259e-07, +1.066832942786035e-07,
+# within 4.4e-6 relative (mean_sq_B; the rest within 1.4e-6): the oracle's
+# textbook reflection coefficients lose digits to cancellation when
+# omega_p is far below kappa.  Tests therefore allow 1e-4 relative.  Kept
+# apart from ORACLE, which is trusted to 1e-10.
+#
+# Keys are (omega_p * a, z / a) at zero temperature; values in 1/a**4.
+LOW_OMEGA_ORACLE = {
+    (1e-6, 0.5): {
+        "energy_density": +1.144932454238497e-07,
+        "pressure_xx": +6.115179860426321e-08,
+        "pressure_zz": -7.810351784676682e-09,
+        "mean_sq_E": +2.289865330641772e-07,
+        "mean_sq_B": -4.221647774445240e-14,
+        "nec_transverse": +1.756457785335605e-07,
+        "nec_longitudinal": +1.066832942784297e-07,
+    },
+}

@@ -45,6 +45,13 @@ def refl_naive(zeta, k, wp):
     return kap, rs, rp
 
 
+def drp_dt_naive(u, t, wp):
+    """Closed-form d(r_p)/dt at fixed u, with zeta = u*t, k = u*sqrt(1 - t**2)."""
+    q = np.sqrt(u * u + wp * wp)
+    den = u * t * t * (u + q) + wp * wp
+    return -4.0 * u * wp * wp * t * q / (den * den)
+
+
 def kernel_zk(zeta, k, wp, z):
     """g, R, C combinations on a (zeta, k) product grid."""
     kap, rs, rp = refl_naive(zeta, k, wp)

@@ -6,20 +6,14 @@ import numpy as np
 import pytest
 
 from casimir_stress.dielectric import (
-    AngularSpectralPoint,
     PlasmaModel,
-    ReflectionCoefficients,
-    SpectralPoint,
-    drp_dt_ut,
     eps_imag,
-    reflection,
-    reflection_ut,
-    rp_plus_rs,
     rp_plus_rs_ut,
     rs_rp,
     rs_rp_ut,
 )
 from casimir_stress.quadrature import integrate_unit
+from de_oracle import drp_dt_naive, refl_naive
 
 rng = np.random.default_rng(20240301)
 
@@ -108,12 +102,29 @@ def test_combined_amplitude_matches_direct_sum():
         assert np.max(np.abs(combined - (rp + rs))) <= 1e-12
 
 
+def test_polar_and_cartesian_forms_match_textbook_coefficients():
+    # The textbook ratios, with kappa1**2 = kappa**2 + omega_p**2, are
+    # accurate while kappa and omega_p are comparable and zeta > 0, which
+    # this sample keeps; both stable forms must reproduce them.
+    for omega_p in (0.5, 7.0, 120.0):
+        u = omega_p * 10.0 ** rng.uniform(-1.0, 1.0, size=200)
+        t = rng.uniform(0.01, 1.0, size=200)
+        zeta = u * t
+        k = u * np.sqrt((1.0 - t) * (1.0 + t))
+        _, rs_ref, rp_ref = refl_naive(zeta, k, omega_p)
+        for rs, rp in (rs_rp(zeta, k, omega_p), rs_rp_ut(u, t, omega_p)):
+            assert np.max(np.abs(rs - rs_ref)) <= 1e-12
+            assert np.max(np.abs(rp - rp_ref)) <= 1e-12
+
+
 def test_angular_derivative_matches_finite_difference():
+    # The slope of rs_rp_ut in t at fixed u is the closed form
+    # drp_dt_naive, and it is never positive.
     u = np.full(40, 0.0) + rng.lognormal(size=40)
     t = rng.uniform(0.02, 0.98, size=40)
     h = 1e-6
     for omega_p in (1.0, 25.0):
-        d = drp_dt_ut(u, t, omega_p)
+        d = drp_dt_naive(u, t, omega_p)
         assert np.all(d <= 0.0)
         _, rp_hi = rs_rp_ut(u, t + h, omega_p)
         _, rp_lo = rs_rp_ut(u, t - h, omega_p)
@@ -122,53 +133,29 @@ def test_angular_derivative_matches_finite_difference():
 
 
 def test_angular_derivative_integrates_to_endpoint_difference():
-    # integral over t in [0, 1] of d(r_p)/dt equals r_p(1) - r_p(0).
+    # integral over t in [0, 1] of d(r_p)/dt equals r_p(1) - r_p(0), with
+    # the endpoints taken from rs_rp_ut.
     for omega_p in (1.0, 10.0, 100.0):
         for u in (0.5, 1.0, 5.0):
-            res = integrate_unit(lambda t: drp_dt_ut(u, t, omega_p))
+            res = integrate_unit(lambda t: drp_dt_naive(u, t, omega_p))
+            _, rp_ends = rs_rp_ut(u, np.array([0.0, 1.0]), omega_p)
             q = math.hypot(u, omega_p)
             rp_at_1 = omega_p**2 / (u + q) ** 2
             assert res.converged
+            assert abs(res.value - (rp_ends[1] - rp_ends[0])) <= 1e-8
             assert abs(res.value - (rp_at_1 - 1.0)) <= 1e-8
 
 
-def test_plasma_identity_in_spectral_point():
-    model = PlasmaModel(7.0)
-    pt = SpectralPoint.make(1.2, 3.4, model)
-    assert pt.kappa == math.hypot(1.2, 3.4)
-    assert abs(pt.kappa1**2 - pt.kappa**2 - 49.0) <= 1e-12 * pt.kappa1**2
-    with pytest.raises(ValueError):
-        SpectralPoint.make(-0.1, 1.0, model)
-
-
-def test_typed_wrappers_match_array_kernels():
-    model = PlasmaModel(4.0)
-    pt = SpectralPoint.make(0.7, 1.9, model)
-    pair = reflection(pt, model)
-    assert isinstance(pair, ReflectionCoefficients)
-    rs, rp = rs_rp(np.array([0.7]), np.array([1.9]), 4.0)
-    assert pair.r_s == float(rs[0])
-    assert pair.r_p == float(rp[0])
-
-    ang = AngularSpectralPoint(u=2.0, t=0.35)
-    pair_ut = reflection_ut(ang, model)
-    rs_u, rp_u = rs_rp_ut(np.array([2.0]), np.array([0.35]), 4.0)
-    assert pair_ut.r_s == float(rs_u[0])
-    assert pair_ut.r_p == float(rp_u[0])
-    assert rp_plus_rs(ang, model) == float(rp_plus_rs_ut(np.array([2.0]), np.array([0.35]), 4.0)[0])
-
-
-def test_reflection_rejects_the_spectral_origin():
-    model = PlasmaModel(4.0)
-    with pytest.raises(ValueError):
-        reflection(SpectralPoint.make(0.0, 0.0, model), model)
-
-
-def test_angular_point_validation():
-    with pytest.raises(ValueError):
-        AngularSpectralPoint(u=0.0, t=0.5)
-    with pytest.raises(ValueError):
-        AngularSpectralPoint(u=1.0, t=1.5)
-    pt = AngularSpectralPoint(u=2.0, t=0.6).to_spectral(PlasmaModel(1.0))
-    assert abs(pt.zeta - 1.2) <= 1e-15
-    assert abs(math.hypot(pt.zeta, pt.k) - 2.0) <= 1e-15
+def test_p_reflection_falls_from_one_to_minus_r_s_across_t():
+    # r_p runs from 1 at t = 0 (zeta = 0) down to -r_s at t = 1 (k = 0)
+    # and never rises on the way: d(r_p)/dt <= 0, integrating to
+    # r_p(1) - r_p(0) = omega_p**2/(u + sqrt(u**2 + omega_p**2))**2 - 1.
+    t = np.linspace(0.0, 1.0, 401)
+    for omega_p in (1.0, 10.0, 100.0):
+        for u in (0.5, 1.0, 5.0):
+            r_s, r_p = rs_rp_ut(u, t, omega_p)
+            q = math.hypot(u, omega_p)
+            assert abs(r_s + omega_p**2 / (u + q) ** 2) <= 1e-15
+            assert abs(r_p[0] - 1.0) <= 1e-15
+            assert abs(r_p[-1] + r_s) <= 1e-15
+            assert np.all(np.diff(r_p) <= 1e-15)

@@ -127,6 +127,8 @@ def test_non_finite_integrand_raises():
 
     with pytest.raises(QuadratureError):
         integrate_semiinf(f, 1.0)
+    with pytest.raises(QuadratureError, match=r"\(x, y\)"):
+        integrate_2d(lambda x, y: f(x) * y, SemiInfinite(1.0), UnitInterval())
 
 
 def test_evaluation_budget_reports_non_convergence():
@@ -134,6 +136,38 @@ def test_evaluation_budget_reports_non_convergence():
     res = integrate_semiinf(lambda x: np.exp(-x) * np.cos(10.0 * x), 1.0, tol=tol)
     assert not res.converged
     assert res.evaluations <= 200 + 15
+
+
+def test_two_dimensional_vector_components_meet_their_own_tolerance():
+    # A column a million times smaller than the other must still meet the
+    # relative tolerance on its own scale.
+    def f(x, t):
+        decay = np.exp(-x)
+        small = 1e-6 * np.sqrt(x) * decay * np.cos(3.0 * t)
+        return np.stack([decay * t**2, small], axis=-1)
+
+    exact = np.array([1.0 / 3.0, 1e-6 * 0.5 * math.sqrt(math.pi) * math.sin(3.0) / 3.0])
+    tol = Tolerance(rel_tol=1e-10, abs_tol=0.0)
+    res = integrate_2d(f, SemiInfinite(1.0), UnitInterval(), tol)
+    assert res.converged
+    assert res.value.shape == res.error_estimate.shape == (2,)
+    assert np.all(np.abs(res.value - exact) <= 1e-10 * np.abs(exact))
+    assert np.all(np.abs(res.value - exact) <= res.error_estimate + 1e-15 * np.abs(exact))
+
+
+def test_two_dimensional_budget_caps_the_whole_call():
+    # The budget counts the nodes of every level together: a tolerance it
+    # cannot reach ends unconverged, with a warning, inside the budget.
+    tol = Tolerance(rel_tol=1e-14, abs_tol=1e-300, max_evaluations=2000)
+    with pytest.warns(UserWarning, match="stopped at level"):
+        res = integrate_2d(
+            lambda x, y: np.exp(-x - y) * np.cos(10.0 * y),
+            outer=SemiInfinite(1.0),
+            inner=SemiInfinite(1.0),
+            tol=tol,
+        )
+    assert not res.converged
+    assert res.evaluations <= 2000
 
 
 def test_tolerance_validation():
