@@ -10,11 +10,13 @@ and integrate with globally adaptive Gauss-Kronrod 7/15 panels: the panel
 with the largest error estimate is split first, and the final value is
 accumulated over panels sorted by their left edge.  Two-dimensional
 integrals use a tensor-product double-exponential rule (exp-sinh on a
-half-line, tanh-sinh on [0, 1]) whose step is halved level by level,
-with every earlier node reused and the change between levels as the
-error estimate.  Subdivision order and accumulation order are fixed, so
-repeated runs return bit-identical values; nothing here depends on
-threads, hashing or global state.
+half-line, tanh-sinh on [0, 1]) that refines each axis on its own: an
+axis's step is halved, with every earlier node reused, while the change
+from its previous level misses the tolerance, and the error estimate is
+the sum of both axes' changes.  Subdivision order and accumulation
+order are fixed, so repeated runs return bit-identical values; nothing
+here depends on threads, hashing or global state (the cached node
+tables are read-only and equal to rebuilt ones).
 
 Integrands are called with numpy arrays of abscissae and should return
 an array of their broadcast shape, or one row of components per node for
@@ -29,6 +31,7 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -59,7 +62,7 @@ class Tolerance:
     max(abs_tol, rel_tol*|value|), for every component of a vector
     integrand.  ``max_evaluations`` caps the integrand evaluations of one
     integrate_semiinf, integrate_unit or integrate_2d call (for
-    integrate_2d, the nodes of all its levels together); when it would be
+    integrate_2d, every node of its final grid); when it would be
     exceeded the result is returned with ``converged=False`` rather than
     raising.  matsubara_sum has its own cap on the number of terms.
     """
@@ -90,8 +93,9 @@ class QuadratureResult:
     """Value of an integral together with bookkeeping.
 
     ``error_estimate`` is an upper-bound style estimate (summed Kronrod
-    minus Gauss differences in one dimension, the change between the last
-    two levels in two); ``evaluations`` counts integrand evaluations;
+    minus Gauss differences in one dimension; in two, the sum of each
+    axis's change from its previous level); ``evaluations`` counts
+    integrand evaluations;
     ``converged`` records whether the tolerance targets were met within
     budget.
     ``value`` and ``error_estimate`` are arrays for a vector integrand.
@@ -377,8 +381,9 @@ def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> Qu
 # 1.3e-16 short of 1, which is never evaluated, with weights below 5e-15
 # left out, but reaches down to 5e-38, where narrow layers such as the
 # p-wave layer t < omega_p/u still carry weight.  With the first step
-# 0.6 the stress integrands are accurate to about 1e-12 at h = 0.075, so
-# the next level usually meets a relative tolerance of 1e-9.
+# 0.6 the stress integrands are accurate to about 1e-12 at h = 0.075 on
+# the t axis and a level later on the u axis, which is why each axis is
+# refined on its own.
 _DE_STEP = 0.6
 _EXP_SINH = (-3.75, 1.8)
 _TANH_SINH = (-4.0, 3.15)
@@ -386,33 +391,57 @@ _TANH_SINH = (-4.0, 3.15)
 _BLOCK = 16384
 
 
+@lru_cache(maxsize=64)
 def _de_axis(domain, level):
-    """Abscissae, weights (step included) and new-node mask of one axis."""
+    """Nodes of one axis up to ``level``, grouped by first level.
+
+    Returns read-only (x, weight, starts): group ``a`` holds the nodes
+    that level ``a`` adds and begins at x[starts[a]].  Weights leave out
+    the step, so a node keeps its weight from level to level.
+    """
     h = _DE_STEP / 2**level
     semi = isinstance(domain, SemiInfinite)
     lo, hi = _EXP_SINH if semi else _TANH_SINH
     index = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
-    tau = index * h
+    first = np.full(index.size, level)
+    for k in range(1, level + 1):
+        first[index % 2**k == 0] = level - k
+    order = np.argsort(first, kind="stable")
+    tau = index[order] * h
     s = 0.5 * math.pi * np.sinh(tau)
     if semi:
         x = domain.decay_scale * np.exp(s)
-        weight = x * (0.5 * math.pi * h) * np.cosh(tau)
+        weight = x * (0.5 * math.pi) * np.cosh(tau)
     else:
         x = 1.0 / (1.0 + np.exp(-2.0 * s))
-        weight = (0.25 * math.pi * h) * np.cosh(tau) / np.cosh(s) ** 2
-    return x, weight, (index % 2 == 1) | (level == 0)
+        weight = (0.25 * math.pi) * np.cosh(tau) / np.cosh(s) ** 2
+    starts = np.searchsorted(first[order], np.arange(level + 1))
+    for table in (x, weight, starts):
+        table.flags.writeable = False
+    return x, weight, starts
 
 
-def _tensor_sum(fv, x, wx, y, wy):
-    """sum over i, j of wx[i]*wy[j]*f(x[i], y[j]), in blocks of rows."""
+def _newest(domain, level):
+    """The nodes that ``level`` adds to an axis, as one group."""
+    x, weight, starts = _de_axis(domain, level)
+    return x[starts[-1]:], weight[starts[-1]:], starts[:1]
+
+
+def _grid_sums(fv, xs, ys):
+    """Sums of wx[i]*wy[j]*f(x[i], y[j]) over every pair of node groups.
+
+    ``xs`` and ``ys`` are (nodes, weights, starts) as from _de_axis;
+    returns shape (x groups, y groups, m).  Rows of x are evaluated in
+    blocks of at most _BLOCK nodes.
+    """
+    x, wx, gx = xs
+    y, wy, gy = ys
     rows = max(1, _BLOCK // y.size)
-    total = 0.0
-    for start in range(0, x.size, rows):
-        block = slice(start, start + rows)
-        values = fv(x[block, None], y[None, :])
-        rows_summed = wx[block] @ values.reshape(len(values), -1)
-        total = total + wy @ rows_summed.reshape(y.size, -1)
-    return total
+    per_row = np.concatenate([
+        np.add.reduceat(fv(x[i : i + rows, None], y[None, :]) * wy[:, None], gy, axis=1)
+        for i in range(0, x.size, rows)
+    ])
+    return np.add.reduceat(per_row * wx[:, None, None], gx, axis=0)
 
 
 def integrate_2d(
@@ -426,8 +455,8 @@ def integrate_2d(
     Parameters
     ----------
     f : callable
-        Called as ``f(x, y)`` with x of shape (r, 1) and y of shape
-        (1, n); returns an (r, n) array, or (r, n, m) for m components
+        Called as ``f(x, y)`` with read-only x of shape (r, 1) and y of
+        shape (1, n); returns an (r, n) array, or (r, n, m) for m components
         integrated together (scalar fallback applies, node by node).
     outer : SemiInfinite
         Decay scale for the x integration.
@@ -439,13 +468,17 @@ def integrate_2d(
     -------
     QuadratureResult
         From a tensor-product double-exponential rule: exp-sinh on a
-        half-line, tanh-sinh on [0, 1].  Each level halves the step and
-        reuses every earlier node; ``error_estimate`` is the change from
-        the previous level, and every component must meet the tolerance
-        on its own.  ``evaluations`` counts nodes.  The first level
-        always runs; a later one that would take the count past
+        half-line, tanh-sinh on [0, 1].  Each axis has its own level;
+        refining one halves its step and reuses every earlier node.
+        Sums are kept by the levels at which their nodes first appear,
+        so the value with either axis one level coarser costs nothing.
+        Each round refines every axis whose change from its coarser
+        level misses the tolerance in some component, and the pass ends
+        when neither does; ``error_estimate`` is the sum of the two
+        axes' changes.  ``evaluations`` counts nodes.  The first grid
+        always runs; a refinement that would take the count past
         ``tol.max_evaluations`` does not, and the result then carries
-        ``converged=False`` and a warning names the level reached.
+        ``converged=False`` and a warning names the levels reached.
         Values and errors have shape (m,) for an (r, n, m) integrand.
         Non-finite integrand values raise QuadratureError.
     """
@@ -466,33 +499,45 @@ def integrate_2d(
             )
         return values
 
-    level, converged = 0, False
-    while not converged:
-        x, wx, new_x = _de_axis(outer, level)
-        y, wy, new_y = _de_axis(inner, level)
-        if level == 0:
-            total = _tensor_sum(fv, x, wx, y, wy)
-            error = np.abs(total)
-        elif x.size * y.size > tol.max_evaluations:
+    def size(lx, ly):
+        return _de_axis(outer, lx)[0].size * _de_axis(inner, ly)[0].size
+
+    def estimate(lx, ly):
+        step = (_DE_STEP / 2**lx) * (_DE_STEP / 2**ly)
+        return step * parts[: lx + 1, : ly + 1].sum(axis=(0, 1))
+
+    # parts[a, b] sums, with step-free weights, the nodes that x level a
+    # and y level b add.
+    lx = ly = 0
+    parts = _grid_sums(fv, _de_axis(outer, 0), _de_axis(inner, 0))
+    total = estimate(0, 0)
+    error = np.abs(total)
+    refine_x = refine_y = True
+    converged = False
+    while size(lx + refine_x, ly + refine_y) <= tol.max_evaluations:
+        if refine_x:
+            lx += 1
+            new = _grid_sums(fv, _newest(outer, lx), _de_axis(inner, ly))
+            parts = np.concatenate([parts, new], axis=0)
+        if refine_y:
+            ly += 1
+            new = _grid_sums(fv, _de_axis(outer, lx), _newest(inner, ly))
+            parts = np.concatenate([parts, new], axis=1)
+        total = estimate(lx, ly)
+        change_x = np.abs(total - estimate(lx - 1, ly))
+        change_y = np.abs(total - estimate(lx, ly - 1))
+        error = change_x + change_y
+        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))
+        refine_x = bool(np.any(change_x > bound))
+        refine_y = bool(np.any(change_y > bound))
+        if not (refine_x or refine_y):
+            converged = True
             break
-        else:
-            # The earlier nodes' weights carry a step twice as long.
-            previous = total
-            total = (
-                0.25 * previous
-                + _tensor_sum(fv, x[new_x], wx[new_x], y, wy)
-                + _tensor_sum(fv, x[~new_x], wx[~new_x], y[new_y], wy[new_y])
-            )
-            error = np.abs(total - previous)
-            converged = bool(
-                np.all(error <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total)))
-            )
-        evaluations = x.size * y.size
-        level += 1
+    evaluations = size(lx, ly)
     if not converged:
         warnings.warn(
-            f"integrate_2d did not meet its tolerance: stopped at level {level - 1} "
-            f"after {evaluations} nodes",
+            f"integrate_2d did not meet its tolerance: stopped at level {lx} in x "
+            f"and level {ly} in y after {evaluations} nodes",
             stacklevel=2,
         )
     if shape["vector"]:

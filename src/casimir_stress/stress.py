@@ -693,10 +693,14 @@ def critical_omega_pa(
     thermal = ThermalState.zero() if thermal is None else thermal
     tol = Tolerance(rel_tol=1e-7, abs_tol=1e-10) if tol is None else tol
     geom = Geometry(z=0.5)
+    # Values by log10(omega_p*a), so bisection reuses the scan's bracket ends.
+    known: dict[float, float] = {}
 
     def midpoint_energy(log10_wp: float) -> float:
-        model = PlasmaModel(omega_p=10.0**log10_wp)
-        return energy_density(geom, model, thermal, tol=tol).value
+        if log10_wp not in known:
+            model = PlasmaModel(omega_p=10.0**log10_wp)
+            known[log10_wp] = energy_density(geom, model, thermal, tol=tol).value
+        return known[log10_wp]
 
     grid = np.linspace(0.0, 5.0, 11)
     values = [midpoint_energy(x) for x in grid]

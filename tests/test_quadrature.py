@@ -159,7 +159,7 @@ def test_two_dimensional_budget_caps_the_whole_call():
     # The budget counts the nodes of every level together: a tolerance it
     # cannot reach ends unconverged, with a warning, inside the budget.
     tol = Tolerance(rel_tol=1e-14, abs_tol=1e-300, max_evaluations=2000)
-    with pytest.warns(UserWarning, match="stopped at level"):
+    with pytest.warns(UserWarning, match=r"stopped at level \d+ in x and level \d+ in y"):
         res = integrate_2d(
             lambda x, y: np.exp(-x - y) * np.cos(10.0 * y),
             outer=SemiInfinite(1.0),
@@ -168,6 +168,30 @@ def test_two_dimensional_budget_caps_the_whole_call():
         )
     assert not res.converged
     assert res.evaluations <= 2000
+
+
+def test_two_dimensional_rule_refines_each_axis_on_its_own():
+    # cos(3*x) needs a finer x rule than exp(-y) needs in y, and the
+    # mirror case the other way round.  Each pass ends on a grid whose
+    # finer axis carries more nodes than the other, short of the square
+    # grid of the finer axis, and as accurate as the square grid would be.
+    exact = 1.0 / 10.0
+    for axis in (0, 1):
+        seen = (set(), set())
+
+        def f(x, y):
+            seen[0].update(x.ravel().tolist())
+            seen[1].update(y.ravel().tolist())
+            return np.exp(-x - y) * np.cos(3.0 * (x, y)[axis])
+
+        res = integrate_2d(f, SemiInfinite(1.0), SemiInfinite(1.0))
+        assert res.converged
+        assert abs(res.value - exact) <= 1e-12 * exact
+        assert abs(res.value - exact) <= res.error_estimate
+        nx, ny = len(seen[0]), len(seen[1])
+        assert nx * ny == res.evaluations
+        assert (nx > ny) == (axis == 0)
+        assert res.evaluations < max(nx, ny) ** 2
 
 
 def test_tolerance_validation():

@@ -26,8 +26,9 @@ from casimir_stress import (
     reference_limits,
     stress_tensor,
 )
-from casimir_stress import dielectric
+from casimir_stress import dielectric, quadrature
 from casimir_stress import stress as stress_mod
+from casimir_stress.quadrature import SemiInfinite, UnitInterval
 
 QUICK = Tolerance(rel_tol=1e-7, abs_tol=1e-12)
 
@@ -274,6 +275,61 @@ def test_zero_temperature_rows_share_two_passes(monkeypatch):
     assert scales == [0.5, 1.0, 2.0]
 
 
+def test_zero_temperature_row_refines_only_the_axis_that_needs_it(monkeypatch):
+    # At (100, 0.5) both passes need u level 4 but only t level 3: 149 by
+    # 96 nodes each, about half the square level-4 grid of 149 by 191.
+    nodes = []
+
+    def counted(f, outer, inner, tol=None):
+        result = original(f, outer, inner, tol)
+        nodes.append(result.evaluations)
+        return result
+
+    original = stress_mod.integrate_2d
+    monkeypatch.setattr(stress_mod, "integrate_2d", counted)
+    stress_mod.clear_caches()
+    for op in CLI_COLUMNS.values():
+        assert op(Geometry(0.5), PlasmaModel(100.0)).converged
+    assert len(nodes) == 2
+    assert sum(nodes) <= 2 * 14_304
+
+
+def _level5_reference(omega_p, z_over_a):
+    """The zero-T pass's columns from the same rule at level 5 on both axes."""
+    outer = SemiInfinite(0.5 if z_over_a is None else stress_mod._dep_scale(z_over_a))
+    u, wu, _ = quadrature._de_axis(outer, 5)
+    t, wt, _ = quadrature._de_axis(UnitInterval(), 5)
+    total = 0.0
+    for start in range(0, u.size, 32):
+        rows = slice(start, start + 32)
+        values = stress_mod._polar_integrands(u[rows, None], t[None, :], omega_p, z_over_a)
+        total = total + np.einsum("r,rnm,n->m", wu[rows], values, wt)
+    return total * (quadrature._DE_STEP / 2**5) ** 2
+
+
+def test_zero_temperature_error_estimates_bound_the_actual_error():
+    # Each column of the bound and position passes lies within its error
+    # estimate of a fixed level-5 grid (297 by 382 nodes), whose own
+    # error is far below it.  The reference sums 113,454 terms, so its
+    # rounding, up to about sqrt(113,454) ulps or 1e-13 relative, is
+    # allowed for on top.
+    rng = np.random.default_rng(4)
+    tol = Tolerance()
+    for _ in range(12):
+        omega_p = float(10.0 ** rng.uniform(-3.0, 6.0))
+        z = float(rng.uniform(0.01, 0.99))
+        passes = (
+            (None, stress_mod._zero_t_bound(omega_p, tol)),
+            (z, stress_mod._zero_t_position(omega_p, z, tol)),
+        )
+        for z_over_a, res in passes:
+            assert res.converged, (omega_p, z_over_a)
+            ref = _level5_reference(omega_p, z_over_a)
+            miss = np.abs(res.value - ref)
+            assert np.all(miss <= res.error_estimate + 1e-13 * np.abs(ref)), (
+                omega_p, z_over_a, miss, res.error_estimate)
+
+
 def test_transverse_null_energy_stays_nonnegative():
     rng = np.random.default_rng(11)
     for _ in range(12):
@@ -381,6 +437,24 @@ def test_results_are_reproducible_after_cache_reset():
     assert first.error_estimate == second.error_estimate
     assert first_hot.value == second_hot.value
     assert first_hot.error_estimate == second_hot.error_estimate
+
+
+def test_critical_root_search_reuses_the_scan_values(monkeypatch):
+    # 11 scan points and 10 bisection steps: the bisection's bracket ends
+    # are two of the scan points, so it must not evaluate them again.
+    calls = []
+
+    def counted(geom, model, thermal=None, *, tol=None):
+        calls.append(model.omega_p)
+        return original(geom, model, thermal, tol=tol)
+
+    original = stress_mod.energy_density
+    monkeypatch.setattr(stress_mod, "energy_density", counted)
+    assert critical_omega_pa(ThermalState.finite(5.0)) == 126.41733787754889
+    assert len(calls) == len(set(calls)) == 21
+    calls.clear()
+    assert critical_omega_pa() == pytest.approx(96.629, rel=1e-4)
+    assert len(calls) == len(set(calls)) == 21
 
 
 def test_no_sign_change_when_hot():
