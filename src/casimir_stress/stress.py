@@ -36,10 +36,15 @@ over Matsubara frequencies ``zeta_n = 2*pi*n/beta`` (half weight at
 ``n = 0``) and the homogeneous blackbody contribution is added back:
 ``pi**2/(15*beta**4)`` to the energy density, one third of that to each
 pressure, and ``4*pi**2/(45*beta**4)`` to both null-energy combinations.
-The summand is even analytic in ``zeta``, so the truncated sum converges
-to the zero-temperature integral exponentially fast as ``beta`` grows.
-One kernel gives every component as a single integrand over
-``x = kappa - zeta``, on a grid a block of frequencies shares.
+Beyond those terms the sum approaches the zero-temperature integral only
+like ``beta**-3``, and its terms decay like
+``exp(-4*pi*n*min(z, a-z)/beta)``.  One kernel gives every component as
+a single integrand over ``x = kappa - zeta``.  Up to about 400 predicted
+terms the sum is direct, blocks of frequencies sharing one ``x`` grid,
+until a geometric tail bound meets the tolerance.  Beyond that (large
+``beta`` or near a wall) it is split: the zero-temperature columns plus
+21 windowed Matsubara terms minus the integral of the same windowed
+columns, whatever ``beta`` and ``z`` are.
 
 Sign conventions: negative energy density means the vacuum energy lies
 below the free-space value; negative ``pressure_zz`` means the walls
@@ -210,25 +215,10 @@ def _dep_scale(z_over_a: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def _bound_sum(r_s, r_p, damp, den_s, den_p):
-    return r_s * r_s * damp / den_s + r_p * r_p * damp / den_p
-
-
 def _mirror(kappa, z_over_a):
     return 0.5 * (
         np.exp(-2.0 * kappa * z_over_a) + np.exp(-2.0 * kappa * (1.0 - z_over_a))
     )
-
-
-def _ut_fields(u, t, omega_p, damp):
-    """Bound sum b and interference factor I at kappa = u, zeta = u*t."""
-    r_s, r_p = dielectric.rs_rp_ut(u, t, omega_p)
-    den_s = 1.0 - r_s * r_s * damp
-    den_p = 1.0 - r_p * r_p * damp
-    bound = _bound_sum(r_s, r_p, damp, den_s, den_p)
-    pair_sum = dielectric.rp_plus_rs_ut(u, t, omega_p)
-    inter = pair_sum * (1.0 - r_s * r_p * damp) / (den_s * den_p)
-    return bound, inter
 
 
 def _polar_integrands(u, t, omega_p, z_over_a):
@@ -276,8 +266,9 @@ def _polar_integrands(u, t, omega_p, z_over_a):
 # At zero temperature two passes give every quantity: the bound pass,
 # which does not depend on the position and is kept for a profile's
 # rows, and the position pass, kept for the operations of one row.  At
-# finite temperature the last point's sums are kept likewise, and the
-# z-independent tzz sum is kept across the rows of a profile.
+# finite temperature the last point's quantities are kept likewise, and
+# the z-independent tzz and bound part of the split's correction are
+# kept across the rows of a profile.
 # ----------------------------------------------------------------------
 
 # Each zero-temperature quantity: its prefactor and its weights on the
@@ -331,40 +322,59 @@ def _zero_t(name, omega_p, z_over_a, tol) -> QuadratureResult:
     )
 
 
-def _thermal_integrands(omega_p, zeta, x, z_over_a):
+def _thermal_integrands(omega_p, zeta, x, z_over_a, names):
     """Finite-temperature integrands at kappa = zeta + x, shared x grid.
 
     With k**2 = x*(x + 2*zeta) and k dk = kappa dx every inner k-integral
     becomes one over x on [0, inf).  From the bound sum b and the
-    interference term k**2*I*M the kernel forms the _ROW columns, shape
-    (x.size, zeta.size, 4); with z_over_a None, only tzz's -kappa**2*b,
-    shape (x.size, zeta.size).
+    interference term k**2*I*M the kernel forms the named columns, shape
+    (x.size, zeta.size, len(names)): the quantities, each one integrand,
+    or the zero-T pass columns B0 = kappa**2*b, B2 = zeta**2*b,
+    N = (kappa**2 - 3*zeta**2)*b and D = k**2*I*M.  tzz, B0, B2 and N
+    need no position (z_over_a may be None).
     """
     kappa = x[:, None] + zeta
-    bound, inter = _ut_fields(kappa, zeta / kappa, omega_p, np.exp(-2.0 * kappa))
-    tzz = -(kappa * kappa) * bound
-    if z_over_a is None:
-        return tzz
-    k2 = x[:, None] * (x[:, None] + 2.0 * zeta)
-    inter = k2 * inter * _mirror(kappa, z_over_a)
+    t = zeta / kappa
+    damp = np.exp(-2.0 * kappa)
+    r_s, r_p = dielectric.rs_rp_ut(kappa, t, omega_p)
+    den_s = 1.0 - r_s * r_s * damp
+    den_p = 1.0 - r_p * r_p * damp
+    bound = r_s * r_s * damp / den_s + r_p * r_p * damp / den_p
+    kappa2b = (kappa * kappa) * bound
     z2b = zeta * zeta * bound
-    t00 = inter - z2b
-    nec_x = k2 * bound - 2.0 * z2b + 3.0 * inter
-    return np.stack([t00, k2 * bound + inter, nec_x, t00 + tzz], axis=-1)
+    if z_over_a is not None:
+        pair_sum = dielectric.rp_plus_rs_ut(kappa, t, omega_p)
+        inter = pair_sum * (1.0 - r_s * r_p * damp) / (den_s * den_p)
+        k2 = x[:, None] * (x[:, None] + 2.0 * zeta)
+        inter = k2 * inter * _mirror(kappa, z_over_a)
+    # Only the named columns are formed.
+    columns = {
+        "tzz": lambda: -kappa2b,
+        "B0": lambda: kappa2b,
+        "B2": lambda: z2b,
+        "N": lambda: kappa2b - 3.0 * z2b,
+        "D": lambda: inter,
+        "t00": lambda: inter - z2b,
+        "txx": lambda: k2 * bound + inter,
+        "nec_x": lambda: k2 * bound - 2.0 * z2b + 3.0 * inter,
+        "nec_z": lambda: inter - z2b - kappa2b,
+    }
+    return np.stack([columns[name]() for name in names], axis=-1)
 
 
-# Columns of _thermal_integrands: prefactor and blackbody coefficient.
-_ROW = {
-    "t00": (_HALF_PI2, math.pi**2 / 15.0),
-    "txx": (_QUARTER_PI2, math.pi**2 / 45.0),
-    "nec_x": (_QUARTER_PI2, 4.0 * math.pi**2 / 45.0),
-    "nec_z": (_HALF_PI2, 4.0 * math.pi**2 / 45.0),
+# The blackbody part of each quantity, times beta**4.
+_BLACKBODY = {
+    "t00": math.pi**2 / 15.0,
+    "txx": math.pi**2 / 45.0,
+    "tzz": math.pi**2 / 45.0,
+    "nec_x": 4.0 * math.pi**2 / 45.0,
+    "nec_z": 4.0 * math.pi**2 / 45.0,
 }
-_TZZ = (_HALF_PI2, math.pi**2 / 45.0)
+_ROW = ("t00", "txx", "nec_x", "nec_z")
 
 
-def _thermal_sum(omega_p, z_over_a, beta, tol, columns):
-    """Matsubara sums of the kernel's (prefactor, blackbody) columns.
+def _thermal_direct(omega_p, z_over_a, beta, tol, names):
+    """Matsubara sums of the named quantities, term by term.
 
     Each term's inner-quadrature error joins the tail estimate with the
     term's weight (half for the zero frequency).
@@ -374,41 +384,143 @@ def _thermal_sum(omega_p, z_over_a, beta, tol, columns):
 
     def summand(zeta):
         def f(x):
-            return _thermal_integrands(omega_p, zeta, x, z_over_a).reshape(x.size, -1)
+            return _thermal_integrands(omega_p, zeta, x, z_over_a, names).reshape(x.size, -1)
 
         parts.append(integrate_semiinf(f, decay, tol))
         return parts[-1].value.reshape(zeta.size, -1)
 
     summed = matsubara_sum(summand, beta, tol)
-    inner = np.vstack([p.error_estimate.reshape(-1, len(columns)) for p in parts])
+    inner = np.vstack([p.error_estimate.reshape(-1, len(names)) for p in parts])
     inner = inner[: summed.evaluations]
     error = summed.error_estimate + (np.sum(inner, axis=0) - 0.5 * inner[0]) / beta
     evaluations = summed.evaluations + sum(p.evaluations for p in parts)
     converged = summed.converged and all(p.converged for p in parts)
-    return [
-        QuadratureResult(
-            float(2.0 * math.pi * pre * v + blackbody / beta**4),
+    results = {}
+    for name, v, err in zip(names, summed.value, error):
+        pre = _ZERO_T[name][0]
+        results[name] = QuadratureResult(
+            float(2.0 * math.pi * pre * v + _BLACKBODY[name] / beta**4),
             float(2.0 * math.pi * pre * err), evaluations, converged,
         )
-        for v, err, (pre, blackbody) in zip(summed.value, error, columns)
-    ]
+    return results
+
+
+# The split.  With h = 2*pi/beta and a window w = erfc((zeta - Z)/sigma)/2,
+# a kernel column g sums to
+#     h*sum'(g) = int(g) + [h*sum'(g*w) - int(g*w)] + h*sum'(g*(1-w)) - int(g*(1-w)).
+# int(g) is the zero-T column; the bracket takes the 21 frequencies below
+# Z + 7*sigma and one double integral.  By Poisson summation the last
+# difference is about 4*exp(-(beta*sigma)**2/4)*max|g|/beta, since g*(1-w)
+# is flat at zeta = 0 (1 - w(0) = 1e-17).  _WINDOW holds beta times Z,
+# sigma and Z + 7*sigma.
+_WINDOW = (60.0, 10.0, 130.0)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _window(zeta_beta):
+    return 0.5 * _erfc((zeta_beta - _WINDOW[0]) / _WINDOW[1]).astype(float)
+
+
+# beta*h*w(zeta_n) of the 21 frequencies, half weight at n = 0.
+_SPLIT_N = np.arange(math.floor(_WINDOW[2] / (2.0 * math.pi)) + 1)
+_SPLIT_WEIGHTS = np.where(_SPLIT_N, 2.0, 1.0) * math.pi * _window(2.0 * math.pi * _SPLIT_N)
+# That difference over max|g(zeta_n)|/beta; w(0) and the window past its
+# end add less than 1e-16.
+_WINDOW_MISS = 4.0 * math.exp(-0.25 * _WINDOW[1] ** 2)
+
+
+def _correction(omega_p, z_over_a, beta, tol):
+    """h*sum'(g*w) - int(g*w) of the bound columns (B0, B2, N), or of D."""
+    names, decay = ("B0", "B2", "N"), _IND_SCALE
+    if z_over_a is not None:
+        names, decay = ("D",), _dep_scale(z_over_a)
+    top = _WINDOW[2] / beta
+    zeta = 2.0 * math.pi * _SPLIT_N / beta
+
+    def per_frequency(x):
+        return _thermal_integrands(omega_p, zeta, x, z_over_a, names).reshape(x.size, -1)
+
+    def windowed(x, s):
+        weight = top * _window(_WINDOW[2] * s[0])
+        return _thermal_integrands(omega_p, top * s[0], x[:, 0], z_over_a, names) * weight[:, None]
+
+    terms = integrate_semiinf(per_frequency, decay, tol)
+    area = integrate_2d(windowed, SemiInfinite(decay), UnitInterval(), tol)
+    g = terms.value.reshape(zeta.size, -1)
+    weights = _SPLIT_WEIGHTS / beta
+    error = (
+        weights @ terms.error_estimate.reshape(zeta.size, -1)
+        + area.error_estimate
+        + _WINDOW_MISS / beta * np.max(np.abs(g), axis=0)
+    )
+    return QuadratureResult(
+        weights @ g - area.value, error,
+        terms.evaluations + area.evaluations, terms.converged and area.converged,
+    )
+
+
+@lru_cache(maxsize=1)
+def _correction_bound(omega_p, beta, tol) -> QuadratureResult:
+    return _correction(omega_p, None, beta, tol)
+
+
+def _thermal_split(omega_p, z_over_a, beta, tol, names):
+    """Each quantity as its zero-temperature value plus its _ZERO_T
+    combination of the bound and position corrections, whose errors add.
+    """
+    corrections = [_correction_bound(omega_p, beta, tol)]
+    if z_over_a is not None:
+        corrections.append(_correction(omega_p, z_over_a, beta, tol))
+    value = np.concatenate([c.value for c in corrections])
+    error = np.concatenate([c.error_estimate for c in corrections])
+    results = {}
+    for name in names:
+        prefactor, weights = _ZERO_T[name]
+        zero = _zero_t(name, omega_p, z_over_a, tol)
+        weights = np.array(weights)
+        results[name] = QuadratureResult(
+            float(zero.value + prefactor * (weights @ value[: weights.size])
+                  + _BLACKBODY[name] / beta**4),
+            float(zero.error_estimate + prefactor * (np.abs(weights) @ error[: weights.size])),
+            zero.evaluations + sum(c.evaluations for c in corrections),
+            zero.converged and all(c.converged for c in corrections),
+        )
+    return results
+
+
+# The split costs about as much as a direct sum of this many terms.
+_SPLIT_ABOVE = 400
+
+
+def _thermal(omega_p, z_over_a, beta, tol, names):
+    """The named finite-temperature quantities, by the cheaper route.
+
+    A direct sum needs about beta*ln(1/rel_tol)/(4*pi*m) terms, with m
+    the nearer wall's distance (1 for tzz, whose terms decay like
+    exp(-2*zeta_n)); above _SPLIT_ABOVE of them the split is cheaper.
+    """
+    nearest = 1.0 if z_over_a is None else min(z_over_a, 1.0 - z_over_a)
+    terms = beta * math.log(1.0 / tol.rel_tol) / (4.0 * math.pi * nearest)
+    path = _thermal_split if terms > _SPLIT_ABOVE else _thermal_direct
+    return path(omega_p, z_over_a, beta, tol, names)
 
 
 @lru_cache(maxsize=1)
 def _thermal_row(omega_p, z_over_a, beta, tol) -> dict[str, QuadratureResult]:
-    return dict(zip(_ROW, _thermal_sum(omega_p, z_over_a, beta, tol, _ROW.values())))
+    return _thermal(omega_p, z_over_a, beta, tol, _ROW)
 
 
 @lru_cache(maxsize=1)
 def _thermal_tzz(omega_p, beta, tol) -> QuadratureResult:
     # Summed on its own, so that it cannot depend on the position.
-    return _thermal_sum(omega_p, None, beta, tol, [_TZZ])[0]
+    return _thermal(omega_p, None, beta, tol, ("tzz",))["tzz"]
 
 
 def clear_caches() -> None:
     """Forget all cached integrals; later results are bitwise the same."""
     _zero_t_bound.cache_clear()
     _zero_t_position.cache_clear()
+    _correction_bound.cache_clear()
     _thermal_row.cache_clear()
     _thermal_tzz.cache_clear()
 
@@ -692,14 +804,12 @@ def critical_omega_pa(
     """
     thermal = ThermalState.zero() if thermal is None else thermal
     tol = Tolerance(rel_tol=1e-7, abs_tol=1e-10) if tol is None else tol
-    geom = Geometry(z=0.5)
     # Values by log10(omega_p*a), so bisection reuses the scan's bracket ends.
     known: dict[float, float] = {}
 
     def midpoint_energy(log10_wp: float) -> float:
         if log10_wp not in known:
-            model = PlasmaModel(omega_p=10.0**log10_wp)
-            known[log10_wp] = energy_density(geom, model, thermal, tol=tol).value
+            known[log10_wp] = _midpoint_energy(10.0**log10_wp, thermal, tol)
         return known[log10_wp]
 
     grid = np.linspace(0.0, 5.0, 11)
@@ -715,3 +825,10 @@ def critical_omega_pa(
                 continue
             return 10.0**root
     return None
+
+
+def _midpoint_energy(omega_p, thermal, tol) -> float:
+    """energy_density at z = a/2; at finite temperature only t00 is integrated."""
+    if thermal.is_zero:
+        return energy_density(Geometry(z=0.5), PlasmaModel(omega_p), tol=tol).value
+    return _thermal(omega_p, 0.5, thermal.beta, tol, ("t00",))["t00"].value

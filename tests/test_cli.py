@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -115,6 +117,31 @@ def test_parallel_output_matches_serial(tmp_path):
     # The jobs count is an execution detail, not part of the result spec,
     # so the two files must agree byte for byte.
     assert serial == parallel
+
+
+def test_cold_thermal_row_near_a_wall_converges(tmp_path):
+    # The direct Matsubara sum stopped here at its 1e5-term cap.
+    argv = ["profile", "--omega-pa", "100", "--z", "0.001", "--beta-over-a", "1000"]
+    code, text = run_to_file(tmp_path, "cold.csv", argv)
+    assert code == 0
+    _, header, rows = parse_csv(text)
+    assert len(rows) == 1
+    assert rows[0][header.index("converged")] == "1"
+
+
+def test_cli_import_loads_no_optional_module():
+    # Importing the CLI sets the start-up time of every invocation.
+    optional = ("scipy", "mpmath", "matplotlib", "jsonschema", "numpy.polynomial")
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    script = (
+        "import sys, casimir_stress.cli\n"
+        f"print(','.join(m for m in {optional!r} if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""
 
 
 def test_sweep_grid_is_logarithmic_with_exact_endpoints(tmp_path):

@@ -1,8 +1,10 @@
 """Tests for the stress tensor, field squares, and null-energy combinations."""
 
+import importlib.util
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,35 +227,149 @@ def test_thermal_values_match_frozen_oracle():
                 name, omega_p, z, beta, res.value, res.error_estimate)
 
 
-def test_cold_thermal_row_sums_frequencies_in_blocks(monkeypatch):
-    # One beta = 1000 row sums thousands of Matsubara frequencies; the
-    # reflection kernels must see them in blocks, not one call apiece.
-    calls = {"reflection": 0, "terms": 0}
+def test_cold_corners_converge_to_zero_temperature_plus_blackbody():
+    # Near a wall the direct sum's terms decay only like
+    # exp(-4*pi*n*z/beta) and used to stop unconverged at its 1e5-term
+    # cap.  There the thermal part beyond the blackbody terms lies far
+    # below the error of the 1/z**3 values.  tzz does not depend on z and
+    # keeps a thermal part of its own (-6.0e-9 at beta = 100, -4.0e-12 at
+    # 1000, above its error estimate), so it must equal its value at the
+    # midpoint, which test_thermal_values_match_frozen_oracle checks.
+    model = PlasmaModel(100.0)
+    for z, beta in ((1e-3, 100.0), (1e-3, 1000.0), (1e-2, 1000.0), (1e-5, 1e4)):
+        thermal = ThermalState.finite(beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowConvergenceWarning)
+            for name, op in CLI_COLUMNS.items():
+                res = op(Geometry(z), model, thermal)
+                assert res.converged, (name, z, beta)
+                if name == "tzz":
+                    assert res.value == op(Geometry(0.5), model, thermal).value
+                    continue
+                cold = op(Geometry(z), model).value + stress_mod._BLACKBODY[name] / beta**4
+                assert abs(res.value - cold) <= res.error_estimate, (name, z, beta, res)
 
-    def counted(fn):
+
+def _thermal_oracle():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "thermal_oracle.py"
+    spec = importlib.util.spec_from_file_location("independent_thermal_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_thermal_error_estimates_bound_the_actual_error(monkeypatch):
+    # Seeded points on both sides of the split threshold; every column
+    # lies within its error estimate of the independent thermal oracle,
+    # plus that oracle's own 1e-10, and the estimate is within ten times
+    # the tolerance the row claims to meet.
+    oracle = _thermal_oracle()
+    paths = []
+    for name in ("_thermal_split", "_thermal_direct"):
+        def taken(*args, _path=getattr(stress_mod, name), _name=name):
+            paths.append(_name)
+            return _path(*args)
+
+        monkeypatch.setattr(stress_mod, name, taken)
+    rng = np.random.default_rng(7)
+    model = PlasmaModel(100.0)
+    with np.errstate(over="ignore", under="ignore"):
+        for _ in range(8):
+            z = float(rng.uniform(0.2, 0.8))
+            beta = float(10.0 ** rng.uniform(math.log10(5.0), math.log10(300.0)))
+            ref = oracle.thermal_point(100.0, z, beta, 0.005)
+            for name, op in CLI_COLUMNS.items():
+                res = op(Geometry(z), model, ThermalState.finite(beta))
+                assert res.converged, (name, z, beta)
+                miss = abs(res.value - ref[name])
+                assert miss <= res.error_estimate + 1e-10 * abs(ref[name]), (
+                    name, z, beta, res.value, ref[name], res.error_estimate)
+                assert res.error_estimate <= 10.0 * Tolerance().rel_tol * abs(ref[name])
+    assert set(paths) == {"_thermal_split", "_thermal_direct"}
+
+
+def test_split_and_direct_sums_agree():
+    # Both routes at points below the threshold (where the direct sum is
+    # taken), above it, and for the position-independent tzz.
+    tol = Tolerance()
+    for omega_p, z, beta in ((100.0, 0.5, 20.0), (10.0, 0.3, 50.0), (100.0, 0.3, 100.0),
+                             (1e4, 0.5, 300.0), (100.0, None, 30.0), (100.0, None, 1000.0)):
+        names = ("tzz",) if z is None else stress_mod._ROW
+        split = stress_mod._thermal_split(omega_p, z, beta, tol, names)
+        direct = stress_mod._thermal_direct(omega_p, z, beta, tol, names)
+        for name in names:
+            a, b = split[name], direct[name]
+            assert a.converged and b.converged, (name, omega_p, z, beta)
+            assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, (
+                name, omega_p, z, beta, a, b)
+
+
+def _count_thermal_work(monkeypatch):
+    """Record the zeta arrays the thermal kernel sees, and count the
+    reflection kernel's calls and the integrate_2d and matsubara_sum
+    calls of stress."""
+    calls = {"zeta": [], "reflection": 0, "integrate_2d": 0, "matsubara_sum": 0}
+
+    def kernel(omega_p, zeta, x, z_over_a, names):
+        calls["zeta"].append(np.atleast_1d(zeta))
+        return original_kernel(omega_p, zeta, x, z_over_a, names)
+
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls["reflection"] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    def counted_sum(g, beta, tol=None):
-        result = original_sum(g, beta, tol)
-        calls["terms"] += result.evaluations
-        return result
+    original_kernel = stress_mod._thermal_integrands
+    monkeypatch.setattr(stress_mod, "_thermal_integrands", kernel)
+    monkeypatch.setattr(dielectric, "rs_rp_ut", counted("reflection", dielectric.rs_rp_ut))
+    for name in ("integrate_2d", "matsubara_sum"):
+        monkeypatch.setattr(stress_mod, name, counted(name, getattr(stress_mod, name)))
+    return calls
 
-    original_sum = stress_mod.matsubara_sum
-    monkeypatch.setattr(dielectric, "rs_rp", counted(dielectric.rs_rp))
-    monkeypatch.setattr(dielectric, "rs_rp_ut", counted(dielectric.rs_rp_ut))
-    monkeypatch.setattr(stress_mod, "matsubara_sum", counted_sum)
+
+def _matsubara_terms(calls, beta):
+    """The n of the kernel calls whose every zeta is some 2*pi*n/beta."""
+    terms = set()
+    for zeta in calls["zeta"]:
+        n = zeta * beta / (2.0 * math.pi)
+        if np.all(np.abs(n - np.round(n)) <= 1e-9 * np.maximum(n, 1.0)):
+            terms.update(np.round(n).astype(int).tolist())
+    return terms
+
+
+def test_cold_thermal_row_sums_frequencies_in_blocks(monkeypatch):
+    # A row that takes the direct sum at beta = 100 sums hundreds of
+    # Matsubara frequencies; the reflection kernel must see them in
+    # blocks, not one call apiece.
+    calls = _count_thermal_work(monkeypatch)
     stress_mod.clear_caches()
-    geom = Geometry(0.5)
-    model = PlasmaModel(100.0)
-    thermal = ThermalState.finite(1000.0)
     for op in CLI_COLUMNS.values():
-        assert op(geom, model, thermal).converged
-    assert calls["terms"] > 1000
-    assert calls["reflection"] < calls["terms"]
+        assert op(Geometry(0.5), PlasmaModel(100.0), ThermalState.finite(100.0)).converged
+    terms = len(_matsubara_terms(calls, 100.0))
+    assert calls["integrate_2d"] == 0
+    assert terms > 400
+    assert calls["reflection"] < terms
+
+
+def test_cold_thermal_row_has_bounded_cost(monkeypatch):
+    # At beta = 1000 and 1e4 a direct sum would need thousands of terms;
+    # the split needs 21 frequencies and four double integrals (the two
+    # zero-temperature passes and their two windowed corrections), at
+    # the midpoint and next to a wall alike.
+    calls = _count_thermal_work(monkeypatch)
+    for beta in (1000.0, 1e4):
+        for z in (0.5, 1e-3):
+            stress_mod.clear_caches()
+            calls.update(zeta=[], integrate_2d=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SlowConvergenceWarning)
+                for op in CLI_COLUMNS.values():
+                    assert op(Geometry(z), PlasmaModel(100.0), ThermalState.finite(beta)).converged
+            assert len(_matsubara_terms(calls, beta)) <= 32
+            assert calls["integrate_2d"] == 4
+    assert calls["matsubara_sum"] == 0
 
 
 def test_zero_temperature_rows_share_two_passes(monkeypatch):
@@ -444,12 +560,12 @@ def test_critical_root_search_reuses_the_scan_values(monkeypatch):
     # are two of the scan points, so it must not evaluate them again.
     calls = []
 
-    def counted(geom, model, thermal=None, *, tol=None):
-        calls.append(model.omega_p)
-        return original(geom, model, thermal, tol=tol)
+    def counted(omega_p, thermal, tol):
+        calls.append(omega_p)
+        return original(omega_p, thermal, tol)
 
-    original = stress_mod.energy_density
-    monkeypatch.setattr(stress_mod, "energy_density", counted)
+    original = stress_mod._midpoint_energy
+    monkeypatch.setattr(stress_mod, "_midpoint_energy", counted)
     assert critical_omega_pa(ThermalState.finite(5.0)) == 126.41733787754889
     assert len(calls) == len(set(calls)) == 21
     calls.clear()
