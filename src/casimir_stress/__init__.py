@@ -5,7 +5,7 @@ the gap between two identical dielectric half-spaces described by the
 plasma model, at zero or finite temperature, with controlled and
 reported numerical error.  See the ``stress`` module for the physical
 quantities, ``dielectric`` for the material response, ``quadrature`` for
-the deterministic integration engines, ``units`` for SI
+the deterministic double-exponential integration rules, ``units`` for SI
 conversion, and ``cli`` for the command-line front end.
 """
 

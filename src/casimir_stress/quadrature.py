@@ -4,19 +4,15 @@ Every integral in this package has the same shape: a smooth integrand on
 [0, inf) that dies off exponentially with a scale known in advance,
 either alone or together with a second variable on [0, inf) or [0, 1].
 
-One-dimensional passes map the half-line onto the unit interval with the
-rational substitution x = L*s/(1-s), where L is the expected decay scale,
-and integrate with globally adaptive Gauss-Kronrod 7/15 panels: the panel
-with the largest error estimate is split first, and the final value is
-accumulated over panels sorted by their left edge.  Two-dimensional
-integrals use a tensor-product double-exponential rule (exp-sinh on a
-half-line, tanh-sinh on [0, 1]) that refines each axis on its own: an
-axis's step is halved, with every earlier node reused, while the change
-from its previous level misses the tolerance, and the error estimate is
-the sum of both axes' changes.  Subdivision order and accumulation
-order are fixed, so repeated runs return bit-identical values; nothing
-here depends on threads, hashing or global state (the cached node
-tables are read-only and equal to rebuilt ones).
+Every integral, in one dimension or two, uses the double-exponential
+rules: exp-sinh on a half-line, tanh-sinh on [0, 1].  An axis's step is
+halved, with every earlier node reused, while the change from its
+previous level misses the tolerance, and the error estimate is that
+change (in two dimensions, the sum of both axes' changes, each axis
+refined on its own).  Refinement and accumulation order are fixed, so
+repeated runs return bit-identical values; nothing here depends on
+threads, hashing or global state (the cached node tables are read-only
+and equal to rebuilt ones).
 
 Integrands are called with numpy arrays of abscissae and should return
 an array of their broadcast shape, or one row of components per node for
@@ -27,7 +23,6 @@ point by point instead.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,10 +56,11 @@ class Tolerance:
     A pass is accepted once its error estimate drops below
     max(abs_tol, rel_tol*|value|), for every component of a vector
     integrand.  ``max_evaluations`` caps the integrand evaluations of one
-    integrate_semiinf, integrate_unit or integrate_2d call (for
-    integrate_2d, every node of its final grid); when it would be
-    exceeded the result is returned with ``converged=False`` rather than
-    raising.  matsubara_sum has its own cap on the number of terms.
+    integrate_semiinf, integrate_unit or integrate_2d call, every node of
+    its final grid together; when it would be exceeded the result is
+    returned with ``converged=False`` rather than raising.  It must
+    admit the first grid of a one-dimensional pass.  matsubara_sum has
+    its own cap on the number of terms.
     """
 
     rel_tol: float = 1e-9
@@ -77,7 +73,7 @@ class Tolerance:
         if not (self.abs_tol >= 0.0 and math.isfinite(self.abs_tol)):
             raise ValueError("abs_tol must be non-negative and finite")
         if self.max_evaluations < 15:
-            raise ValueError("max_evaluations must allow at least one panel")
+            raise ValueError("max_evaluations must be at least 15")
 
     def tightened(self, factor: float) -> "Tolerance":
         """A copy with both tolerances divided by ``factor``."""
@@ -92,10 +88,10 @@ class Tolerance:
 class QuadratureResult:
     """Value of an integral together with bookkeeping.
 
-    ``error_estimate`` is an upper-bound style estimate (summed Kronrod
-    minus Gauss differences in one dimension; in two, the sum of each
-    axis's change from its previous level); ``evaluations`` counts
-    integrand evaluations;
+    ``error_estimate`` is an upper-bound style estimate: the change from
+    the previous level (in two dimensions, the sum of each axis's change
+    from its previous level); ``evaluations`` counts integrand
+    evaluations;
     ``converged`` records whether the tolerance targets were met within
     budget.
     ``value`` and ``error_estimate`` are arrays for a vector integrand.
@@ -125,129 +121,6 @@ class UnitInterval:
 
 _DEFAULT_TOL = Tolerance()
 
-# Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (QUADPACK dqk15 values).
-# The embedded 7-point Gauss rule lives on the odd-index Kronrod nodes.
-_XK_HALF = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
-)
-_WK_HALF = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-)
-_WG_HALF = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
-)
-
-_XK = np.array([-x for x in _XK_HALF[:-1]] + [0.0] + [x for x in reversed(_XK_HALF[:-1])])
-_WK = np.array(list(_WK_HALF[:-1]) + [_WK_HALF[-1]] + list(reversed(_WK_HALF[:-1])))
-_WG = np.array(list(_WG_HALF[:-1]) + [_WG_HALF[-1]] + list(reversed(_WG_HALF[:-1])))
-
-
-def _eval_panels(fv, lefts, rights):
-    """Evaluate Gauss-Kronrod 7/15 on a batch of panels with one call.
-
-    ``fv`` maps an abscissa array of shape (n,) to values of shape (n, m).
-    Returns per-panel Kronrod values and |K15 - G7| error estimates, both
-    of shape (p, m).
-    """
-    mids = 0.5 * (lefts + rights)
-    halfs = 0.5 * (rights - lefts)
-    x = (mids[:, None] + halfs[:, None] * _XK[None, :]).ravel()
-    y = fv(x)
-    y = y.reshape(len(lefts), 15, -1)
-    kron = halfs[:, None] * np.einsum("j,pjm->pm", _WK, y)
-    gauss = halfs[:, None] * np.einsum("j,pjm->pm", _WG, y[:, 1::2, :])
-    return kron, np.abs(kron - gauss)
-
-
-def _adaptive(fv, edges, rel_tol, abs_tol, max_evaluations):
-    """Globally adaptive refinement over initial panels given by ``edges``.
-
-    Every component must meet the tolerance.  The panel with the largest
-    error estimate is split first; with several components, errors are
-    first divided by their component's tolerance on the initial panels.
-    Splitting stops when the summed estimates meet the tolerance or the
-    budget runs out.  Returns (value, error, evaluations, converged) with
-    value and error of shape (m,), summed over panels in left-edge order.
-    """
-    lefts = np.asarray(edges[:-1], dtype=float)
-    rights = np.asarray(edges[1:], dtype=float)
-    vals, errs = _eval_panels(fv, lefts, rights)
-    evaluations = 15 * len(lefts)
-
-    lead = vals.shape[1]
-    if lead == 1:
-        pick = 0
-        total_v = float(np.sum(vals[:, 0]))
-        total_e = float(np.sum(errs[:, 0]))
-    else:
-        pick = slice(0, lead)
-        total_v = np.sum(vals[:, pick], axis=0)
-        total_e = np.sum(errs[:, pick], axis=0)
-        weight = 1.0 / np.maximum(np.maximum(abs_tol, rel_tol * np.abs(total_v)), 1e-300)
-
-    def keys(e):
-        return e[:, 0] if lead == 1 else np.max(e[:, pick] * weight, axis=1)
-
-    panels = {}
-    heap = []
-    seq = 0
-    for i, priority in enumerate(keys(errs)):
-        panels[seq] = (lefts[i], rights[i], vals[i], errs[i])
-        heapq.heappush(heap, (-priority, seq))
-        seq += 1
-    done = []
-
-    min_width = (edges[-1] - edges[0]) * 1e-13
-    converged = True
-    while True:
-        if lead == 1:
-            met = total_e <= max(abs_tol, rel_tol * abs(total_v))
-        else:
-            met = np.all(total_e <= np.maximum(abs_tol, rel_tol * np.abs(total_v)))
-        if met:
-            break
-        if not heap or evaluations + 30 > max_evaluations:
-            converged = False
-            break
-        neg_err, key = heapq.heappop(heap)
-        a, b, v, e = panels.pop(key)
-        if (b - a) <= min_width or neg_err >= 0.0:
-            # refining cannot improve this panel any further
-            done.append((a, b, v, e))
-            continue
-        mid = 0.5 * (a + b)
-        cv, ce = _eval_panels(fv, np.array([a, mid]), np.array([mid, b]))
-        evaluations += 30
-        total_v += cv[0, pick] + cv[1, pick] - v[pick]
-        total_e += ce[0, pick] + ce[1, pick] - e[pick]
-        for half, priority in enumerate(keys(ce)):
-            panels[seq] = ((a, mid)[half], (mid, b)[half], cv[half], ce[half])
-            heapq.heappush(heap, (-priority, seq))
-            seq += 1
-
-    done.extend(panels.values())
-    done.sort(key=lambda p: p[0])
-    value = np.sum(np.stack([p[2] for p in done]), axis=0)
-    error = np.sum(np.stack([p[3] for p in done]), axis=0)
-    return value, error, evaluations, converged
-
 
 def _scalar_tolerant(f):
     """Wrap ``f`` so it maps abscissa arrays to an array of their broadcast
@@ -274,101 +147,18 @@ def _scalar_tolerant(f):
     return call
 
 
-def _check_finite(y, x, where):
-    if not np.all(np.isfinite(y)):
-        bad = np.asarray(x)[~np.isfinite(y).reshape(len(x), -1).all(axis=1)]
-        raise QuadratureError(
-            f"integrand returned a non-finite value at {where} = {bad.flat[0]!r}"
-        )
+def _check_finite(values, *axes):
+    """Raise QuadratureError at the first node with a non-finite value.
 
-
-def integrate_unit(f, tol: Tolerance | None = None) -> QuadratureResult:
-    """Integrate ``f`` over [0, 1].
-
-    Parameters
-    ----------
-    f : callable
-        Integrand; called with an abscissa array, scalar fallback applies.
-    tol : Tolerance, optional
-        Termination targets; package defaults when omitted.
-
-    Returns
-    -------
-    QuadratureResult
-        Panel endpoints are never evaluated, so integrable endpoint
-        behavior is fine.  Non-finite integrand values raise
-        QuadratureError with the abscissa in the message.
+    ``values`` has one axis per abscissa array in ``axes``, then one of
+    components; the message names x, or (x, y) for two axes.
     """
-    tol = tol or _DEFAULT_TOL
-    fs = _scalar_tolerant(f)
-
-    def fv(x):
-        y = fs(x)
-        _check_finite(y, x, "x")
-        return y[:, None]
-
-    v, e, n, ok = _adaptive(
-        fv, np.linspace(0.0, 1.0, 5), tol.rel_tol, tol.abs_tol, tol.max_evaluations
-    )
-    return QuadratureResult(float(v[0]), float(e[0]), n, ok)
-
-
-def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> QuadratureResult:
-    """Integrate ``f`` over [0, inf) assuming exponential decay.
-
-    Parameters
-    ----------
-    f : callable
-        Integrand; called with an abscissa array, scalar fallback applies.
-        It may return shape (n, m) for m components integrated together.
-    decay_scale : float
-        Expected scale L of the falloff, exp(-x/L) style.  The rational
-        map x = L*s/(1-s) places half of the unit interval below x = L.
-        A mismatched scale costs extra subdivisions, not correctness.
-    tol : Tolerance, optional
-
-    Returns
-    -------
-    QuadratureResult
-        Of shape (m,) values and errors for an (n, m) integrand, each
-        component meeting the tolerance on its own.
-
-    Notes
-    -----
-    The transformed integrand is assumed to vanish at the mapped image of
-    s -> 1; that is exactly the exponential-decay contract.  Non-finite
-    integrand values raise QuadratureError carrying the original
-    (untransformed) abscissa.
-    """
-    if not (decay_scale > 0.0 and math.isfinite(decay_scale)):
-        raise ValueError("decay_scale must be a positive finite number")
-    tol = tol or _DEFAULT_TOL
-    fs = _scalar_tolerant(f)
-    shape = {}
-
-    def fv(s):
-        one_m = 1.0 - s
-        ok = one_m > 0.0
-        safe = np.where(ok, one_m, 1.0)
-        x = decay_scale * s / safe
-        if not ok.all():
-            x, safe = x[ok], safe[ok]
-        y = fs(x)
-        _check_finite(y, x, "x")
-        shape["vector"] = y.ndim == 2
-        y = y.reshape(len(x), -1) * decay_scale / (safe**2)[:, None]
-        if len(x) == len(s):
-            return y
-        out = np.zeros((len(s), y.shape[1]))
-        out[ok] = y
-        return out
-
-    v, e, n, ok = _adaptive(
-        fv, np.linspace(0.0, 1.0, 9), tol.rel_tol, tol.abs_tol, tol.max_evaluations
-    )
-    if shape["vector"]:
-        return QuadratureResult(v, e, n, ok)
-    return QuadratureResult(float(v[0]), float(e[0]), n, ok)
+    bad = ~np.isfinite(values).all(axis=-1)
+    if bad.any():
+        index = np.argwhere(bad)[0]
+        point = tuple(float(np.ravel(a)[i]) for a, i in zip(axes, index))
+        at = f"x = {point[0]!r}" if len(point) == 1 else f"(x, y) = {point!r}"
+        raise QuadratureError(f"integrand returned a non-finite value at {at}")
 
 
 # Double-exponential rules (Takahasi & Mori 1974) put the nodes of each
@@ -386,22 +176,27 @@ def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> Qu
 # refined on its own.
 _DE_STEP = 0.6
 _EXP_SINH = (-3.75, 1.8)
+# A one-dimensional half-line pass reaches x/L = 7e6 instead: its decay
+# scale comes from the caller, and one 1000 times too small must cost
+# levels, not the far part of the integral.
+_EXP_SINH_1D = (-3.75, 3.0)
 _TANH_SINH = (-4.0, 3.15)
 # Integrand calls take at most this many nodes, bounding memory.
 _BLOCK = 16384
 
 
 @lru_cache(maxsize=64)
-def _de_axis(domain, level):
+def _de_axis(domain, level, span=None):
     """Nodes of one axis up to ``level``, grouped by first level.
 
     Returns read-only (x, weight, starts): group ``a`` holds the nodes
     that level ``a`` adds and begins at x[starts[a]].  Weights leave out
-    the step, so a node keeps its weight from level to level.
+    the step, so a node keeps its weight from level to level.  ``span``
+    replaces the domain's tau range.
     """
     h = _DE_STEP / 2**level
     semi = isinstance(domain, SemiInfinite)
-    lo, hi = _EXP_SINH if semi else _TANH_SINH
+    lo, hi = span or (_EXP_SINH if semi else _TANH_SINH)
     index = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
     first = np.full(index.size, level)
     for k in range(1, level + 1):
@@ -421,10 +216,106 @@ def _de_axis(domain, level):
     return x, weight, starts
 
 
-def _newest(domain, level):
+def _newest(domain, level, span=None):
     """The nodes that ``level`` adds to an axis, as one group."""
-    x, weight, starts = _de_axis(domain, level)
+    x, weight, starts = _de_axis(domain, level, span)
     return x[starts[-1]:], weight[starts[-1]:], starts[:1]
+
+
+def _integrate_1d(f, domain, tol):
+    """One-axis double-exponential pass over ``domain``.
+
+    Levels are refined until the change from the coarser level meets the
+    tolerance in every component; that change is the error estimate.
+    The first grid always runs; a level that would take the node count
+    past ``tol.max_evaluations`` does not.
+    """
+    tol = tol or _DEFAULT_TOL
+    fs = _scalar_tolerant(f)
+    span = _EXP_SINH_1D if isinstance(domain, SemiInfinite) else None
+    shape = {}
+
+    def fv(x):
+        values = fs(x)
+        shape["vector"] = values.ndim == 2
+        values = values.reshape(x.size, -1)
+        _check_finite(values, x)
+        return values
+
+    def level_sum(nodes):
+        x, weight, _ = nodes
+        return sum(
+            np.sum(fv(x[i : i + _BLOCK]) * weight[i : i + _BLOCK, None], axis=0)
+            for i in range(0, x.size, _BLOCK)
+        )
+
+    level = 0
+    sums = level_sum(_de_axis(domain, 0, span))
+    total = _DE_STEP * sums
+    error = np.abs(total)
+    converged = False
+    while _de_axis(domain, level + 1, span)[0].size <= tol.max_evaluations:
+        level += 1
+        sums = sums + level_sum(_newest(domain, level, span))
+        coarse, total = total, (_DE_STEP / 2**level) * sums
+        error = np.abs(total - coarse)
+        if np.all(error <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))):
+            converged = True
+            break
+    evaluations = _de_axis(domain, level, span)[0].size
+    if shape["vector"]:
+        return QuadratureResult(total, error, evaluations, converged)
+    return QuadratureResult(float(total[0]), float(error[0]), evaluations, converged)
+
+
+def integrate_unit(f, tol: Tolerance | None = None) -> QuadratureResult:
+    """Integrate ``f`` over [0, 1].
+
+    Parameters
+    ----------
+    f : callable
+        Integrand; called with an abscissa array, scalar fallback applies.
+        It may return shape (n, m) for m components integrated together.
+    tol : Tolerance, optional
+        Termination targets; package defaults when omitted.
+
+    Returns
+    -------
+    QuadratureResult
+        From tanh-sinh nodes, which never include the endpoints, so
+        integrable endpoint behavior is fine.  Non-finite integrand
+        values raise QuadratureError with the abscissa in the message.
+    """
+    return _integrate_1d(f, UnitInterval(), tol)
+
+
+def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> QuadratureResult:
+    """Integrate ``f`` over [0, inf) assuming exponential decay.
+
+    Parameters
+    ----------
+    f : callable
+        Integrand; called with an abscissa array, scalar fallback applies.
+        It may return shape (n, m) for m components integrated together.
+    decay_scale : float
+        Expected scale L of the falloff, exp(-x/L) style.  The exp-sinh
+        nodes x = L*exp(pi/2*sinh(tau)) reach from 3e-15*L to 7e6*L.
+        A mismatched scale costs extra levels, not correctness.
+    tol : Tolerance, optional
+
+    Returns
+    -------
+    QuadratureResult
+        Of shape (m,) values and errors for an (n, m) integrand, each
+        component meeting the tolerance on its own.
+
+    Notes
+    -----
+    The integrand is assumed to vanish beyond 7e6*L; that is exactly the
+    exponential-decay contract.  Non-finite integrand values raise
+    QuadratureError carrying the abscissa.
+    """
+    return _integrate_1d(f, SemiInfinite(decay_scale), tol)
 
 
 def _grid_sums(fv, xs, ys):
@@ -490,13 +381,7 @@ def integrate_2d(
         values = fs(x, y)
         shape["vector"] = values.ndim == 3
         values = values.reshape(x.shape[0], y.shape[1], -1)
-        finite = np.isfinite(values)
-        if not finite.all():
-            i, j = np.argwhere(~finite.all(axis=2))[0]
-            raise QuadratureError(
-                "integrand returned a non-finite value at "
-                f"(x, y) = ({float(x[i, 0])!r}, {float(y[0, j])!r})"
-            )
+        _check_finite(values, x, y)
         return values
 
     def size(lx, ly):

@@ -8,9 +8,14 @@ Run by hand:
     python tests/de_oracle.py
 
 Deliberately independent of the package: plain textbook formulas for the
-reflection coefficients and trapezoidal sums over exp-sinh / tanh-sinh
-nodes, so that agreement with the adaptive Gauss-Kronrod path is a real
-cross-check rather than a tautology.
+reflection coefficients, the densities and pressures in Cartesian
+coordinates (zeta, k), and plain trapezoidal sums over fixed exp-sinh /
+tanh-sinh grids of its own (a wider range, one step, no refinement and no
+error model).  The package uses double-exponential rules too, but over
+polar coordinates (u, t), with its own node tables and stopping rule, so
+agreement is a real cross-check rather than a tautology.  Only the
+null-energy combinations are summed in polar coordinates here, from their
+textbook form.
 """
 
 import numpy as np
