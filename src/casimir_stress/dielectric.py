@@ -119,9 +119,10 @@ def rs_rp(zeta, k, omega_p: float):
 def rs_rp_ut(u, t, omega_p: float):
     """Reflection coefficients in polar coordinates (u, t); array friendly.
 
-    r_s depends on u alone; r_p uses the cancellation-free rearrangement
-    r_p = omega_p**2*(u*(1-t**2) + Q) / ((u+Q)*(omega_p**2 + u*t**2*(u+Q)))
-    with Q = sqrt(u**2 + omega_p**2).
+    r_s depends on u alone; r_p = (A - B*t**2)/(A + D*t**2) with u-only
+    A = omega_p**2*(u + Q), B = omega_p**2*u, D = u*(u + Q)**2 and
+    Q = sqrt(u**2 + omega_p**2).  A - B = omega_p**2*Q, so cancellation
+    costs at most a factor (2*u + Q)/Q <= 3.
     """
     if omega_p == 0.0:
         zero = np.zeros(np.broadcast(u, t).shape)
@@ -130,13 +131,13 @@ def rs_rp_ut(u, t, omega_p: float):
         shape = np.broadcast(u, t).shape
         return -np.ones(shape), np.ones(shape)
     wp2 = omega_p * omega_p
-    q = np.sqrt(u * u + wp2)
-    upq = u + q
+    upq = u + np.sqrt(u * u + wp2)
     rs = -wp2 / (upq * upq)
+    a = wp2 * upq
     t2 = t * t
     # The exact value satisfies rp <= 1 (equality at t = 0); rounding can
     # overshoot by one ulp, so pin the analytic bound.
-    rp = np.minimum(wp2 * (u * (1.0 - t2) + q) / (upq * (wp2 + u * t2 * upq)), 1.0)
+    rp = np.minimum((a - (wp2 * u) * t2) / (a + (u * upq * upq) * t2), 1.0)
     return rs, rp
 
 
@@ -144,16 +145,16 @@ def rp_plus_rs_ut(u, t, omega_p: float):
     """The sum r_p + r_s without cancellation; >= 0, zero at t = 1.
 
     The direct sum loses all significance in the conductor regime where
-    r_s -> -1 and r_p -> +1; this closed form keeps full precision:
+    r_s -> -1 and r_p -> +1; this closed form, whose denominator terms
+    are all positive, keeps full precision:
 
-        r_p + r_s = 2*omega_p**2*(1 - t**2)*u /
-            (Q*(2*t**2*u**2 + omega_p**2) + 2*t**2*u**3
-             + u*omega_p**2*(t**2 + 1)),  Q = sqrt(u**2 + omega_p**2).
+        r_p + r_s = 2*omega_p**2*u*(1 - t**2) /
+            (omega_p**2*(u + Q) + u*(2*u*(u + Q) + omega_p**2)*t**2),
+        Q = sqrt(u**2 + omega_p**2).
     """
     if omega_p == 0.0 or math.isinf(omega_p):
         return np.zeros(np.broadcast(u, t).shape)
     wp2 = omega_p * omega_p
-    q = np.sqrt(u * u + wp2)
+    upq = u + np.sqrt(u * u + wp2)
     t2 = t * t
-    den = q * (2.0 * t2 * u * u + wp2) + 2.0 * t2 * u**3 + u * wp2 * (t2 + 1.0)
-    return 2.0 * wp2 * (1.0 - t2) * u / den
+    return (2.0 * wp2 * u) * (1.0 - t2) / (wp2 * upq + (u * (2.0 * u * upq + wp2)) * t2)

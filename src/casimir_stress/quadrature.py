@@ -147,18 +147,24 @@ def _scalar_tolerant(f):
     return call
 
 
-def _check_finite(values, *axes):
-    """Raise QuadratureError at the first node with a non-finite value.
+def _block_sums(values, weights, *axes):
+    """Sums of one block of ``values`` times ``weights`` over its last node axis.
 
     ``values`` has one axis per abscissa array in ``axes``, then one of
-    components; the message names x, or (x, y) for two axes.
+    components; the product runs over its component-major view.  The
+    weights are positive, so a non-finite value makes some sum non-finite.
+    Only then is the block searched: QuadratureError names its first
+    non-finite node, x, or (x, y) for two axes.
     """
-    bad = ~np.isfinite(values).all(axis=-1)
-    if bad.any():
-        index = np.argwhere(bad)[0]
-        point = tuple(float(np.ravel(a)[i]) for a, i in zip(axes, index))
-        at = f"x = {point[0]!r}" if len(point) == 1 else f"(x, y) = {point!r}"
-        raise QuadratureError(f"integrand returned a non-finite value at {at}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = values.transpose(-1, *range(values.ndim - 1)) @ weights
+    if not np.isfinite(sums).all():
+        bad = np.argwhere(~np.isfinite(values).all(axis=-1))
+        if bad.size:
+            point = tuple(float(np.ravel(a)[i]) for a, i in zip(axes, bad[0]))
+            at = f"x = {point[0]!r}" if len(point) == 1 else f"(x, y) = {point!r}"
+            raise QuadratureError(f"integrand returned a non-finite value at {at}")
+    return sums
 
 
 # Double-exponential rules (Takahasi & Mori 1974) put the nodes of each
@@ -186,16 +192,9 @@ _BLOCK = 16384
 
 
 @lru_cache(maxsize=64)
-def _de_axis(domain, level, span=None):
-    """Nodes of one axis up to ``level``, grouped by first level.
-
-    Returns read-only (x, weight, starts): group ``a`` holds the nodes
-    that level ``a`` adds and begins at x[starts[a]].  Weights leave out
-    the step, so a node keeps its weight from level to level.  ``span``
-    replaces the domain's tau range.
-    """
+def _unit_axis(semi, level, span):
+    """_de_axis for decay scale 1 on a half-line (``semi``), or on [0, 1]."""
     h = _DE_STEP / 2**level
-    semi = isinstance(domain, SemiInfinite)
     lo, hi = span or (_EXP_SINH if semi else _TANH_SINH)
     index = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
     first = np.full(index.size, level)
@@ -205,7 +204,7 @@ def _de_axis(domain, level, span=None):
     tau = index[order] * h
     s = 0.5 * math.pi * np.sinh(tau)
     if semi:
-        x = domain.decay_scale * np.exp(s)
+        x = np.exp(s)
         weight = x * (0.5 * math.pi) * np.cosh(tau)
     else:
         x = 1.0 / (1.0 + np.exp(-2.0 * s))
@@ -214,6 +213,27 @@ def _de_axis(domain, level, span=None):
     for table in (x, weight, starts):
         table.flags.writeable = False
     return x, weight, starts
+
+
+def _de_axis(domain, level, span=None):
+    """Nodes of one axis up to ``level``, grouped by first level.
+
+    Returns read-only (x, weight, starts): group ``a`` holds the nodes
+    that level ``a`` adds and begins at x[starts[a]].  Weights leave out
+    the step, so a node keeps its weight from level to level.  ``span``
+    replaces the domain's tau range.  Half-line tables are cached for
+    decay scale 1 and scaled here, so every scale shares them.
+    """
+    x, weight, starts = _unit_axis(isinstance(domain, SemiInfinite), level, span)
+    if isinstance(domain, SemiInfinite):
+        x, weight = domain.decay_scale * x, domain.decay_scale * weight
+        x.flags.writeable = weight.flags.writeable = False
+    return x, weight, starts
+
+
+def _size(domain, level, span=None):
+    """The node count of _de_axis(domain, level, span)."""
+    return _unit_axis(isinstance(domain, SemiInfinite), level, span)[0].size
 
 
 def _newest(domain, level, span=None):
@@ -235,17 +255,15 @@ def _integrate_1d(f, domain, tol):
     span = _EXP_SINH_1D if isinstance(domain, SemiInfinite) else None
     shape = {}
 
-    def fv(x):
+    def block_sum(x, weight):
         values = fs(x)
         shape["vector"] = values.ndim == 2
-        values = values.reshape(x.size, -1)
-        _check_finite(values, x)
-        return values
+        return _block_sums(values.reshape(x.size, -1), weight, x)
 
     def level_sum(nodes):
         x, weight, _ = nodes
         return sum(
-            np.sum(fv(x[i : i + _BLOCK]) * weight[i : i + _BLOCK, None], axis=0)
+            block_sum(x[i : i + _BLOCK], weight[i : i + _BLOCK])
             for i in range(0, x.size, _BLOCK)
         )
 
@@ -254,7 +272,7 @@ def _integrate_1d(f, domain, tol):
     total = _DE_STEP * sums
     error = np.abs(total)
     converged = False
-    while _de_axis(domain, level + 1, span)[0].size <= tol.max_evaluations:
+    while _size(domain, level + 1, span) <= tol.max_evaluations:
         level += 1
         sums = sums + level_sum(_newest(domain, level, span))
         coarse, total = total, (_DE_STEP / 2**level) * sums
@@ -262,7 +280,7 @@ def _integrate_1d(f, domain, tol):
         if np.all(error <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))):
             converged = True
             break
-    evaluations = _de_axis(domain, level, span)[0].size
+    evaluations = _size(domain, level, span)
     if shape["vector"]:
         return QuadratureResult(total, error, evaluations, converged)
     return QuadratureResult(float(total[0]), float(error[0]), evaluations, converged)
@@ -318,21 +336,32 @@ def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> Qu
     return _integrate_1d(f, SemiInfinite(decay_scale), tol)
 
 
+def _by_group(weight, starts):
+    """(nodes, groups) matrix: column g holds group g's weights, else 0."""
+    matrix = np.zeros((weight.size, starts.size))
+    bounds = starts.tolist() + [weight.size]
+    for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        matrix[a:b, g] = weight[a:b]
+    return matrix
+
+
 def _grid_sums(fv, xs, ys):
     """Sums of wx[i]*wy[j]*f(x[i], y[j]) over every pair of node groups.
 
     ``xs`` and ``ys`` are (nodes, weights, starts) as from _de_axis;
     returns shape (x groups, y groups, m).  Rows of x are evaluated in
-    blocks of at most _BLOCK nodes.
+    blocks of at most _BLOCK nodes.  Matrix products with one weight column
+    per group contract the y axis of each block, then the x axis.
     """
     x, wx, gx = xs
     y, wy, gy = ys
     rows = max(1, _BLOCK // y.size)
+    by_y = _by_group(wy, gy)
     per_row = np.concatenate([
-        np.add.reduceat(fv(x[i : i + rows, None], y[None, :]) * wy[:, None], gy, axis=1)
+        _block_sums(fv(x[i : i + rows, None], y[None, :]), by_y, x[i : i + rows], y)
         for i in range(0, x.size, rows)
-    ])
-    return np.add.reduceat(per_row * wx[:, None, None], gx, axis=0)
+    ], axis=1)
+    return (_by_group(wx, gx).T @ per_row).transpose(1, 2, 0)
 
 
 def integrate_2d(
@@ -348,7 +377,9 @@ def integrate_2d(
     f : callable
         Called as ``f(x, y)`` with read-only x of shape (r, 1) and y of
         shape (1, n); returns an (r, n) array, or (r, n, m) for m components
-        integrated together (scalar fallback applies, node by node).
+        integrated together (scalar fallback applies, node by node).  An
+        (r, n, m) view of component-major (m, r, n) storage, such as
+        ``np.stack(columns).transpose(1, 2, 0)``, is summed without a copy.
     outer : SemiInfinite
         Decay scale for the x integration.
     inner : SemiInfinite or UnitInterval
@@ -380,35 +411,24 @@ def integrate_2d(
     def fv(x, y):
         values = fs(x, y)
         shape["vector"] = values.ndim == 3
-        values = values.reshape(x.shape[0], y.shape[1], -1)
-        _check_finite(values, x, y)
-        return values
+        return values.reshape(x.shape[0], y.shape[1], -1)
 
     def size(lx, ly):
-        return _de_axis(outer, lx)[0].size * _de_axis(inner, ly)[0].size
+        return _size(outer, lx) * _size(inner, ly)
 
     def estimate(lx, ly):
         step = (_DE_STEP / 2**lx) * (_DE_STEP / 2**ly)
         return step * parts[: lx + 1, : ly + 1].sum(axis=(0, 1))
 
     # parts[a, b] sums, with step-free weights, the nodes that x level a
-    # and y level b add.
-    lx = ly = 0
-    parts = _grid_sums(fv, _de_axis(outer, 0), _de_axis(inner, 0))
-    total = estimate(0, 0)
+    # and y level b add.  The first round refines both axes, so levels 1
+    # by 1 are evaluated at once unless only the first grid fits the budget.
+    lx = ly = int(size(1, 1) <= tol.max_evaluations)
+    parts = _grid_sums(fv, _de_axis(outer, lx), _de_axis(inner, ly))
+    total = estimate(lx, ly)
     error = np.abs(total)
-    refine_x = refine_y = True
     converged = False
-    while size(lx + refine_x, ly + refine_y) <= tol.max_evaluations:
-        if refine_x:
-            lx += 1
-            new = _grid_sums(fv, _newest(outer, lx), _de_axis(inner, ly))
-            parts = np.concatenate([parts, new], axis=0)
-        if refine_y:
-            ly += 1
-            new = _grid_sums(fv, _de_axis(outer, lx), _newest(inner, ly))
-            parts = np.concatenate([parts, new], axis=1)
-        total = estimate(lx, ly)
+    while lx:
         change_x = np.abs(total - estimate(lx - 1, ly))
         change_y = np.abs(total - estimate(lx, ly - 1))
         error = change_x + change_y
@@ -418,6 +438,17 @@ def integrate_2d(
         if not (refine_x or refine_y):
             converged = True
             break
+        if size(lx + refine_x, ly + refine_y) > tol.max_evaluations:
+            break
+        if refine_x:
+            lx += 1
+            new = _grid_sums(fv, _newest(outer, lx), _de_axis(inner, ly))
+            parts = np.concatenate([parts, new], axis=0)
+        if refine_y:
+            ly += 1
+            new = _grid_sums(fv, _de_axis(outer, lx), _newest(inner, ly))
+            parts = np.concatenate([parts, new], axis=1)
+        total = estimate(lx, ly)
     evaluations = size(lx, ly)
     if not converged:
         warnings.warn(

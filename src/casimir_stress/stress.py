@@ -23,13 +23,14 @@ reflection coefficients ``r_s``, ``r_p`` and the round-trip factor
   ``(exp(-2*kappa*z) + exp(-2*kappa*(a-z))) / 2``,
 
 which is the overflow-free form of ``exp(-kappa*a)*cosh(kappa*(2z-a))``.
-At zero temperature two double integrals over ``(u, t)`` give every
-quantity: a bound pass that does not depend on the position and a
-position pass, each integrating three columns at once, and each
-quantity is a fixed combination of those six columns.  The transverse
-null-energy combination integrates the bound sum minus its value at
-``t = 1``, so for perfect conductors both of its columns vanish
-identically instead of cancelling.
+At zero temperature each quantity is a fixed combination of columns of
+double integrals over ``(u, t)``: three from a bound pass that does not
+depend on the position, and from a position pass only those it reads,
+``D`` for the stress tensor and both null-energy combinations, ``D_E``
+and ``D_B`` for the field squares.  The transverse null-energy
+combination integrates the bound sum minus its value at ``t = 1``, so
+for perfect conductors both of its columns vanish identically instead of
+cancelling.
 
 At finite temperature the continuous frequency integral becomes a sum
 over Matsubara frequencies ``zeta_n = 2*pi*n/beta`` (half weight at
@@ -221,15 +222,15 @@ def _mirror(kappa, z_over_a):
     )
 
 
-def _polar_integrands(u, t, omega_p, z_over_a):
+def _polar_integrands(u, t, omega_p, z_over_a, names):
     """Zero-temperature integrands over (u, t); u (r, 1), t (1, n).
 
-    With z_over_a None these are the bound columns B0, B2, N: u**3*b,
-    u**3*t**2*b and u**3*(1 - 3*t**2)*(b - b(t=1)).  Otherwise the
-    position columns D, D_E, D_B: u**3*(1 - t**2)*I*M, then the <E**2>
-    and <B**2> parts, which weight u**3*M*r/(1 - r**2*E) of the p and s
-    polarizations by 2 - t**2 and -t**2 the one way round and the other.
-    Shape (r, n, 3).
+    Only the named columns are formed.  With z_over_a None they are bound
+    columns B0, B2, N: u**3*b, u**3*t**2*b and u**3*(1 - 3*t**2)*(b - b(t=1)).
+    Otherwise position columns D, D_E, D_B: u**3*(1 - t**2)*I*M, then the
+    <E**2> and <B**2> parts, which weight u**3*M*r/(1 - r**2*E) of the p
+    and s polarizations by 2 - t**2 and -t**2 the one way round and the
+    other.  Shape (r, n, len(names)), stored component-major.
     """
     damp = np.exp(-2.0 * u)
     r_s, r_p = dielectric.rs_rp_ut(u, t, omega_p)
@@ -245,19 +246,21 @@ def _polar_integrands(u, t, omega_p, z_over_a):
         # r_p = -r_s at t = 1, so b - b(t=1) = b_p - b_s: zero wherever b
         # does not depend on t, as for perfect conductors.  It integrates
         # to B0 - 3*B2, because 1 - 3*t**2 integrates to zero over t.
-        columns = (bound, t2 * bound, (u3 * (1.0 - 3.0 * t2)) * (bound_p - bound_s))
+        columns = {
+            "B0": lambda: bound,
+            "B2": lambda: t2 * bound,
+            "N": lambda: (u3 * (1.0 - 3.0 * t2)) * (bound_p - bound_s),
+        }
     else:
         weight = u3 * _mirror(u, z_over_a)
-        pair_sum = dielectric.rp_plus_rs_ut(u, t, omega_p)
-        inter = pair_sum * (1.0 - r_s * rp_damp) * (weight / den_s) / den_p
         part_s = weight * r_s / den_s
-        part_p = weight * r_p / den_p
-        columns = (
-            (1.0 - t2) * inter,
-            (2.0 - t2) * part_p - t2 * part_s,
-            (2.0 - t2) * part_s - t2 * part_p,
-        )
-    return np.stack(columns, axis=-1)
+        columns = {
+            "D": lambda: (1.0 - t2) * (dielectric.rp_plus_rs_ut(u, t, omega_p)
+                                       * (1.0 - r_s * rp_damp) * (weight / den_s) / den_p),
+            "D_E": lambda: (2.0 - t2) * (weight * r_p / den_p) - t2 * part_s,
+            "D_B": lambda: (2.0 - t2) * part_s - t2 * (weight * r_p / den_p),
+        }
+    return np.stack([columns[name]() for name in names]).transpose(1, 2, 0)
 
 
 # ----------------------------------------------------------------------
@@ -265,41 +268,44 @@ def _polar_integrands(u, t, omega_p, z_over_a):
 #
 # At zero temperature two passes give every quantity: the bound pass,
 # which does not depend on the position and is kept for a profile's
-# rows, and the position pass, kept for the operations of one row.  At
-# finite temperature the last point's quantities are kept likewise, and
-# the z-independent tzz and bound part of the split's correction are
-# kept across the rows of a profile.
+# rows, and a position pass, kept for the operations of one row beside
+# the field squares' pass.  At finite temperature the last point's
+# quantities are kept likewise, and the z-independent tzz and bound part
+# of the split's correction are kept across the rows of a profile.
 # ----------------------------------------------------------------------
 
 # Each zero-temperature quantity: its prefactor and its weights on the
-# columns (B0, B2, N) of the bound pass and, if more weights follow, on
-# (D, D_E, D_B) of the position pass; see _polar_integrands.
+# named columns of the bound pass and the position passes; see
+# _polar_integrands.  A position pass forms D alone, or the field
+# squares' D_E and D_B.
 _ZERO_T = {
-    "t00": (_HALF_PI2, (0.0, -1.0, 0.0, 1.0)),
-    "txx": (_QUARTER_PI2, (1.0, -1.0, 0.0, 1.0)),
-    "tzz": (_HALF_PI2, (-1.0, 0.0, 0.0)),
-    "nec_x": (_QUARTER_PI2, (0.0, 0.0, 1.0, 3.0)),
-    "nec_z": (_HALF_PI2, (-1.0, -1.0, 0.0, 1.0)),
-    "sq_e": (_HALF_PI2, (0.0, -1.0, 0.0, 0.0, 1.0)),
-    "sq_b": (_HALF_PI2, (0.0, -1.0, 0.0, 0.0, 0.0, 1.0)),
+    "t00": (_HALF_PI2, {"B2": -1.0, "D": 1.0}),
+    "txx": (_QUARTER_PI2, {"B0": 1.0, "B2": -1.0, "D": 1.0}),
+    "tzz": (_HALF_PI2, {"B0": -1.0}),
+    "nec_x": (_QUARTER_PI2, {"N": 1.0, "D": 3.0}),
+    "nec_z": (_HALF_PI2, {"B0": -1.0, "B2": -1.0, "D": 1.0}),
+    "sq_e": (_HALF_PI2, {"B2": -1.0, "D_E": 1.0}),
+    "sq_b": (_HALF_PI2, {"B2": -1.0, "D_B": 1.0}),
 }
+_BOUND = ("B0", "B2", "N")
+_POSITION = (("D",), ("D_E", "D_B"))
 
 
-@lru_cache(maxsize=1)
-def _zero_t_bound(omega_p, tol) -> QuadratureResult:
+def _columns(passes):
+    """{column: (value, error)} from {column names: the pass forming them}."""
+    return {
+        c: (p.value[i], p.error_estimate[i])
+        for names, p in passes.items() for i, c in enumerate(names)
+    }
+
+
+@lru_cache(maxsize=3)
+def _zero_t_pass(omega_p, z_over_a, tol, names) -> QuadratureResult:
+    """The bound pass (z_over_a None) or a position pass of the named columns."""
+    decay = _IND_SCALE if z_over_a is None else _dep_scale(z_over_a)
     return integrate_2d(
-        lambda u, t: _polar_integrands(u, t, omega_p, None),
-        SemiInfinite(_IND_SCALE),
-        UnitInterval(),
-        tol,
-    )
-
-
-@lru_cache(maxsize=1)
-def _zero_t_position(omega_p, z_over_a, tol) -> QuadratureResult:
-    return integrate_2d(
-        lambda u, t: _polar_integrands(u, t, omega_p, z_over_a),
-        SemiInfinite(_dep_scale(z_over_a)),
+        lambda u, t: _polar_integrands(u, t, omega_p, z_over_a, names),
+        SemiInfinite(decay),
         UnitInterval(),
         tol,
     )
@@ -308,17 +314,17 @@ def _zero_t_position(omega_p, z_over_a, tol) -> QuadratureResult:
 def _zero_t(name, omega_p, z_over_a, tol) -> QuadratureResult:
     """One _ZERO_T quantity, with root-sum-square column errors."""
     prefactor, weights = _ZERO_T[name]
-    passes = [_zero_t_bound(omega_p, tol)]
-    if len(weights) > 3:
-        passes.append(_zero_t_position(omega_p, z_over_a, tol))
-    weights = np.array(weights)
-    value = np.concatenate([p.value for p in passes])[: weights.size]
-    error = np.concatenate([p.error_estimate for p in passes])[: weights.size]
+    passes = {_BOUND: _zero_t_pass(omega_p, None, tol, _BOUND)}
+    for names in _POSITION:
+        if weights.keys() & names:
+            passes[names] = _zero_t_pass(omega_p, z_over_a, tol, names)
+    columns = _columns(passes)
+    value = sum(w * columns[c][0] for c, w in weights.items())
+    error = math.sqrt(sum((w * columns[c][1]) ** 2 for c, w in weights.items()))
     return QuadratureResult(
-        float(prefactor * (weights @ value)),
-        float(prefactor * math.sqrt(np.sum((weights * error) ** 2))),
-        sum(p.evaluations for p in passes),
-        all(p.converged for p in passes),
+        float(prefactor * value), float(prefactor * error),
+        sum(p.evaluations for p in passes.values()),
+        all(p.converged for p in passes.values()),
     )
 
 
@@ -431,7 +437,7 @@ _WINDOW_MISS = 4.0 * math.exp(-0.25 * _WINDOW[1] ** 2)
 
 def _correction(omega_p, z_over_a, beta, tol):
     """h*sum'(g*w) - int(g*w) of the bound columns (B0, B2, N), or of D."""
-    names, decay = ("B0", "B2", "N"), _IND_SCALE
+    names, decay = _BOUND, _IND_SCALE
     if z_over_a is not None:
         names, decay = ("D",), _dep_scale(z_over_a)
     top = _WINDOW[2] / beta
@@ -468,22 +474,21 @@ def _thermal_split(omega_p, z_over_a, beta, tol, names):
     """Each quantity as its zero-temperature value plus its _ZERO_T
     combination of the bound and position corrections, whose errors add.
     """
-    corrections = [_correction_bound(omega_p, beta, tol)]
+    corrections = {_BOUND: _correction_bound(omega_p, beta, tol)}
     if z_over_a is not None:
-        corrections.append(_correction(omega_p, z_over_a, beta, tol))
-    value = np.concatenate([c.value for c in corrections])
-    error = np.concatenate([c.error_estimate for c in corrections])
+        corrections[("D",)] = _correction(omega_p, z_over_a, beta, tol)
+    columns = _columns(corrections)
     results = {}
     for name in names:
         prefactor, weights = _ZERO_T[name]
         zero = _zero_t(name, omega_p, z_over_a, tol)
-        weights = np.array(weights)
+        value = sum(w * columns[c][0] for c, w in weights.items())
+        error = sum(abs(w) * columns[c][1] for c, w in weights.items())
         results[name] = QuadratureResult(
-            float(zero.value + prefactor * (weights @ value[: weights.size])
-                  + _BLACKBODY[name] / beta**4),
-            float(zero.error_estimate + prefactor * (np.abs(weights) @ error[: weights.size])),
-            zero.evaluations + sum(c.evaluations for c in corrections),
-            zero.converged and all(c.converged for c in corrections),
+            float(zero.value + prefactor * value + _BLACKBODY[name] / beta**4),
+            float(zero.error_estimate + prefactor * error),
+            zero.evaluations + sum(c.evaluations for c in corrections.values()),
+            zero.converged and all(c.converged for c in corrections.values()),
         )
     return results
 
@@ -518,8 +523,7 @@ def _thermal_tzz(omega_p, beta, tol) -> QuadratureResult:
 
 def clear_caches() -> None:
     """Forget all cached integrals; later results are bitwise the same."""
-    _zero_t_bound.cache_clear()
-    _zero_t_position.cache_clear()
+    _zero_t_pass.cache_clear()
     _correction_bound.cache_clear()
     _thermal_row.cache_clear()
     _thermal_tzz.cache_clear()
@@ -783,8 +787,8 @@ def critical_omega_pa(
 ) -> float | None:
     """Plasma frequency at which the midpoint energy density turns negative.
 
-    Scans omega_p*a over [1, 1e5] on a log grid, then bisects the first
-    sign change of energy_density(z = a/2).  Returns None when the
+    Scans omega_p*a over [1, 1e5] on a log grid up to the first sign
+    change of energy_density(z = a/2), then bisects it.  Returns None when the
     energy density keeps one sign across the whole range, which is the
     expected outcome at high temperature (beta below roughly 2.6*a).
 
@@ -813,8 +817,8 @@ def critical_omega_pa(
         return known[log10_wp]
 
     grid = np.linspace(0.0, 5.0, 11)
-    values = [midpoint_energy(x) for x in grid]
-    for left, right, f_left, f_right in zip(grid, grid[1:], values, values[1:]):
+    for left, right in zip(grid, grid[1:]):
+        f_left, f_right = midpoint_energy(left), midpoint_energy(right)
         if f_left == 0.0:
             return 10.0**left
         if (f_left > 0.0) != (f_right > 0.0):

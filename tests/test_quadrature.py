@@ -1,10 +1,12 @@
 """Tests for the double-exponential quadrature, thermal sum, and root bracketing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from casimir_stress import quadrature
 from casimir_stress.quadrature import (
     _EXP_SINH_1D,
     QuadratureError,
@@ -132,7 +134,7 @@ def test_results_are_deterministic():
     assert a.evaluations == b.evaluations
 
 
-def test_non_finite_integrand_raises():
+def test_non_finite_integrand_raises(monkeypatch):
     def f(x):
         return np.where(x < 1.0, np.nan, np.exp(-x))
 
@@ -140,6 +142,36 @@ def test_non_finite_integrand_raises():
         integrate_semiinf(f, 1.0)
     with pytest.raises(QuadratureError, match=r"\(x, y\)"):
         integrate_2d(lambda x, y: f(x) * y, SemiInfinite(1.0), UnitInterval())
+
+    # Blocks of 8 nodes put each bad node below in a later block of a
+    # later level.  The message names the first bad node in evaluation
+    # order, also where a +inf and a -inf in one group sum to a NaN.
+    monkeypatch.setattr(quadrature, "_BLOCK", 8)
+    half_line = SemiInfinite(1.0)
+    x = quadrature._newest(half_line, 2, _EXP_SINH_1D)[0]
+    for bad in ({x[12]: np.nan}, {x[11]: -np.inf, x[13]: np.inf}):
+
+        def g(x):
+            values = np.exp(-x)
+            for node, value in bad.items():
+                values = np.where(x == node, value, values)
+            return values
+
+        with pytest.raises(QuadratureError, match=re.escape(f"x = {float(min(bad))!r}")):
+            integrate_semiinf(g, 1.0)
+    x = quadrature._newest(half_line, 1)[0]
+    y = _de_axis(UnitInterval(), 0)[0]
+    for bad in ({(x[7], y[3]): np.nan}, {(x[5], y[2]): np.inf, (x[5], y[6]): -np.inf}):
+
+        def h(u, t):
+            values = np.exp(-u) * t
+            for (a, b), value in bad.items():
+                values = np.where((u == a) & (t == b), value, values)
+            return values
+
+        at = tuple(map(float, min(bad)))
+        with pytest.raises(QuadratureError, match=re.escape(f"(x, y) = {at!r}")):
+            integrate_2d(h, half_line, UnitInterval())
 
 
 def test_evaluation_budget_reports_non_convergence():
@@ -180,6 +212,23 @@ def test_one_dimensional_levels_reuse_every_node():
     res = integrate_semiinf(semi, 0.7, Tolerance(rel_tol=1e-10, abs_tol=0.0))
     assert res.value.shape == res.error_estimate.shape == (2,)
     assert np.all(np.abs(res.value - exact) <= 1e-10 * exact)
+
+
+def test_half_line_tables_serve_every_decay_scale():
+    # One cached table per level serves every decay scale.  Each scale's
+    # nodes are bitwise those of a table built for that scale, and its
+    # nodes and weights are read-only.
+    quadrature._unit_axis.cache_clear()
+    h = quadrature._DE_STEP / 2**3
+    tau = np.arange(math.ceil(-3.75 / h), math.floor(1.8 / h) + 1) * h
+    for scale in (0.5, 7.3):
+        x, weight, _ = _de_axis(SemiInfinite(scale), 3)
+        built = scale * np.exp(0.5 * math.pi * np.sinh(tau))
+        order = np.argsort(x)
+        assert np.array_equal(x[order], built)
+        assert np.allclose(weight[order], built * 0.5 * math.pi * np.cosh(tau), rtol=1e-15, atol=0.0)
+        assert not (x.flags.writeable or weight.flags.writeable)
+    assert quadrature._unit_axis.cache_info().currsize == 1
 
 
 def test_two_dimensional_vector_components_meet_their_own_tolerance():

@@ -373,8 +373,9 @@ def test_cold_thermal_row_has_bounded_cost(monkeypatch):
 
 
 def test_zero_temperature_rows_share_two_passes(monkeypatch):
-    # Every zero-temperature quantity of a row comes from one bound pass,
-    # shared by all rows at the same omega_p, and one position pass.
+    # The five CLI quantities of a row come from one bound pass, shared by
+    # all rows at the same omega_p, and one position pass forming D alone.
+    # The field squares add a field pass per position.
     scales = []
 
     def counted(f, outer, inner, tol=None):
@@ -383,12 +384,36 @@ def test_zero_temperature_rows_share_two_passes(monkeypatch):
 
     original = stress_mod.integrate_2d
     monkeypatch.setattr(stress_mod, "integrate_2d", counted)
-    stress_mod.clear_caches()
     model = PlasmaModel(100.0)
-    for z in (0.5, 0.25):
-        for op in ZERO_T_OPS.values():
-            op(Geometry(z), model, tol=QUICK)
-    assert scales == [0.5, 1.0, 2.0]
+    for ops, expected in ((CLI_COLUMNS, [0.5, 1.0, 2.0]), (ZERO_T_OPS, [0.5, 1.0, 1.0, 2.0, 2.0])):
+        scales.clear()
+        stress_mod.clear_caches()
+        for z in (0.5, 0.25):
+            for op in ops.values():
+                op(Geometry(z), model, tol=QUICK)
+        assert scales == expected
+
+
+def test_zero_temperature_row_forms_only_the_columns_it_uses(monkeypatch):
+    # A CLI row's bound pass forms B0, B2 and N; its position pass forms D
+    # alone, since no CLI quantity reads the field squares' columns.
+    columns = []
+
+    def counted(f, outer, inner, tol=None):
+        def g(u, t):
+            values = f(u, t)
+            columns[-1].add(values.shape[-1])
+            return values
+
+        columns.append(set())
+        return original(g, outer, inner, tol)
+
+    original = stress_mod.integrate_2d
+    monkeypatch.setattr(stress_mod, "integrate_2d", counted)
+    stress_mod.clear_caches()
+    for op in CLI_COLUMNS.values():
+        op(Geometry(0.5), PlasmaModel(100.0))
+    assert columns == [{3}, {1}]
 
 
 def test_zero_temperature_row_refines_only_the_axis_that_needs_it(monkeypatch):
@@ -410,7 +435,7 @@ def test_zero_temperature_row_refines_only_the_axis_that_needs_it(monkeypatch):
     assert sum(nodes) <= 2 * 14_304
 
 
-def _level5_reference(omega_p, z_over_a):
+def _level5_reference(omega_p, z_over_a, names):
     """The zero-T pass's columns from the same rule at level 5 on both axes."""
     outer = SemiInfinite(0.5 if z_over_a is None else stress_mod._dep_scale(z_over_a))
     u, wu, _ = quadrature._de_axis(outer, 5)
@@ -418,15 +443,15 @@ def _level5_reference(omega_p, z_over_a):
     total = 0.0
     for start in range(0, u.size, 32):
         rows = slice(start, start + 32)
-        values = stress_mod._polar_integrands(u[rows, None], t[None, :], omega_p, z_over_a)
+        values = stress_mod._polar_integrands(u[rows, None], t[None, :], omega_p, z_over_a, names)
         total = total + np.einsum("r,rnm,n->m", wu[rows], values, wt)
     return total * (quadrature._DE_STEP / 2**5) ** 2
 
 
 def test_zero_temperature_error_estimates_bound_the_actual_error():
-    # Each column of the bound and position passes lies within its error
-    # estimate of a fixed level-5 grid (297 by 382 nodes), whose own
-    # error is far below it.  The reference sums 113,454 terms, so its
+    # Each column of the bound pass and of both position passes lies
+    # within its error estimate of a fixed level-5 grid (297 by 382
+    # nodes), whose own error is far below it.  The reference sums 113,454 terms, so its
     # rounding, up to about sqrt(113,454) ulps or 1e-13 relative, is
     # allowed for on top.
     rng = np.random.default_rng(4)
@@ -434,13 +459,10 @@ def test_zero_temperature_error_estimates_bound_the_actual_error():
     for _ in range(12):
         omega_p = float(10.0 ** rng.uniform(-3.0, 6.0))
         z = float(rng.uniform(0.01, 0.99))
-        passes = (
-            (None, stress_mod._zero_t_bound(omega_p, tol)),
-            (z, stress_mod._zero_t_position(omega_p, z, tol)),
-        )
-        for z_over_a, res in passes:
-            assert res.converged, (omega_p, z_over_a)
-            ref = _level5_reference(omega_p, z_over_a)
+        for z_over_a, names in ((None, stress_mod._BOUND), *((z, c) for c in stress_mod._POSITION)):
+            res = stress_mod._zero_t_pass(omega_p, z_over_a, tol, names)
+            assert res.converged, (omega_p, z_over_a, names)
+            ref = _level5_reference(omega_p, z_over_a, names)
             miss = np.abs(res.value - ref)
             assert np.all(miss <= res.error_estimate + 1e-13 * np.abs(ref)), (
                 omega_p, z_over_a, miss, res.error_estimate)
@@ -556,8 +578,10 @@ def test_results_are_reproducible_after_cache_reset():
 
 
 def test_critical_root_search_reuses_the_scan_values(monkeypatch):
-    # 11 scan points and 10 bisection steps: the bisection's bracket ends
-    # are two of the scan points, so it must not evaluate them again.
+    # The scan stops at its first sign change, and the bisection's 10
+    # steps reuse the scan's bracket ends: 6 scan points at beta = 5
+    # (sign change between omega_p = 100 and 316), 5 at zero temperature
+    # (between 31.6 and 100).
     calls = []
 
     def counted(omega_p, thermal, tol):
@@ -567,10 +591,10 @@ def test_critical_root_search_reuses_the_scan_values(monkeypatch):
     original = stress_mod._midpoint_energy
     monkeypatch.setattr(stress_mod, "_midpoint_energy", counted)
     assert critical_omega_pa(ThermalState.finite(5.0)) == 126.41733787754889
-    assert len(calls) == len(set(calls)) == 21
+    assert len(calls) == len(set(calls)) == 16
     calls.clear()
     assert critical_omega_pa() == pytest.approx(96.629, rel=1e-4)
-    assert len(calls) == len(set(calls)) == 21
+    assert len(calls) == len(set(calls)) == 15
 
 
 def test_no_sign_change_when_hot():
