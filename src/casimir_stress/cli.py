@@ -259,8 +259,9 @@ def build_run_spec(argv: list[str]) -> RunSpec:
         raise UsageError("--si needs --separation-um")
     if (separation_um is not None or kelvin is not None) and not si:
         raise UsageError("--separation-um/--kelvin only apply with --si")
-    if separation_um is not None and not (separation_um > 0.0):
-        raise UsageError("--separation-um must be positive")
+    # a**4 in m**4 and the J/m**3 scale then stay far inside the float range.
+    if separation_um is not None and not (1e-60 <= separation_um <= 1e60):
+        raise UsageError("--separation-um must lie within [1e-60, 1e60]")
     if kelvin is not None:
         if kelvin < 0.0:
             raise UsageError("--kelvin must be >= 0")
@@ -271,6 +272,12 @@ def build_run_spec(argv: list[str]) -> RunSpec:
         else:
             thermal_length = HBAR * SPEED_OF_LIGHT / (BOLTZMANN * kelvin)
             beta = thermal_length / (separation_um * 1e-6)
+    if beta is not None:
+        try:
+            ThermalState.finite(beta)
+        except ValueError as exc:
+            source = "--kelvin with --separation-um" if kelvin else "--beta-over-a"
+            raise UsageError(f"{source} gives beta/a = {beta:g}: {exc}") from None
 
     grid = merged["grid"]
     grid = 25 if grid is None else int(grid)
@@ -340,8 +347,8 @@ def _validate_spec(spec: RunSpec) -> None:
             raise UsageError("sweep needs --omega-pa as an 'A:B' range")
         if not isinstance(spec.omega_pa, tuple):
             raise UsageError("sweep needs an --omega-pa range 'A:B'")
-        if spec.omega_pa[0] <= 0.0:
-            raise UsageError("sweep range must start above 0 (log spacing)")
+        if not (0.0 < spec.omega_pa[0] and spec.omega_pa[1] < math.inf):
+            raise UsageError("sweep needs an --omega-pa range inside (0, inf) (log spacing)")
         if spec.z_over_a is None or isinstance(spec.z_over_a, tuple):
             raise UsageError("sweep needs a single --z value")
         check_z(spec.z_over_a)
@@ -355,17 +362,11 @@ def _validate_spec(spec: RunSpec) -> None:
 # ----------------------------------------------------------------------
 
 
-def _evaluate_point(task: tuple) -> tuple[list[float], int, tuple[str, ...]]:
-    """Evaluate one row.
-
-    task = (kind, omega_pa, z_over_a, beta_or_none, rel_tol, abs_tol)
-    Returns (flat [value, error, ...] pairs, converged flag, warning texts).
-    """
-    kind, omega_pa, z_over_a, beta, rel_tol, abs_tol = task
-    tol = Tolerance(rel_tol=rel_tol, abs_tol=abs_tol)
+def _evaluate_point(kind: str, omega_pa: float, z_over_a: float,
+                    thermal: ThermalState, tol: Tolerance):
+    """Evaluate one row: (flat [value, error, ...] pairs, converged flag, warning texts)."""
     geom = Geometry(z=z_over_a)
     model = PlasmaModel(omega_p=omega_pa)
-    thermal = ThermalState.zero() if beta is None else ThermalState.finite(beta)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if kind == "stress":
@@ -389,22 +390,6 @@ def _evaluate_point(task: tuple) -> tuple[list[float], int, tuple[str, ...]]:
         converged = converged and r.converged
     notes = tuple(sorted({str(w.message) for w in caught}))
     return flat, int(converged), notes
-
-
-def _run_points(axis: list[tuple[float, tuple]]):
-    """Evaluate rows for (axis value, task) pairs, in order."""
-    outcomes = [_evaluate_point(task) for _, task in axis]
-
-    rows = []
-    all_notes: list[str] = []
-    any_failed = False
-    for (axis_value, _), (flat, converged, notes) in zip(axis, outcomes):
-        rows.append([axis_value, *flat, converged])
-        any_failed = any_failed or not converged
-        for note in notes:
-            if note not in all_notes:
-                all_notes.append(note)
-    return rows, any_failed, all_notes
 
 
 def _axis_values(spec_value, grid: int, log_spaced: bool) -> list[float]:
@@ -446,27 +431,22 @@ def _quantity_header(names: list[str]) -> list[str]:
 # ----------------------------------------------------------------------
 
 
-def _cmd_profile(spec: RunSpec, kind: str):
-    zs = _axis_values(spec.z_over_a, spec.grid, log_spaced=False)
-    axis = [
-        (z, (kind, spec.omega_pa, z, spec.beta_over_a, spec.rel_tol, spec.abs_tol))
-        for z in zs
-    ]
-    rows, failed, notes = _run_points(axis)
+def _cmd_rows(spec: RunSpec):
+    """Rows along z (linear) for profile and nec, or omega_p (log) for sweep."""
+    kind = "nec" if spec.command == "nec" else "stress"
+    sweep = spec.command == "sweep"
+    axis = "omega_pa" if sweep else "z_over_a"
+    thermal = ThermalState(spec.beta_over_a)
+    tol = spec.tolerance()
+    rows, failed, notes = [], False, []
+    for value in _axis_values(getattr(spec, axis), spec.grid, log_spaced=sweep):
+        omega_pa, z_over_a = (value, spec.z_over_a) if sweep else (spec.omega_pa, value)
+        flat, converged, row_notes = _evaluate_point(kind, omega_pa, z_over_a, thermal, tol)
+        rows.append([value, *flat, converged])
+        failed = failed or not converged
+        notes.extend(note for note in row_notes if note not in notes)
     _scale_rows(rows, _si_scale(spec))
-    columns = ["z_over_a", *_quantity_header(_QUANTITY_COLUMNS[kind]), "converged"]
-    return columns, rows, failed, notes
-
-
-def _cmd_sweep(spec: RunSpec):
-    wps = _axis_values(spec.omega_pa, spec.grid, log_spaced=True)
-    axis = [
-        (wp, ("stress", wp, spec.z_over_a, spec.beta_over_a, spec.rel_tol, spec.abs_tol))
-        for wp in wps
-    ]
-    rows, failed, notes = _run_points(axis)
-    _scale_rows(rows, _si_scale(spec))
-    columns = ["omega_pa", *_quantity_header(_QUANTITY_COLUMNS["stress"]), "converged"]
+    columns = [axis, *_quantity_header(_QUANTITY_COLUMNS[kind]), "converged"]
     return columns, rows, failed, notes
 
 
@@ -492,13 +472,10 @@ def _cmd_limits(spec: RunSpec):
 
 
 def _cmd_critical(spec: RunSpec):
-    thermal = (
-        ThermalState.zero()
-        if spec.beta_over_a is None
-        else ThermalState.finite(spec.beta_over_a)
-    )
     root_rel_tol = 3e-4
-    value = critical_omega_pa(thermal, tol=spec.tolerance(), root_rel_tol=root_rel_tol)
+    value = critical_omega_pa(
+        ThermalState(spec.beta_over_a), tol=spec.tolerance(), root_rel_tol=root_rel_tol
+    )
     beta_cell = "inf" if spec.beta_over_a is None else spec.beta_over_a
     if value is None:
         rows = [[beta_cell, "none", "none"]]
@@ -658,11 +635,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        if spec.command in ("profile", "nec"):
-            kind = "stress" if spec.command == "profile" else "nec"
-            columns, rows, failed, notes = _cmd_profile(spec, kind)
-        elif spec.command == "sweep":
-            columns, rows, failed, notes = _cmd_sweep(spec)
+        if spec.command in ("profile", "nec", "sweep"):
+            columns, rows, failed, notes = _cmd_rows(spec)
         elif spec.command == "limits":
             columns, rows, failed, notes = _cmd_limits(spec)
         else:

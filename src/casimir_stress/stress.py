@@ -23,8 +23,11 @@ reflection coefficients ``r_s``, ``r_p`` and the round-trip factor
   ``(exp(-2*kappa*z) + exp(-2*kappa*(a-z))) / 2``,
 
 which is the overflow-free form of ``exp(-kappa*a)*cosh(kappa*(2z-a))``.
-At zero temperature each quantity is a fixed combination of columns of
-double integrals over ``(u, t)``: three from a bound pass that does not
+One kernel forms these as columns, each times a weight its caller picks,
+and one table gives each quantity as a prefactor, a blackbody
+coefficient and weights on the columns.  At zero temperature the kernel
+runs on ``(u, t)`` with weight ``u**3``, and each quantity combines
+double integrals of columns: three from a bound pass that does not
 depend on the position, and from a position pass only those it reads,
 ``D`` for the stress tensor and both null-energy combinations, ``D_E``
 and ``D_B`` for the field squares.  The transverse null-energy
@@ -39,13 +42,14 @@ over Matsubara frequencies ``zeta_n = 2*pi*n/beta`` (half weight at
 pressure, and ``4*pi**2/(45*beta**4)`` to both null-energy combinations.
 Beyond those terms the sum approaches the zero-temperature integral only
 like ``beta**-3``, and its terms decay like
-``exp(-4*pi*n*min(z, a-z)/beta)``.  One kernel gives every component as
-a single integrand over ``x = kappa - zeta``.  Up to about 400 predicted
-terms the sum is direct, blocks of frequencies sharing one ``x`` grid,
-until a geometric tail bound meets the tolerance.  Beyond that (large
-``beta`` or near a wall) it is split: the zero-temperature columns plus
-21 windowed Matsubara terms minus the integral of the same windowed
-columns, whatever ``beta`` and ``z`` are.
+``exp(-4*pi*n*min(z, a-z)/beta)``.  The same kernel runs at
+``kappa = zeta_n + x`` with weight ``kappa**2``, and each quantity is a
+single integrand over ``x``: its weights times the columns at every
+node.  Up to about 400 predicted terms the sum is direct, blocks of
+frequencies sharing one ``x`` grid, until a geometric tail bound meets
+the tolerance.  Beyond that (large ``beta`` or near a wall) it is split:
+the zero-temperature value plus 21 windowed Matsubara terms of the
+columns minus their windowed integral, whatever ``beta`` and ``z`` are.
 
 Sign conventions: negative energy density means the vacuum energy lies
 below the free-space value; negative ``pressure_zz`` means the walls
@@ -95,7 +99,6 @@ __all__ = [
 
 _QUARTER_PI2 = 1.0 / (4.0 * math.pi**2)
 _HALF_PI2 = 1.0 / (2.0 * math.pi**2)
-_IND_SCALE = 0.5
 
 
 class SlowConvergenceWarning(UserWarning):
@@ -146,7 +149,8 @@ class ThermalState:
     beta : float or None
         Inverse temperature in units of the gap width ``a``; ``None``
         (or infinity, which normalizes to ``None``) means exactly zero
-        temperature.
+        temperature.  A finite beta must lie within [2**-255, 2**255],
+        where the blackbody terms' beta**4 is a normal float.
     """
 
     beta: float | None = None
@@ -157,6 +161,8 @@ class ThermalState:
                 object.__setattr__(self, "beta", None)
             elif not (math.isfinite(self.beta) and self.beta > 0.0):
                 raise ValueError("beta must be positive (or None for zero temperature)")
+            elif not 2.0**-255 <= self.beta <= 2.0**255:
+                raise ValueError("beta must lie within [2**-255, 2**255] (about 1.7e-77 to 5.8e76)")
 
     @classmethod
     def zero(cls) -> "ThermalState":
@@ -190,20 +196,9 @@ class StressDiagonal:
     tzz: QuadratureResult
 
 
-def _warn_if_near_wall(geom: Geometry) -> None:
-    zr = geom.z_over_a
-    if zr < 1e-3 or zr > 1.0 - 1e-3:
-        warnings.warn(
-            "position is within 1e-3*a of a wall; convergence is slow and the "
-            "quantity grows like 1/z**3 (near_wall_asymptote gives the leading law)",
-            SlowConvergenceWarning,
-            stacklevel=3,
-        )
-
-
-def _dep_scale(z_over_a: float) -> float:
-    """Decay scale of the position-dependent integrands, 1/(2*min(z, a-z))."""
-    return 1.0 / (2.0 * min(z_over_a, 1.0 - z_over_a))
+def _dep_scale(z_over_a: float | None) -> float:
+    """Decay scale of the integrands: 1/(2*min(z, a-z)), or 1/2 without z."""
+    return 0.5 if z_over_a is None else 1.0 / (2.0 * min(z_over_a, 1.0 - z_over_a))
 
 
 # ----------------------------------------------------------------------
@@ -222,45 +217,55 @@ def _mirror(kappa, z_over_a):
     )
 
 
-def _polar_integrands(u, t, omega_p, z_over_a, names):
-    """Zero-temperature integrands over (u, t); u (r, 1), t (1, n).
+_BOUND = ("B0", "B2", "N")
+_POSITION = (("D",), ("D_E", "D_B"))
 
-    Only the named columns are formed.  With z_over_a None they are bound
-    columns B0, B2, N: u**3*b, u**3*t**2*b and u**3*(1 - 3*t**2)*(b - b(t=1)).
-    Otherwise position columns D, D_E, D_B: u**3*(1 - t**2)*I*M, then the
-    <E**2> and <B**2> parts, which weight u**3*M*r/(1 - r**2*E) of the p
-    and s polarizations by 2 - t**2 and -t**2 the one way round and the
-    other.  Shape (r, n, len(names)), stored component-major.
+
+def _kernel(kappa, t, weight, omega_p, z_over_a, names):
+    """The named columns at (kappa, t), each times ``weight``.
+
+    Bound columns B0, B2, N: b, t**2*b and (1 - 3*t**2)*(b - b(t=1)).
+    With z_over_a given, also the position columns D, D_E, D_B:
+    (1 - t**2)*I*M, then the <E**2> and <B**2> parts, which weight
+    M*r/(1 - r**2*E) of the p and s polarizations by 2 - t**2 and -t**2
+    the one way round and the other.  Only the named columns are formed,
+    stored component-major: shape (len(names), *broadcast shape).  Each
+    is written into that one array, position columns before bound ones,
+    so that few temporaries live at once; every further one is fresh
+    memory, whose page faults cost more than the arithmetic.
     """
-    damp = np.exp(-2.0 * u)
-    r_s, r_p = dielectric.rs_rp_ut(u, t, omega_p)
+    damp = np.exp(-2.0 * kappa)
+    r_s, r_p = dielectric.rs_rp_ut(kappa, t, omega_p)
     den_s = 1.0 - r_s * r_s * damp
     rp_damp = r_p * damp
     den_p = 1.0 - r_p * rp_damp
-    u3 = u**3
     t2 = t * t
-    if z_over_a is None:
+    out = np.empty((len(names), *den_p.shape))
+    column = dict(zip(names, out))
+    if z_over_a is not None:
+        mirrored = weight * _mirror(kappa, z_over_a)
+        if "D" in column:
+            pair = dielectric.rp_plus_rs_ut(kappa, t, omega_p)
+            np.multiply(1.0 - t2, pair * (1.0 - r_s * rp_damp) * (mirrored / den_s) / den_p,
+                        out=column["D"])
+        if column.keys() & set(_POSITION[1]):
+            part_s = mirrored * r_s / den_s
+            part_p = mirrored * r_p / den_p
+            np.subtract((2.0 - t2) * part_p, t2 * part_s, out=column.get("D_E"))
+            np.subtract((2.0 - t2) * part_s, t2 * part_p, out=column.get("D_B"))
+    if column.keys() & set(_BOUND):
         bound_s = r_s * r_s * damp / den_s
         bound_p = r_p * rp_damp / den_p
-        bound = u3 * (bound_s + bound_p)
-        # r_p = -r_s at t = 1, so b - b(t=1) = b_p - b_s: zero wherever b
-        # does not depend on t, as for perfect conductors.  It integrates
-        # to B0 - 3*B2, because 1 - 3*t**2 integrates to zero over t.
-        columns = {
-            "B0": lambda: bound,
-            "B2": lambda: t2 * bound,
-            "N": lambda: (u3 * (1.0 - 3.0 * t2)) * (bound_p - bound_s),
-        }
-    else:
-        weight = u3 * _mirror(u, z_over_a)
-        part_s = weight * r_s / den_s
-        columns = {
-            "D": lambda: (1.0 - t2) * (dielectric.rp_plus_rs_ut(u, t, omega_p)
-                                       * (1.0 - r_s * rp_damp) * (weight / den_s) / den_p),
-            "D_E": lambda: (2.0 - t2) * (weight * r_p / den_p) - t2 * part_s,
-            "D_B": lambda: (2.0 - t2) * part_s - t2 * (weight * r_p / den_p),
-        }
-    return np.stack([columns[name]() for name in names]).transpose(1, 2, 0)
+        bound = np.multiply(weight, bound_s + bound_p, out=column.get("B0"))
+        if "B2" in column:
+            np.multiply(t2, bound, out=column["B2"])
+        if "N" in column:
+            # r_p = -r_s at t = 1, so b - b(t=1) = b_p - b_s: zero wherever
+            # b does not depend on t, as for perfect conductors.  It
+            # integrates to B0 - 3*B2, because 1 - 3*t**2 integrates to
+            # zero over t.
+            np.multiply(weight * (1.0 - 3.0 * t2), bound_p - bound_s, out=column["N"])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -269,26 +274,39 @@ def _polar_integrands(u, t, omega_p, z_over_a, names):
 # At zero temperature two passes give every quantity: the bound pass,
 # which does not depend on the position and is kept for a profile's
 # rows, and a position pass, kept for the operations of one row beside
-# the field squares' pass.  At finite temperature the last point's
-# quantities are kept likewise, and the z-independent tzz and bound part
-# of the split's correction are kept across the rows of a profile.
+# the field squares' pass.  At finite temperature a row's quantities
+# are kept likewise, and the z-independent tzz and bound part of the
+# split's correction are kept across the rows of a profile.
 # ----------------------------------------------------------------------
 
-# Each zero-temperature quantity: its prefactor and its weights on the
-# named columns of the bound pass and the position passes; see
-# _polar_integrands.  A position pass forms D alone, or the field
-# squares' D_E and D_B.
-_ZERO_T = {
-    "t00": (_HALF_PI2, {"B2": -1.0, "D": 1.0}),
-    "txx": (_QUARTER_PI2, {"B0": 1.0, "B2": -1.0, "D": 1.0}),
-    "tzz": (_HALF_PI2, {"B0": -1.0}),
-    "nec_x": (_QUARTER_PI2, {"N": 1.0, "D": 3.0}),
-    "nec_z": (_HALF_PI2, {"B0": -1.0, "B2": -1.0, "D": 1.0}),
-    "sq_e": (_HALF_PI2, {"B2": -1.0, "D_E": 1.0}),
-    "sq_b": (_HALF_PI2, {"B2": -1.0, "D_B": 1.0}),
+# Each quantity: its prefactor, its blackbody part times beta**4 (None
+# for the field squares, which are evaluated at zero temperature only)
+# and its weights on the kernel's columns.  A zero-temperature position
+# pass forms D alone, or the field squares' D_E and D_B.
+_QUANTITIES = {
+    "t00": (_HALF_PI2, math.pi**2 / 15.0, {"B2": -1.0, "D": 1.0}),
+    "txx": (_QUARTER_PI2, math.pi**2 / 45.0, {"B0": 1.0, "B2": -1.0, "D": 1.0}),
+    "tzz": (_HALF_PI2, math.pi**2 / 45.0, {"B0": -1.0}),
+    "nec_x": (_QUARTER_PI2, 4.0 * math.pi**2 / 45.0, {"N": 1.0, "D": 3.0}),
+    "nec_z": (_HALF_PI2, 4.0 * math.pi**2 / 45.0, {"B0": -1.0, "B2": -1.0, "D": 1.0}),
+    "sq_e": (_HALF_PI2, None, {"B2": -1.0, "D_E": 1.0}),
+    "sq_b": (_HALF_PI2, None, {"B2": -1.0, "D_B": 1.0}),
 }
-_BOUND = ("B0", "B2", "N")
-_POSITION = (("D",), ("D_E", "D_B"))
+_ROW = ("t00", "txx", "nec_x", "nec_z")
+
+
+def _summed(name):
+    """A quantity's column weights under a Matsubara sum.
+
+    N's subtraction of b(t=1) integrates to zero over continuous t but
+    not under a sum over zeta_n, so a sum reads N as B0 - 3*B2.
+    """
+    weights = dict(_QUANTITIES[name][2])
+    n = weights.pop("N", 0.0)
+    if n:
+        weights["B0"] = weights.get("B0", 0.0) + n
+        weights["B2"] = weights.get("B2", 0.0) - 3.0 * n
+    return weights
 
 
 def _columns(passes):
@@ -302,18 +320,17 @@ def _columns(passes):
 @lru_cache(maxsize=3)
 def _zero_t_pass(omega_p, z_over_a, tol, names) -> QuadratureResult:
     """The bound pass (z_over_a None) or a position pass of the named columns."""
-    decay = _IND_SCALE if z_over_a is None else _dep_scale(z_over_a)
     return integrate_2d(
-        lambda u, t: _polar_integrands(u, t, omega_p, z_over_a, names),
-        SemiInfinite(decay),
+        lambda u, t: _kernel(u, t, u**3, omega_p, z_over_a, names).transpose(1, 2, 0),
+        SemiInfinite(_dep_scale(z_over_a)),
         UnitInterval(),
         tol,
     )
 
 
 def _zero_t(name, omega_p, z_over_a, tol) -> QuadratureResult:
-    """One _ZERO_T quantity, with root-sum-square column errors."""
-    prefactor, weights = _ZERO_T[name]
+    """One quantity at zero temperature, with root-sum-square column errors."""
+    prefactor, _, weights = _QUANTITIES[name]
     passes = {_BOUND: _zero_t_pass(omega_p, None, tol, _BOUND)}
     for names in _POSITION:
         if weights.keys() & names:
@@ -328,85 +345,45 @@ def _zero_t(name, omega_p, z_over_a, tol) -> QuadratureResult:
     )
 
 
-def _thermal_integrands(omega_p, zeta, x, z_over_a, names):
-    """Finite-temperature integrands at kappa = zeta + x, shared x grid.
-
-    With k**2 = x*(x + 2*zeta) and k dk = kappa dx every inner k-integral
-    becomes one over x on [0, inf).  From the bound sum b and the
-    interference term k**2*I*M the kernel forms the named columns, shape
-    (x.size, zeta.size, len(names)): the quantities, each one integrand,
-    or the zero-T pass columns B0 = kappa**2*b, B2 = zeta**2*b,
-    N = (kappa**2 - 3*zeta**2)*b and D = k**2*I*M.  tzz, B0, B2 and N
-    need no position (z_over_a may be None).
-    """
-    kappa = x[:, None] + zeta
-    t = zeta / kappa
-    damp = np.exp(-2.0 * kappa)
-    r_s, r_p = dielectric.rs_rp_ut(kappa, t, omega_p)
-    den_s = 1.0 - r_s * r_s * damp
-    den_p = 1.0 - r_p * r_p * damp
-    bound = r_s * r_s * damp / den_s + r_p * r_p * damp / den_p
-    kappa2b = (kappa * kappa) * bound
-    z2b = zeta * zeta * bound
-    if z_over_a is not None:
-        pair_sum = dielectric.rp_plus_rs_ut(kappa, t, omega_p)
-        inter = pair_sum * (1.0 - r_s * r_p * damp) / (den_s * den_p)
-        k2 = x[:, None] * (x[:, None] + 2.0 * zeta)
-        inter = k2 * inter * _mirror(kappa, z_over_a)
-    # Only the named columns are formed.
-    columns = {
-        "tzz": lambda: -kappa2b,
-        "B0": lambda: kappa2b,
-        "B2": lambda: z2b,
-        "N": lambda: kappa2b - 3.0 * z2b,
-        "D": lambda: inter,
-        "t00": lambda: inter - z2b,
-        "txx": lambda: k2 * bound + inter,
-        "nec_x": lambda: k2 * bound - 2.0 * z2b + 3.0 * inter,
-        "nec_z": lambda: inter - z2b - kappa2b,
-    }
-    return np.stack([columns[name]() for name in names], axis=-1)
-
-
-# The blackbody part of each quantity, times beta**4.
-_BLACKBODY = {
-    "t00": math.pi**2 / 15.0,
-    "txx": math.pi**2 / 45.0,
-    "tzz": math.pi**2 / 45.0,
-    "nec_x": 4.0 * math.pi**2 / 45.0,
-    "nec_z": 4.0 * math.pi**2 / 45.0,
-}
-_ROW = ("t00", "txx", "nec_x", "nec_z")
-
-
 def _thermal_direct(omega_p, z_over_a, beta, tol, names):
     """Matsubara sums of the named quantities, term by term.
 
+    With kappa = zeta + x, k**2 = x*(x + 2*zeta) and k dk = kappa dx
+    every inner k-integral becomes one over x on [0, inf), and the kernel
+    with weight kappa**2 gives B0 = kappa**2*b, B2 = zeta**2*b and
+    D = k**2*I*M.  Each quantity is one integrand, its weights times the
+    columns at every node, so that each meets the tolerance on its own.
     Each term's inner-quadrature error joins the tail estimate with the
     term's weight (half for the zero frequency).
     """
-    decay = _IND_SCALE if z_over_a is None else _dep_scale(z_over_a)
+    weights = [_summed(name) for name in names]
+    columns = tuple(dict.fromkeys(c for w in weights for c in w))
+    matrix = np.array([[w.get(c, 0.0) for c in columns] for w in weights])
     parts = []
 
     def summand(zeta):
-        def f(x):
-            return _thermal_integrands(omega_p, zeta, x, z_over_a, names).reshape(x.size, -1)
+        by_row = zeta[:, None]
 
-        parts.append(integrate_semiinf(f, decay, tol))
-        return parts[-1].value.reshape(zeta.size, -1)
+        def f(x):
+            kappa = by_row + x
+            values = _kernel(kappa, by_row / kappa, kappa**2, omega_p, z_over_a, columns)
+            return (matrix @ values.reshape(len(columns), -1)).reshape(-1, x.size).T
+
+        parts.append(integrate_semiinf(f, _dep_scale(z_over_a), tol))
+        return parts[-1].value.reshape(len(names), zeta.size).T
 
     summed = matsubara_sum(summand, beta, tol)
-    inner = np.vstack([p.error_estimate.reshape(-1, len(names)) for p in parts])
+    inner = np.vstack([p.error_estimate.reshape(len(names), -1).T for p in parts])
     inner = inner[: summed.evaluations]
     error = summed.error_estimate + (np.sum(inner, axis=0) - 0.5 * inner[0]) / beta
     evaluations = summed.evaluations + sum(p.evaluations for p in parts)
     converged = summed.converged and all(p.converged for p in parts)
     results = {}
     for name, v, err in zip(names, summed.value, error):
-        pre = _ZERO_T[name][0]
+        prefactor, blackbody, _ = _QUANTITIES[name]
         results[name] = QuadratureResult(
-            float(2.0 * math.pi * pre * v + _BLACKBODY[name] / beta**4),
-            float(2.0 * math.pi * pre * err), evaluations, converged,
+            float(2.0 * math.pi * prefactor * v + blackbody / beta**4),
+            float(2.0 * math.pi * prefactor * err), evaluations, converged,
         )
     return results
 
@@ -435,57 +412,58 @@ _SPLIT_WEIGHTS = np.where(_SPLIT_N, 2.0, 1.0) * math.pi * _window(2.0 * math.pi 
 _WINDOW_MISS = 4.0 * math.exp(-0.25 * _WINDOW[1] ** 2)
 
 
-def _correction(omega_p, z_over_a, beta, tol):
-    """h*sum'(g*w) - int(g*w) of the bound columns (B0, B2, N), or of D."""
-    names, decay = _BOUND, _IND_SCALE
-    if z_over_a is not None:
-        names, decay = ("D",), _dep_scale(z_over_a)
+# Two entries: a profile's rows share the bound correction, which each
+# row asks for before its own position correction.
+@lru_cache(maxsize=2)
+def _correction(omega_p, z_over_a, beta, tol) -> QuadratureResult:
+    """h*sum'(g*w) - int(g*w) of the bound columns (B0, B2), or of D."""
+    names = ("B0", "B2") if z_over_a is None else ("D",)
+    decay = _dep_scale(z_over_a)
     top = _WINDOW[2] / beta
-    zeta = 2.0 * math.pi * _SPLIT_N / beta
+    zeta = (2.0 * math.pi * _SPLIT_N / beta)[:, None]
 
     def per_frequency(x):
-        return _thermal_integrands(omega_p, zeta, x, z_over_a, names).reshape(x.size, -1)
+        kappa = zeta + x
+        values = _kernel(kappa, zeta / kappa, kappa**2, omega_p, z_over_a, names)
+        return values.reshape(-1, x.size).T
 
     def windowed(x, s):
-        weight = top * _window(_WINDOW[2] * s[0])
-        return _thermal_integrands(omega_p, top * s[0], x[:, 0], z_over_a, names) * weight[:, None]
+        kappa = x + top * s
+        weight = kappa**2 * (top * _window(_WINDOW[2] * s))
+        return _kernel(kappa, top * s / kappa, weight, omega_p, z_over_a, names).transpose(1, 2, 0)
 
     terms = integrate_semiinf(per_frequency, decay, tol)
     area = integrate_2d(windowed, SemiInfinite(decay), UnitInterval(), tol)
-    g = terms.value.reshape(zeta.size, -1)
+    g = terms.value.reshape(len(names), -1)
     weights = _SPLIT_WEIGHTS / beta
     error = (
-        weights @ terms.error_estimate.reshape(zeta.size, -1)
+        terms.error_estimate.reshape(len(names), -1) @ weights
         + area.error_estimate
-        + _WINDOW_MISS / beta * np.max(np.abs(g), axis=0)
+        + _WINDOW_MISS / beta * np.max(np.abs(g), axis=1)
     )
     return QuadratureResult(
-        weights @ g - area.value, error,
+        g @ weights - area.value, error,
         terms.evaluations + area.evaluations, terms.converged and area.converged,
     )
 
 
-@lru_cache(maxsize=1)
-def _correction_bound(omega_p, beta, tol) -> QuadratureResult:
-    return _correction(omega_p, None, beta, tol)
-
-
 def _thermal_split(omega_p, z_over_a, beta, tol, names):
-    """Each quantity as its zero-temperature value plus its _ZERO_T
-    combination of the bound and position corrections, whose errors add.
+    """Each quantity as its zero-temperature value plus its summed weights
+    on the bound and position corrections, whose errors add.
     """
-    corrections = {_BOUND: _correction_bound(omega_p, beta, tol)}
+    corrections = {("B0", "B2"): _correction(omega_p, None, beta, tol)}
     if z_over_a is not None:
         corrections[("D",)] = _correction(omega_p, z_over_a, beta, tol)
     columns = _columns(corrections)
     results = {}
     for name in names:
-        prefactor, weights = _ZERO_T[name]
+        prefactor, blackbody, _ = _QUANTITIES[name]
+        weights = _summed(name)
         zero = _zero_t(name, omega_p, z_over_a, tol)
         value = sum(w * columns[c][0] for c, w in weights.items())
         error = sum(abs(w) * columns[c][1] for c, w in weights.items())
         results[name] = QuadratureResult(
-            float(zero.value + prefactor * value + _BLACKBODY[name] / beta**4),
+            float(zero.value + prefactor * value + blackbody / beta**4),
             float(zero.error_estimate + prefactor * error),
             zero.evaluations + sum(c.evaluations for c in corrections.values()),
             zero.converged and all(c.converged for c in corrections.values()),
@@ -497,7 +475,10 @@ def _thermal_split(omega_p, z_over_a, beta, tol, names):
 _SPLIT_ABOVE = 400
 
 
-def _thermal(omega_p, z_over_a, beta, tol, names):
+# Three entries: the rows of a profile share tzz, which each row asks for
+# between its own quantities, so a new row evicts only the row before.
+@lru_cache(maxsize=3)
+def _thermal(omega_p, z_over_a, beta, tol, names) -> dict[str, QuadratureResult]:
     """The named finite-temperature quantities, by the cheaper route.
 
     A direct sum needs about beta*ln(1/rel_tol)/(4*pi*m) terms, with m
@@ -510,32 +491,39 @@ def _thermal(omega_p, z_over_a, beta, tol, names):
     return path(omega_p, z_over_a, beta, tol, names)
 
 
-@lru_cache(maxsize=1)
-def _thermal_row(omega_p, z_over_a, beta, tol) -> dict[str, QuadratureResult]:
-    return _thermal(omega_p, z_over_a, beta, tol, _ROW)
-
-
-@lru_cache(maxsize=1)
-def _thermal_tzz(omega_p, beta, tol) -> QuadratureResult:
-    # Summed on its own, so that it cannot depend on the position.
-    return _thermal(omega_p, None, beta, tol, ("tzz",))["tzz"]
-
-
 def clear_caches() -> None:
     """Forget all cached integrals; later results are bitwise the same."""
     _zero_t_pass.cache_clear()
-    _correction_bound.cache_clear()
-    _thermal_row.cache_clear()
-    _thermal_tzz.cache_clear()
+    _correction.cache_clear()
+    _thermal.cache_clear()
 
 
 _DEFAULT_TOL = Tolerance()
 
 
-def _resolve(thermal, tol):
-    thermal = ThermalState.zero() if thermal is None else thermal
+def _quantity(name, geom, model, thermal=None, tol=None) -> QuadratureResult:
+    """A _QUANTITIES entry at geom's position, or at none if it reads no
+    position column, at zero or finite temperature.
+
+    Called by a public operation: a position within 1e-3 of a wall warns
+    at the line that called it.  At finite temperature the quantities of
+    a position are summed together and kept.
+    """
     tol = _DEFAULT_TOL if tol is None else tol
-    return thermal, tol
+    z_over_a = None
+    if _QUANTITIES[name][2].keys() - set(_BOUND):
+        z_over_a = geom.z_over_a
+        if z_over_a < 1e-3 or z_over_a > 1.0 - 1e-3:
+            warnings.warn(
+                "position is within 1e-3*a of a wall; convergence is slow and the "
+                "quantity grows like 1/z**3 (near_wall_asymptote gives the leading law)",
+                SlowConvergenceWarning,
+                stacklevel=3,
+            )
+    if thermal is None or thermal.is_zero:
+        return _zero_t(name, model.omega_p, z_over_a, tol)
+    names = (name,) if z_over_a is None else _ROW
+    return _thermal(model.omega_p, z_over_a, thermal.beta, tol, names)[name]
 
 
 # ----------------------------------------------------------------------
@@ -560,9 +548,7 @@ def mean_sq_E(
         The field square relative to unbounded vacuum; the average of
         this and mean_sq_B is the energy density.
     """
-    _, tol = _resolve(None, tol)
-    _warn_if_near_wall(geom)
-    return _zero_t("sq_e", model.omega_p, geom.z_over_a, tol)
+    return _quantity("sq_e", geom, model, tol=tol)
 
 
 def mean_sq_B(
@@ -573,9 +559,7 @@ def mean_sq_B(
     Shares the position-independent integral with mean_sq_E; the
     position-dependent part swaps the roles of the two polarizations.
     """
-    _, tol = _resolve(None, tol)
-    _warn_if_near_wall(geom)
-    return _zero_t("sq_b", model.omega_p, geom.z_over_a, tol)
+    return _quantity("sq_b", geom, model, tol=tol)
 
 
 def energy_density(
@@ -601,13 +585,7 @@ def energy_density(
     -------
     QuadratureResult
     """
-    thermal, tol = _resolve(thermal, tol)
-    _warn_if_near_wall(geom)
-    wp = model.omega_p
-    zr = geom.z_over_a
-    if thermal.is_zero:
-        return _zero_t("t00", wp, zr, tol)
-    return _thermal_row(wp, zr, thermal.beta, tol)["t00"]
+    return _quantity("t00", geom, model, thermal, tol)
 
 
 def pressure_zz(
@@ -625,11 +603,7 @@ def pressure_zz(
     finite temperature the isotropic blackbody pressure
     pi**2/(45*beta**4) is included.
     """
-    thermal, tol = _resolve(thermal, tol)
-    wp = model.omega_p
-    if thermal.is_zero:
-        return _zero_t("tzz", wp, None, tol)
-    return _thermal_tzz(wp, thermal.beta, tol)
+    return _quantity("tzz", geom, model, thermal, tol)
 
 
 def pressure_xx(
@@ -646,13 +620,7 @@ def pressure_xx(
     At finite temperature the isotropic blackbody pressure
     pi**2/(45*beta**4) is included.
     """
-    thermal, tol = _resolve(thermal, tol)
-    _warn_if_near_wall(geom)
-    wp = model.omega_p
-    zr = geom.z_over_a
-    if thermal.is_zero:
-        return _zero_t("txx", wp, zr, tol)
-    return _thermal_row(wp, zr, thermal.beta, tol)["txx"]
+    return _quantity("txx", geom, model, thermal, tol)
 
 
 def stress_tensor(
@@ -694,13 +662,7 @@ def nec_transverse(
     integral of the combined integrand, and the blackbody part
     contributes 4*pi**2/(45*beta**4).
     """
-    thermal, tol = _resolve(thermal, tol)
-    _warn_if_near_wall(geom)
-    wp = model.omega_p
-    zr = geom.z_over_a
-    if thermal.is_zero:
-        return _zero_t("nec_x", wp, zr, tol)
-    return _thermal_row(wp, zr, thermal.beta, tol)["nec_x"]
+    return _quantity("nec_x", geom, model, thermal, tol)
 
 
 def nec_longitudinal(
@@ -719,13 +681,7 @@ def nec_longitudinal(
     Matsubara term is a single integral of the summed integrands of T_00
     and T_zz, and the blackbody part contributes 4*pi**2/(45*beta**4).
     """
-    thermal, tol = _resolve(thermal, tol)
-    _warn_if_near_wall(geom)
-    wp = model.omega_p
-    zr = geom.z_over_a
-    if thermal.is_zero:
-        return _zero_t("nec_z", wp, zr, tol)
-    return _thermal_row(wp, zr, thermal.beta, tol)["nec_z"]
+    return _quantity("nec_z", geom, model, thermal, tol)
 
 
 def near_wall_asymptote(z: float, model: PlasmaModel) -> tuple[float, float]:

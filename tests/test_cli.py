@@ -221,7 +221,7 @@ def test_help_exits_zero():
 
 
 def test_unconverged_rows_exit_with_two(tmp_path, monkeypatch):
-    def fake_evaluate(task):
+    def fake_evaluate(kind, omega_pa, z_over_a, thermal, tol):
         return [0.0, 1.0, 0.0, 1.0], 0, ()
 
     monkeypatch.setattr(cli, "_evaluate_point", fake_evaluate)
@@ -231,6 +231,41 @@ def test_unconverged_rows_exit_with_two(tmp_path, monkeypatch):
     # The data is still written so the partial result can be inspected.
     _, _, rows = parse_csv(out.read_text(encoding="utf-8"))
     assert rows[0][-1] == "0"
+
+
+# Inputs at the ends of the float range, with the flag the diagnostic
+# must name.  Each used to end in a traceback (ZeroDivisionError or
+# OverflowError from beta**4 or the SI scale), print zeros (an infinite
+# separation) or blame omega_p for an infinite range end.
+EXTREME_INPUTS = [
+    (["profile", "--omega-pa", "10", "--z", "0.5", "--beta-over-a", "1e-100"], "--beta-over-a"),
+    (["limits", "--beta-over-a", "1e-100"], "--beta-over-a"),
+    (["profile", "--omega-pa", "10", "--z", "0.5", "--beta-over-a", "1e300"], "--beta-over-a"),
+    (["limits", "--beta-over-a", "1e300"], "--beta-over-a"),
+    (["limits", "--si", "--separation-um", "1e-300"], "--separation-um"),
+    (["profile", "--omega-pa", "10", "--z", "0.5", "--si", "--separation-um", "1e-300"],
+     "--separation-um"),
+    (["limits", "--si", "--separation-um", "1e300", "--kelvin", "1"], "--separation-um"),
+    (["limits", "--si", "--separation-um", "1e60", "--kelvin", "1e30"], "--kelvin"),
+    (["limits", "--si", "--separation-um", "inf"], "--separation-um"),
+    (["sweep", "--omega-pa", "1:inf", "--z", "0.5"], "--omega-pa"),
+]
+
+
+def test_extreme_inputs_end_in_a_one_line_diagnostic(tmp_path, capsys):
+    for argv, flag in EXTREME_INPUTS:
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert err.startswith("casimir-stress: error:") and err.count("\n") == 1, (argv, err)
+        assert flag in err, (argv, err)
+    # Inside the range the rows converge.
+    for beta in ("1e-70", "1e70"):
+        code, text = run_to_file(
+            tmp_path, "edge.csv", ["profile", "--omega-pa", "10", "--z", "0.5", "--beta-over-a", beta])
+        assert code == 0, beta
+        _, _, rows = parse_csv(text)
+        assert rows[0][-1] == "1", beta
 
 
 def test_si_mode_requires_separation(capsys):

@@ -1,7 +1,10 @@
 """Tests for the stress tensor, field squares, and null-energy combinations."""
 
+import ast
 import importlib.util
+import inspect
 import math
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -246,7 +249,8 @@ def test_cold_corners_converge_to_zero_temperature_plus_blackbody():
                 if name == "tzz":
                     assert res.value == op(Geometry(0.5), model, thermal).value
                     continue
-                cold = op(Geometry(z), model).value + stress_mod._BLACKBODY[name] / beta**4
+                blackbody = stress_mod._QUANTITIES[name][1]
+                cold = op(Geometry(z), model).value + blackbody / beta**4
                 assert abs(res.value - cold) <= res.error_estimate, (name, z, beta, res)
 
 
@@ -305,14 +309,14 @@ def test_split_and_direct_sums_agree():
 
 
 def _count_thermal_work(monkeypatch):
-    """Record the zeta arrays the thermal kernel sees, and count the
-    reflection kernel's calls and the integrate_2d and matsubara_sum
+    """Record the frequencies zeta = kappa*t the kernel sees, and count
+    the reflection kernel's calls and the integrate_2d and matsubara_sum
     calls of stress."""
     calls = {"zeta": [], "reflection": 0, "integrate_2d": 0, "matsubara_sum": 0}
 
-    def kernel(omega_p, zeta, x, z_over_a, names):
-        calls["zeta"].append(np.atleast_1d(zeta))
-        return original_kernel(omega_p, zeta, x, z_over_a, names)
+    def kernel(kappa, t, weight, omega_p, z_over_a, names):
+        calls["zeta"].append(np.ravel(kappa * t))
+        return original_kernel(kappa, t, weight, omega_p, z_over_a, names)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -321,8 +325,8 @@ def _count_thermal_work(monkeypatch):
 
         return wrapper
 
-    original_kernel = stress_mod._thermal_integrands
-    monkeypatch.setattr(stress_mod, "_thermal_integrands", kernel)
+    original_kernel = stress_mod._kernel
+    monkeypatch.setattr(stress_mod, "_kernel", kernel)
     monkeypatch.setattr(dielectric, "rs_rp_ut", counted("reflection", dielectric.rs_rp_ut))
     for name in ("integrate_2d", "matsubara_sum"):
         monkeypatch.setattr(stress_mod, name, counted(name, getattr(stress_mod, name)))
@@ -370,6 +374,65 @@ def test_cold_thermal_row_has_bounded_cost(monkeypatch):
             assert len(_matsubara_terms(calls, beta)) <= 32
             assert calls["integrate_2d"] == 4
     assert calls["matsubara_sum"] == 0
+
+
+def test_one_kernel_serves_every_reduction(monkeypatch):
+    # The zero-T passes, the direct Matsubara sum and the split's
+    # correction all read their columns from _kernel, the one function of
+    # stress that reaches the reflection coefficients.
+    callers = set()
+
+    def kernel(*args):
+        callers.add(sys._getframe(1).f_code.co_qualname.split(".")[0])
+        return original(*args)
+
+    original = stress_mod._kernel
+    monkeypatch.setattr(stress_mod, "_kernel", kernel)
+    for thermal, expected in ((None, {"_zero_t_pass"}),
+                              (ThermalState.finite(5.0), {"_thermal_direct"}),
+                              (ThermalState.finite(1000.0), {"_zero_t_pass", "_correction"})):
+        stress_mod.clear_caches()
+        callers.clear()
+        for op in CLI_COLUMNS.values():
+            assert op(Geometry(0.5), PlasmaModel(100.0), thermal).converged
+        assert callers == expected, thermal
+    reaching = {
+        node.name for node in ast.walk(ast.parse(inspect.getsource(stress_mod)))
+        if isinstance(node, ast.FunctionDef) and any(
+            isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id == "dielectric" for n in ast.walk(node))
+    }
+    assert reaching == {"_kernel"}
+
+
+def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
+    # Three rows in CLI order: at beta = 5 (direct) tzz is summed once,
+    # at beta = 1000 (split) the bound correction's 21 frequencies, the
+    # one x-integral of decay scale 0.5, are integrated once.
+    sums, decays = [], []
+
+    def direct(omega_p, z_over_a, beta, tol, names):
+        sums.append(names)
+        return original_direct(omega_p, z_over_a, beta, tol, names)
+
+    def semi(f, decay, tol):
+        decays.append(decay)
+        return original_semi(f, decay, tol)
+
+    original_direct, original_semi = stress_mod._thermal_direct, stress_mod.integrate_semiinf
+    monkeypatch.setattr(stress_mod, "_thermal_direct", direct)
+    monkeypatch.setattr(stress_mod, "integrate_semiinf", semi)
+    for beta in (5.0, 1000.0):
+        stress_mod.clear_caches()
+        sums.clear()
+        decays.clear()
+        for z in (0.25, 0.5, 0.75):
+            for op in CLI_COLUMNS.values():
+                assert op(Geometry(z), PlasmaModel(100.0), ThermalState.finite(beta)).converged
+        if beta == 5.0:
+            assert sums.count(("tzz",)) == 1 and len(sums) == 4, sums
+        else:
+            assert sums == [] and decays.count(0.5) == 1 and len(decays) == 4, decays
 
 
 def test_zero_temperature_rows_share_two_passes(monkeypatch):
@@ -443,8 +506,9 @@ def _level5_reference(omega_p, z_over_a, names):
     total = 0.0
     for start in range(0, u.size, 32):
         rows = slice(start, start + 32)
-        values = stress_mod._polar_integrands(u[rows, None], t[None, :], omega_p, z_over_a, names)
-        total = total + np.einsum("r,rnm,n->m", wu[rows], values, wt)
+        u3 = u[rows, None] ** 3
+        values = stress_mod._kernel(u[rows, None], t[None, :], u3, omega_p, z_over_a, names)
+        total = total + np.einsum("r,mrn,n->m", wu[rows], values, wt)
     return total * (quadrature._DE_STEP / 2**5) ** 2
 
 
@@ -620,6 +684,12 @@ def test_geometry_and_thermal_state_validation():
         ThermalState(0.0)
     with pytest.raises(ValueError):
         ThermalState(-1.0)
+    # beta**4 must be a normal float: a ValueError, not a ZeroDivisionError
+    # or OverflowError from the blackbody terms later.
+    for beta in (1e-100, 1e300):
+        with pytest.raises(ValueError):
+            ThermalState(beta)
+    assert not ThermalState(2.0**-255).is_zero and not ThermalState(2.0**255).is_zero
 
 
 def test_reference_limits_are_consistent():
