@@ -53,7 +53,7 @@ from .stress import (
     energy_density,
     reference_limits,
 )
-from .units import BOLTZMANN, HBAR, SPEED_OF_LIGHT
+from .units import beta_from_temperature, to_si_energy_density
 
 __all__ = ["RunSpec", "build_run_spec", "main"]
 
@@ -134,8 +134,12 @@ class RunSpec:
         }
 
 
-def _parse_value_or_range(text: str, name: str, allow_inf: bool = False):
-    """Parse 'V' into a float or 'A:B' into an ascending (A, B) tuple."""
+def _parse_value_or_range(value, name: str, allow_inf: bool = False):
+    """None as None and a config number as a float; text 'V' into a float
+    or 'A:B' into an ascending (A, B) tuple."""
+    if value is None or isinstance(value, (int, float)):
+        return value if value is None else float(value)
+    text = str(value)
     parts = text.split(":")
     if len(parts) == 1:
         try:
@@ -228,23 +232,9 @@ def build_run_spec(argv: list[str]) -> RunSpec:
     merged = _merge_config(args)
     command = args.command
 
-    omega = merged["omega_pa"]
-    if omega is not None and not isinstance(omega, (int, float)):
-        omega = _parse_value_or_range(str(omega), "omega-pa", allow_inf=True)
-    elif omega is not None:
-        omega = float(omega)
-
-    z_over_a = merged["z"]
-    if z_over_a is not None and not isinstance(z_over_a, (int, float)):
-        z_over_a = _parse_value_or_range(str(z_over_a), "z")
-    elif z_over_a is not None:
-        z_over_a = float(z_over_a)
-
-    beta = merged["beta_over_a"]
-    if beta is not None and not isinstance(beta, (int, float)):
-        beta = _parse_value_or_range(str(beta), "beta-over-a", allow_inf=True)
-    elif beta is not None:
-        beta = float(beta)
+    omega = _parse_value_or_range(merged["omega_pa"], "omega-pa", allow_inf=True)
+    z_over_a = _parse_value_or_range(merged["z"], "z")
+    beta = _parse_value_or_range(merged["beta_over_a"], "beta-over-a", allow_inf=True)
     if isinstance(beta, tuple):
         raise UsageError("--beta-over-a takes a single value, not a range")
     if beta is not None and math.isinf(beta):
@@ -270,8 +260,10 @@ def build_run_spec(argv: list[str]) -> RunSpec:
         if kelvin == 0.0:
             beta = None
         else:
-            thermal_length = HBAR * SPEED_OF_LIGHT / (BOLTZMANN * kelvin)
-            beta = thermal_length / (separation_um * 1e-6)
+            try:
+                beta = beta_from_temperature(kelvin) / (separation_um * 1e-6)
+            except ValueError:
+                raise UsageError("--kelvin must be a finite temperature") from None
     if beta is not None:
         try:
             ThermalState.finite(beta)
@@ -315,6 +307,16 @@ def build_run_spec(argv: list[str]) -> RunSpec:
     return spec
 
 
+def _check_points(flag: str, build, value) -> None:
+    """A usage error naming ``flag`` when ``build`` rejects the value or
+    either end of its range."""
+    for point in value if isinstance(value, tuple) else (value,):
+        try:
+            build(point)
+        except ValueError as exc:
+            raise UsageError(f"{flag} {point!r}: {exc}") from None
+
+
 def _validate_spec(spec: RunSpec) -> None:
     if spec.output_format not in ("csv", "json"):
         raise UsageError("--format must be csv or json")
@@ -325,23 +327,16 @@ def _validate_spec(spec: RunSpec) -> None:
     ):
         raise UsageError("--grid must be >= 2 when a range is given")
 
-    def check_z(value):
-        points = value if isinstance(value, tuple) else (value,)
-        for z in points:
-            if not (0.0 < z < 1.0):
-                raise UsageError("--z must lie strictly inside (0, 1)")
-
     command = spec.command
     if command in ("profile", "nec"):
         if spec.omega_pa is None:
             raise UsageError(f"{command} needs --omega-pa")
         if isinstance(spec.omega_pa, tuple):
             raise UsageError(f"{command} takes a single --omega-pa; use sweep for ranges")
-        if spec.omega_pa < 0.0:
-            raise UsageError("--omega-pa must be >= 0")
+        _check_points("--omega-pa", PlasmaModel, spec.omega_pa)
         if spec.z_over_a is None:
             raise UsageError(f"{command} needs --z (value or range)")
-        check_z(spec.z_over_a)
+        _check_points("--z", Geometry, spec.z_over_a)
     elif command == "sweep":
         if spec.omega_pa is None:
             raise UsageError("sweep needs --omega-pa as an 'A:B' range")
@@ -349,9 +344,10 @@ def _validate_spec(spec: RunSpec) -> None:
             raise UsageError("sweep needs an --omega-pa range 'A:B'")
         if not (0.0 < spec.omega_pa[0] and spec.omega_pa[1] < math.inf):
             raise UsageError("sweep needs an --omega-pa range inside (0, inf) (log spacing)")
+        _check_points("--omega-pa", PlasmaModel, spec.omega_pa)
         if spec.z_over_a is None or isinstance(spec.z_over_a, tuple):
             raise UsageError("sweep needs a single --z value")
-        check_z(spec.z_over_a)
+        _check_points("--z", Geometry, spec.z_over_a)
     elif command in ("limits", "critical"):
         if isinstance(spec.omega_pa, tuple) or isinstance(spec.z_over_a, tuple):
             raise UsageError(f"{command} does not take ranges")
@@ -407,8 +403,7 @@ def _si_scale(spec: RunSpec) -> float:
     """J/m**3 per 1/a**4 unit, or 1.0 outside SI mode."""
     if not spec.si:
         return 1.0
-    a_meters = spec.separation_um * 1e-6
-    return HBAR * SPEED_OF_LIGHT / a_meters**4
+    return to_si_energy_density(1.0, spec.separation_um * 1e-6)
 
 
 def _scale_rows(rows: list[list[float]], scale: float) -> None:

@@ -47,7 +47,9 @@ class PlasmaModel:
     """Half-space material: a single plasma frequency in units of 1/a.
 
     ``omega_p = 0`` is transparent vacuum, ``omega_p = math.inf`` is the
-    perfect conductor (r_s = -1, r_p = +1 at every spectral point).
+    perfect conductor (r_s = -1, r_p = +1 at every spectral point).  A
+    finite ``omega_p`` may not exceed 1e100: the reflection coefficients
+    square it, and from about 1e105 they overflow.
     """
 
     omega_p: float
@@ -55,6 +57,8 @@ class PlasmaModel:
     def __post_init__(self):
         if math.isnan(self.omega_p) or self.omega_p < 0.0:
             raise ValueError("omega_p must be >= 0 (math.inf allowed)")
+        if 1e100 < self.omega_p < math.inf:
+            raise ValueError("a finite omega_p must be at most 1e100 (math.inf allowed)")
 
 
 def eps_imag(zeta: float, model: PlasmaModel) -> float:

@@ -4,15 +4,17 @@ Every integral in this package has the same shape: a smooth integrand on
 [0, inf) that dies off exponentially with a scale known in advance,
 either alone or together with a second variable on [0, inf) or [0, 1].
 
-Every integral, in one dimension or two, uses the double-exponential
-rules: exp-sinh on a half-line, tanh-sinh on [0, 1].  An axis's step is
-halved, with every earlier node reused, while the change from its
-previous level misses the tolerance, and the error estimate is that
-change (in two dimensions, the sum of both axes' changes, each axis
-refined on its own).  Refinement and accumulation order are fixed, so
-repeated runs return bit-identical values; nothing here depends on
-threads, hashing or global state (the cached node tables are read-only
-and equal to rebuilt ones).
+Every integral, in one dimension or two, runs through one driver on
+the double-exponential rules: exp-sinh on a half-line, tanh-sinh on
+[0, 1].  Levels 0 and 1 of every axis take one integrand call.  Then an
+axis's step is halved, with every earlier node reused, while the change
+from its previous level misses the tolerance, and the error estimate is
+that change (in two dimensions, the sum of both axes' changes, each axis
+refined on its own).  A pass that its evaluation budget stops warns,
+naming the level of each axis.  Refinement and accumulation order are
+fixed, so repeated runs return bit-identical values; nothing here depends
+on threads, hashing or global state (the cached node tables are
+read-only and equal to rebuilt ones).
 
 Integrands are called with numpy arrays of abscissae and should return
 an array of their broadcast shape, or one row of components per node for
@@ -124,26 +126,28 @@ _DEFAULT_TOL = Tolerance()
 
 def _scalar_tolerant(f):
     """Wrap ``f`` so it maps abscissa arrays to an array of their broadcast
-    shape, or of that shape plus one axis of components.
+    shape plus one axis of components (one for a scalar integrand).
 
     Vectorized callables pass through; scalar-only callables (detected by
-    a failed or mis-shaped array call) fall back to a point loop.
+    a failed or mis-shaped array call) fall back to a point loop.  The
+    wrapper's ``vector`` records whether ``f`` returned components.
     """
-    state = {"loop": False}
 
     def call(*args):
         shape = np.broadcast_shapes(*(a.shape for a in args))
-        if not state["loop"]:
+        if not call.loop:
             try:
                 y = np.asarray(f(*args), dtype=float)
                 if y.shape[: len(shape)] == shape and y.ndim <= len(shape) + 1:
-                    return y
+                    call.vector = y.ndim > len(shape)
+                    return y.reshape(*shape, -1)
             except (TypeError, ValueError):
                 pass
-            state["loop"] = True
+            call.loop = True
         points = zip(*(np.broadcast_to(a, shape).ravel() for a in args))
-        return np.array([float(f(*p)) for p in points]).reshape(shape)
+        return np.array([float(f(*p)) for p in points]).reshape(*shape, 1)
 
+    call.loop = call.vector = False
     return call
 
 
@@ -242,46 +246,115 @@ def _newest(domain, level, span=None):
     return x[starts[-1]:], weight[starts[-1]:], starts[:1]
 
 
-def _integrate_1d(f, domain, tol):
-    """One-axis double-exponential pass over ``domain``.
+def _by_group(weight, starts):
+    """(nodes, groups) matrix: column g holds group g's weights, else 0."""
+    if starts.size == 1:
+        return weight[:, None]
+    matrix = np.zeros((weight.size, starts.size))
+    bounds = starts.tolist() + [weight.size]
+    for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        matrix[a:b, g] = weight[a:b]
+    return matrix
 
-    Levels are refined until the change from the coarser level meets the
-    tolerance in every component; that change is the error estimate.
-    The first grid always runs; a level that would take the node count
-    past ``tol.max_evaluations`` does not.
+
+def _grid_sums(fs, axes):
+    """Sums of the weighted integrand over every tuple of node groups.
+
+    ``axes`` holds (nodes, weights, starts) per axis, as from _de_axis;
+    returns shape (groups per axis..., m).  Integrand calls take at most
+    _BLOCK nodes, in two dimensions whole rows of x.  Matrix products
+    with one weight column per group contract each block's last axis,
+    then in two dimensions the x axis.
+    """
+    x, wx, gx = axes[0]
+    by_x = _by_group(wx, gx)
+    if len(axes) == 1:
+        return sum(
+            _block_sums(fs(x[i : i + _BLOCK]), by_x[i : i + _BLOCK], x[i : i + _BLOCK])
+            for i in range(0, x.size, _BLOCK)
+        ).T
+    y, wy, gy = axes[1]
+    rows = max(1, _BLOCK // y.size)
+    by_y = _by_group(wy, gy)
+    per_row = np.concatenate([
+        _block_sums(fs(x[i : i + rows, None], y[None, :]), by_y, x[i : i + rows], y)
+        for i in range(0, x.size, rows)
+    ], axis=1)
+    return (by_x.T @ per_row).transpose(1, 2, 0)
+
+
+def _integrate(name, f, axes, tol):
+    """The double-exponential pass behind the public function ``name``.
+
+    ``axes`` holds (domain, tau span) for each of one or two axes, x
+    first.  Each axis has its own level; refining one halves its step
+    and reuses every earlier node.  ``parts`` keeps sums by the levels
+    at which their nodes first appear, so the value with any axis one
+    level coarser costs no evaluation.  The first round evaluates levels
+    0 and 1 of every axis in one integrand call, or level 0 alone if
+    level 1 would pass the budget.  Each round then refines every axis
+    whose change from its coarser level misses the tolerance in some
+    component, and the pass ends when none does; the error estimate is
+    the sum of the axes' changes.  A refinement that would take the node
+    count past ``tol.max_evaluations`` does not run: the result then
+    carries ``converged=False`` and a warning names the levels reached.
     """
     tol = tol or _DEFAULT_TOL
     fs = _scalar_tolerant(f)
-    span = _EXP_SINH_1D if isinstance(domain, SemiInfinite) else None
-    shape = {}
+    over = tuple(range(len(axes)))
 
-    def block_sum(x, weight):
-        values = fs(x)
-        shape["vector"] = values.ndim == 2
-        return _block_sums(values.reshape(x.size, -1), weight, x)
+    def size(levels):
+        return math.prod([_size(domain, l, span) for (domain, span), l in zip(axes, levels)])
 
-    def level_sum(nodes):
-        x, weight, _ = nodes
-        return sum(
-            block_sum(x[i : i + _BLOCK], weight[i : i + _BLOCK])
-            for i in range(0, x.size, _BLOCK)
-        )
+    def grid(levels, newest=None):
+        return [
+            (_newest if a == newest else _de_axis)(domain, l, span)
+            for a, ((domain, span), l) in enumerate(zip(axes, levels))
+        ]
 
-    level = 0
-    sums = level_sum(_de_axis(domain, 0, span))
-    total = _DE_STEP * sums
+    # The value at each level tuple, kept: after a round the coarser value
+    # along a refined axis is the total before it.
+    estimates = {}
+
+    def estimate(levels):
+        key = tuple(levels)
+        if key not in estimates:
+            step = math.prod([_DE_STEP / 2**l for l in levels])
+            estimates[key] = step * np.add.reduce(parts[tuple([slice(l + 1) for l in levels])], over)
+        return estimates[key]
+
+    levels = [int(size([1] * len(axes)) <= tol.max_evaluations)] * len(axes)
+    parts = _grid_sums(fs, grid(levels))
+    total = estimate(levels)
     error = np.abs(total)
     converged = False
-    while _size(domain, level + 1, span) <= tol.max_evaluations:
-        level += 1
-        sums = sums + level_sum(_newest(domain, level, span))
-        coarse, total = total, (_DE_STEP / 2**level) * sums
-        error = np.abs(total - coarse)
-        if np.all(error <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))):
+    while levels[0]:
+        changes = [
+            np.abs(total - estimate(levels[:a] + [l - 1] + levels[a + 1 :]))
+            for a, l in enumerate(levels)
+        ]
+        error = sum(changes[1:], changes[0])
+        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))
+        refine = [bool((change > bound).any()) for change in changes]
+        if not any(refine):
             converged = True
             break
-    evaluations = _size(domain, level, span)
-    if shape["vector"]:
+        if size([l + r for l, r in zip(levels, refine)]) > tol.max_evaluations:
+            break
+        for a in over:
+            if refine[a]:
+                levels[a] += 1
+                parts = np.concatenate([parts, _grid_sums(fs, grid(levels, a))], axis=a)
+        total = estimate(levels)
+    evaluations = size(levels)
+    if not converged:
+        reached = " and ".join(f"level {l} in {v}" for l, v in zip(levels, "xy"))
+        warnings.warn(
+            f"{name} did not meet its tolerance: stopped at {reached} "
+            f"after {evaluations} nodes",
+            stacklevel=3,
+        )
+    if fs.vector:
         return QuadratureResult(total, error, evaluations, converged)
     return QuadratureResult(float(total[0]), float(error[0]), evaluations, converged)
 
@@ -301,10 +374,14 @@ def integrate_unit(f, tol: Tolerance | None = None) -> QuadratureResult:
     -------
     QuadratureResult
         From tanh-sinh nodes, which never include the endpoints, so
-        integrable endpoint behavior is fine.  Non-finite integrand
-        values raise QuadratureError with the abscissa in the message.
+        integrable endpoint behavior is fine.  Levels 0 and 1 take one
+        integrand call, each later level one more, until the change from
+        the coarser level, the error estimate, meets the tolerance.  A
+        pass stopped by ``tol.max_evaluations`` warns and carries
+        ``converged=False``.  Non-finite integrand values raise
+        QuadratureError with the abscissa in the message.
     """
-    return _integrate_1d(f, UnitInterval(), tol)
+    return _integrate("integrate_unit", f, [(UnitInterval(), None)], tol)
 
 
 def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> QuadratureResult:
@@ -325,7 +402,8 @@ def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> Qu
     -------
     QuadratureResult
         Of shape (m,) values and errors for an (n, m) integrand, each
-        component meeting the tolerance on its own.
+        component meeting the tolerance on its own.  Levels, error
+        estimate and budget are as for integrate_unit, warning included.
 
     Notes
     -----
@@ -333,35 +411,7 @@ def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> Qu
     exponential-decay contract.  Non-finite integrand values raise
     QuadratureError carrying the abscissa.
     """
-    return _integrate_1d(f, SemiInfinite(decay_scale), tol)
-
-
-def _by_group(weight, starts):
-    """(nodes, groups) matrix: column g holds group g's weights, else 0."""
-    matrix = np.zeros((weight.size, starts.size))
-    bounds = starts.tolist() + [weight.size]
-    for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        matrix[a:b, g] = weight[a:b]
-    return matrix
-
-
-def _grid_sums(fv, xs, ys):
-    """Sums of wx[i]*wy[j]*f(x[i], y[j]) over every pair of node groups.
-
-    ``xs`` and ``ys`` are (nodes, weights, starts) as from _de_axis;
-    returns shape (x groups, y groups, m).  Rows of x are evaluated in
-    blocks of at most _BLOCK nodes.  Matrix products with one weight column
-    per group contract the y axis of each block, then the x axis.
-    """
-    x, wx, gx = xs
-    y, wy, gy = ys
-    rows = max(1, _BLOCK // y.size)
-    by_y = _by_group(wy, gy)
-    per_row = np.concatenate([
-        _block_sums(fv(x[i : i + rows, None], y[None, :]), by_y, x[i : i + rows], y)
-        for i in range(0, x.size, rows)
-    ], axis=1)
-    return (_by_group(wx, gx).T @ per_row).transpose(1, 2, 0)
+    return _integrate("integrate_semiinf", f, [(SemiInfinite(decay_scale), _EXP_SINH_1D)], tol)
 
 
 def integrate_2d(
@@ -390,75 +440,17 @@ def integrate_2d(
     -------
     QuadratureResult
         From a tensor-product double-exponential rule: exp-sinh on a
-        half-line, tanh-sinh on [0, 1].  Each axis has its own level;
-        refining one halves its step and reuses every earlier node.
-        Sums are kept by the levels at which their nodes first appear,
-        so the value with either axis one level coarser costs nothing.
-        Each round refines every axis whose change from its coarser
-        level misses the tolerance in some component, and the pass ends
-        when neither does; ``error_estimate`` is the sum of the two
-        axes' changes.  ``evaluations`` counts nodes.  The first grid
-        always runs; a refinement that would take the count past
+        half-line, tanh-sinh on [0, 1].  Each axis has its own level and
+        is refined while its change from its coarser level misses the
+        tolerance in some component; ``error_estimate`` is the sum of
+        the two axes' changes.  ``evaluations`` counts nodes.  The first
+        grid always runs; a refinement that would take the count past
         ``tol.max_evaluations`` does not, and the result then carries
         ``converged=False`` and a warning names the levels reached.
         Values and errors have shape (m,) for an (r, n, m) integrand.
         Non-finite integrand values raise QuadratureError.
     """
-    tol = tol or _DEFAULT_TOL
-    fs = _scalar_tolerant(f)
-    shape = {}
-
-    def fv(x, y):
-        values = fs(x, y)
-        shape["vector"] = values.ndim == 3
-        return values.reshape(x.shape[0], y.shape[1], -1)
-
-    def size(lx, ly):
-        return _size(outer, lx) * _size(inner, ly)
-
-    def estimate(lx, ly):
-        step = (_DE_STEP / 2**lx) * (_DE_STEP / 2**ly)
-        return step * parts[: lx + 1, : ly + 1].sum(axis=(0, 1))
-
-    # parts[a, b] sums, with step-free weights, the nodes that x level a
-    # and y level b add.  The first round refines both axes, so levels 1
-    # by 1 are evaluated at once unless only the first grid fits the budget.
-    lx = ly = int(size(1, 1) <= tol.max_evaluations)
-    parts = _grid_sums(fv, _de_axis(outer, lx), _de_axis(inner, ly))
-    total = estimate(lx, ly)
-    error = np.abs(total)
-    converged = False
-    while lx:
-        change_x = np.abs(total - estimate(lx - 1, ly))
-        change_y = np.abs(total - estimate(lx, ly - 1))
-        error = change_x + change_y
-        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))
-        refine_x = bool(np.any(change_x > bound))
-        refine_y = bool(np.any(change_y > bound))
-        if not (refine_x or refine_y):
-            converged = True
-            break
-        if size(lx + refine_x, ly + refine_y) > tol.max_evaluations:
-            break
-        if refine_x:
-            lx += 1
-            new = _grid_sums(fv, _newest(outer, lx), _de_axis(inner, ly))
-            parts = np.concatenate([parts, new], axis=0)
-        if refine_y:
-            ly += 1
-            new = _grid_sums(fv, _de_axis(outer, lx), _newest(inner, ly))
-            parts = np.concatenate([parts, new], axis=1)
-        total = estimate(lx, ly)
-    evaluations = size(lx, ly)
-    if not converged:
-        warnings.warn(
-            f"integrate_2d did not meet its tolerance: stopped at level {lx} in x "
-            f"and level {ly} in y after {evaluations} nodes",
-            stacklevel=2,
-        )
-    if shape["vector"]:
-        return QuadratureResult(total, error, evaluations, converged)
-    return QuadratureResult(float(total[0]), float(error[0]), evaluations, converged)
+    return _integrate("integrate_2d", f, [(outer, None), (inner, None)], tol)
 
 
 def _ratio(num, den):
@@ -491,8 +483,6 @@ def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureRes
     while n <= cap and not converged:
         count = min(64, cap + 1 - n)
         block = gs(2.0 * math.pi * np.arange(n, n + count, dtype=float) / beta)
-        vector = block.ndim == 2
-        block = block.reshape(count, -1)
         if n == 0:
             total, recent, block, n = 0.5 * block[0], block[:0], block[1:], 1
         # Running sums in term order, and the tail after each term that
@@ -512,7 +502,7 @@ def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureRes
     if not converged:
         tail = np.where(np.isfinite(tail), tail, np.max(recent, axis=0))
     value, error = total / beta, (tail + tol.abs_tol) / beta
-    if not vector:
+    if not gs.vector:
         value, error = float(value[0]), float(error[0])
     return QuadratureResult(value, error, n, converged)
 

@@ -118,7 +118,9 @@ class Geometry:
     Parameters
     ----------
     z : float
-        Position measured from one wall, 0 < z < a.
+        Position measured from one wall, 0 < z < a, with z/a at least
+        1e-100: below that the position pass's decay scale a/(2z) puts
+        its nodes past the float range.
     a : float, default 1.0
         Gap width.  All internal arithmetic uses the ratio z/a and
         reports densities in 1/a**4 units; ``a`` itself matters only for
@@ -133,6 +135,8 @@ class Geometry:
             raise ValueError("gap width a must be a positive finite number")
         if not (math.isfinite(self.z) and 0.0 < self.z < self.a):
             raise ValueError("position z must satisfy 0 < z < a")
+        if self.z / self.a < 1e-100:
+            raise ValueError("position z must be at least 1e-100*a")
 
     @property
     def z_over_a(self) -> float:
@@ -345,13 +349,28 @@ def _zero_t(name, omega_p, z_over_a, tol) -> QuadratureResult:
     )
 
 
-def _thermal_direct(omega_p, z_over_a, beta, tol, names):
-    """Matsubara sums of the named quantities, term by term.
+def _frequency_integrals(zeta, matrix, omega_p, z_over_a, tol, names):
+    """One x-integral per row of ``matrix`` and frequency of ``zeta`` (n, 1).
 
     With kappa = zeta + x, k**2 = x*(x + 2*zeta) and k dk = kappa dx
     every inner k-integral becomes one over x on [0, inf), and the kernel
     with weight kappa**2 gives B0 = kappa**2*b, B2 = zeta**2*b and
-    D = k**2*I*M.  Each quantity is one integrand, its weights times the
+    D = k**2*I*M.  ``matrix`` combines the named columns; values and
+    errors run over its rows, then over zeta.
+    """
+
+    def f(x):
+        kappa = zeta + x
+        values = _kernel(kappa, zeta / kappa, kappa**2, omega_p, z_over_a, names)
+        return (matrix @ values.reshape(len(names), -1)).reshape(-1, x.size).T
+
+    return integrate_semiinf(f, _dep_scale(z_over_a), tol)
+
+
+def _thermal_direct(omega_p, z_over_a, beta, tol, names):
+    """Matsubara sums of the named quantities, term by term.
+
+    Each quantity is one integrand, its weights times the kernel's
     columns at every node, so that each meets the tolerance on its own.
     Each term's inner-quadrature error joins the tail estimate with the
     term's weight (half for the zero frequency).
@@ -362,14 +381,7 @@ def _thermal_direct(omega_p, z_over_a, beta, tol, names):
     parts = []
 
     def summand(zeta):
-        by_row = zeta[:, None]
-
-        def f(x):
-            kappa = by_row + x
-            values = _kernel(kappa, by_row / kappa, kappa**2, omega_p, z_over_a, columns)
-            return (matrix @ values.reshape(len(columns), -1)).reshape(-1, x.size).T
-
-        parts.append(integrate_semiinf(f, _dep_scale(z_over_a), tol))
+        parts.append(_frequency_integrals(zeta[:, None], matrix, omega_p, z_over_a, tol, columns))
         return parts[-1].value.reshape(len(names), zeta.size).T
 
     summed = matsubara_sum(summand, beta, tol)
@@ -422,17 +434,12 @@ def _correction(omega_p, z_over_a, beta, tol) -> QuadratureResult:
     top = _WINDOW[2] / beta
     zeta = (2.0 * math.pi * _SPLIT_N / beta)[:, None]
 
-    def per_frequency(x):
-        kappa = zeta + x
-        values = _kernel(kappa, zeta / kappa, kappa**2, omega_p, z_over_a, names)
-        return values.reshape(-1, x.size).T
-
     def windowed(x, s):
         kappa = x + top * s
         weight = kappa**2 * (top * _window(_WINDOW[2] * s))
         return _kernel(kappa, top * s / kappa, weight, omega_p, z_over_a, names).transpose(1, 2, 0)
 
-    terms = integrate_semiinf(per_frequency, decay, tol)
+    terms = _frequency_integrals(zeta, np.eye(len(names)), omega_p, z_over_a, tol, names)
     area = integrate_2d(windowed, SemiInfinite(decay), UnitInterval(), tol)
     g = terms.value.reshape(len(names), -1)
     weights = _SPLIT_WEIGHTS / beta

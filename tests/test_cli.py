@@ -249,6 +249,15 @@ EXTREME_INPUTS = [
     (["limits", "--si", "--separation-um", "1e60", "--kelvin", "1e30"], "--kelvin"),
     (["limits", "--si", "--separation-um", "inf"], "--separation-um"),
     (["sweep", "--omega-pa", "1:inf", "--z", "0.5"], "--omega-pa"),
+    # Past the model's and the geometry's bounds the quadrature overflowed
+    # and the run ended in "numerical failure" (exit 2).
+    (["profile", "--omega-pa", "1e105", "--z", "0.5"], "--omega-pa"),
+    (["profile", "--omega-pa", "1e150", "--z", "0.5"], "--omega-pa"),
+    (["sweep", "--omega-pa", "1:1e150", "--z", "0.5"], "--omega-pa"),
+    (["profile", "--omega-pa", "10", "--z", "1e-110"], "--z"),
+    (["nec", "--omega-pa", "10", "--z", "1e-200:0.5"], "--z"),
+    (["limits", "--si", "--separation-um", "1", "--kelvin", "inf"], "--kelvin"),
+    (["limits", "--si", "--separation-um", "1", "--kelvin", "nan"], "--kelvin"),
 ]
 
 
@@ -260,12 +269,18 @@ def test_extreme_inputs_end_in_a_one_line_diagnostic(tmp_path, capsys):
         assert err.startswith("casimir-stress: error:") and err.count("\n") == 1, (argv, err)
         assert flag in err, (argv, err)
     # Inside the range the rows converge.
-    for beta in ("1e-70", "1e70"):
-        code, text = run_to_file(
-            tmp_path, "edge.csv", ["profile", "--omega-pa", "10", "--z", "0.5", "--beta-over-a", beta])
-        assert code == 0, beta
+    for omega, beta in (("10", "1e-70"), ("10", "1e70"), ("1e100", "inf")):
+        argv = ["profile", "--omega-pa", omega, "--z", "0.5", "--beta-over-a", beta]
+        code, text = run_to_file(tmp_path, "edge.csv", argv)
+        assert code == 0, argv
         _, _, rows = parse_csv(text)
-        assert rows[0][-1] == "1", beta
+        assert rows[0][-1] == "1", argv
+    # At the smallest position allowed the row is computed, not refused.
+    code, text = run_to_file(tmp_path, "edge.csv", ["profile", "--omega-pa", "10", "--z", "1e-100"])
+    assert code in (0, 2)
+    _, _, rows = parse_csv(text)
+    assert float(rows[0][0]) == 1e-100
+    capsys.readouterr()
 
 
 def test_si_mode_requires_separation(capsys):

@@ -25,6 +25,11 @@ def test_plasma_model_validation():
         PlasmaModel(-1.0)
     with pytest.raises(ValueError):
         PlasmaModel(math.nan)
+    # Finite values stop at 1e100, where the reflection kernels still work.
+    assert PlasmaModel(1e100).omega_p == 1e100
+    for omega_p in (1.01e100, 1e105, 1e300):
+        with pytest.raises(ValueError, match="1e100"):
+            PlasmaModel(omega_p)
 
 
 def test_eps_imag_values_and_domain():

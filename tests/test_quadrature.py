@@ -175,17 +175,26 @@ def test_non_finite_integrand_raises(monkeypatch):
 
 
 def test_evaluation_budget_reports_non_convergence():
+    # A one-dimensional pass that its budget stops warns like a double
+    # integral, naming the level it reached.
     tol = Tolerance(rel_tol=1e-14, abs_tol=1e-300, max_evaluations=200)
-    res = integrate_semiinf(lambda x: np.exp(-x) * np.cos(10.0 * x), 1.0, tol=tol)
-    assert not res.converged
-    assert res.evaluations <= 200
+    for integrate, f in (
+        (lambda f: integrate_semiinf(f, 1.0, tol=tol), lambda x: np.exp(-x) * np.cos(10.0 * x)),
+        (lambda f: integrate_unit(f, tol=tol), lambda t: np.cos(40.0 * t)),
+    ):
+        with pytest.warns(UserWarning, match=r"did not meet its tolerance: stopped at level \d+ in x after \d+ nodes"):
+            res = integrate(f)
+        assert not res.converged
+        assert res.evaluations <= 200
 
 
 def test_one_dimensional_levels_reuse_every_node():
     # Each level adds nodes between the earlier ones, so a pass evaluates
-    # every abscissa of its final level once and no other.  The half-line
-    # case has a component a million times smaller than the other, which
-    # must meet the relative tolerance on its own scale.
+    # every abscissa of its final level once and no other.  Levels 0 and 1
+    # share the first integrand call, so a pass that ends at level L makes
+    # L calls.  The half-line case has a component a million times smaller
+    # than the other, which must meet the relative tolerance on its own
+    # scale.
     def semi(x):
         return np.stack([np.exp(-x) * np.cos(x), 1e-6 * x * np.exp(-x)], axis=-1)
 
@@ -194,10 +203,11 @@ def test_one_dimensional_levels_reuse_every_node():
         (integrate_unit, lambda t: np.sqrt(t) * np.cos(3.0 * t), UnitInterval(), None),
     ]
     for integrate, g, domain, span in cases:
-        seen = []
+        seen, calls = [], []
 
         def f(x):
             seen.extend(x.tolist())
+            calls.append(x.size)
             return g(x)
 
         res = integrate(f)
@@ -208,6 +218,8 @@ def test_one_dimensional_levels_reuse_every_node():
             level += 1
         assert level >= 2
         assert set(_de_axis(domain, level, span)[0].tolist()) == set(seen)
+        assert len(calls) == level
+        assert calls[0] == _de_axis(domain, 1, span)[0].size
     exact = np.array([0.5, 1e-6])
     res = integrate_semiinf(semi, 0.7, Tolerance(rel_tol=1e-10, abs_tol=0.0))
     assert res.value.shape == res.error_estimate.shape == (2,)

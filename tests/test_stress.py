@@ -379,7 +379,8 @@ def test_cold_thermal_row_has_bounded_cost(monkeypatch):
 def test_one_kernel_serves_every_reduction(monkeypatch):
     # The zero-T passes, the direct Matsubara sum and the split's
     # correction all read their columns from _kernel, the one function of
-    # stress that reaches the reflection coefficients.
+    # stress that reaches the reflection coefficients.  The Matsubara
+    # terms of the direct sum and of the split come from one integrand.
     callers = set()
 
     def kernel(*args):
@@ -389,8 +390,9 @@ def test_one_kernel_serves_every_reduction(monkeypatch):
     original = stress_mod._kernel
     monkeypatch.setattr(stress_mod, "_kernel", kernel)
     for thermal, expected in ((None, {"_zero_t_pass"}),
-                              (ThermalState.finite(5.0), {"_thermal_direct"}),
-                              (ThermalState.finite(1000.0), {"_zero_t_pass", "_correction"})):
+                              (ThermalState.finite(5.0), {"_frequency_integrals"}),
+                              (ThermalState.finite(1000.0),
+                               {"_zero_t_pass", "_frequency_integrals", "_correction"})):
         stress_mod.clear_caches()
         callers.clear()
         for op in CLI_COLUMNS.values():
@@ -674,6 +676,11 @@ def test_geometry_and_thermal_state_validation():
         Geometry(0.5, a=0.0)
     with pytest.raises(ValueError):
         Geometry(2.0, a=1.5)
+    # z/a stops at 1e-100, past which the position pass leaves the float range.
+    assert Geometry(1e-100).z_over_a == 1e-100
+    for z, a in ((1e-110, 1.0), (1e-300, 1.0), (1e-95, 1e6)):
+        with pytest.raises(ValueError, match="1e-100"):
+            Geometry(z, a=a)
     g = Geometry(0.75, a=1.5)
     assert g.z_over_a == 0.5
     assert ThermalState(None).is_zero
