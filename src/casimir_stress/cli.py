@@ -20,13 +20,19 @@ machine identity.  Exit status is 0 on success, 1 on a usage error, and
 2 when any requested point failed to converge (the rows are still
 written, flagged in the ``converged`` column).
 
-Options may also come from a JSON config file (``--config``); explicit
-command-line flags win over config entries.  ``--jobs`` (and its config
-key) is still accepted but has no effect: rows are evaluated in order in
-one process, since a row takes milliseconds and a worker process longer
-to start.  ``--si`` with ``--separation-um`` (and
-optionally ``--kelvin``) converts densities to J/m**3 through the units
-module.  Diagnostics go to stderr and honor the NO_COLOR convention.
+Options may also come from a JSON config file (``--config``).  Each
+entry is a flag, keyed by its argparse dest (``omega_pa``, ``z``,
+``output_format``, ...), and is parsed with the flag's own type and
+choices, ahead of the command line's flags, so an explicit flag wins.
+``null`` leaves a flag unset and a switch (``si``, ``emit_plot_script``)
+takes ``true`` or ``false``.  Every value is checked by the type that
+uses it (``PlasmaModel``, ``Geometry``, ``ThermalState``, ``Tolerance``)
+whatever the command.  ``--jobs`` (and its config key) is still accepted
+but has no effect: rows are evaluated in order in one process, since a
+row takes milliseconds and a worker process longer to start.  ``--si``
+with ``--separation-um`` (and optionally ``--kelvin``) converts
+densities to J/m**3 through the units module.  Diagnostics go to stderr
+and honor the NO_COLOR convention.
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ from pathlib import Path
 from .dielectric import PlasmaModel
 from .quadrature import QuadratureError, Tolerance
 from .stress import (
+    CRITICAL_LOG10_SPAN,
+    CRITICAL_ROOT_REL_TOL,
+    CRITICAL_TOLERANCE,
     Geometry,
     ThermalState,
     critical_omega_pa,
@@ -134,29 +143,33 @@ class RunSpec:
         }
 
 
-def _parse_value_or_range(value, name: str, allow_inf: bool = False):
-    """None as None and a config number as a float; text 'V' into a float
-    or 'A:B' into an ascending (A, B) tuple."""
-    if value is None or isinstance(value, (int, float)):
-        return value if value is None else float(value)
-    text = str(value)
+def _parse_value_or_range(text: str | None, name: str, build=float):
+    """None as None; text 'V' into a float or 'A:B' into an ascending
+    (A, B) tuple, with a usage error naming ``--name`` when ``build``
+    rejects the value or either end of the range."""
+    if text is None:
+        return None
     parts = text.split(":")
     if len(parts) == 1:
         try:
-            if allow_inf and parts[0].strip().lower() == "inf":
-                return math.inf
-            return float(parts[0])
+            value = float(parts[0])
         except ValueError:
             raise UsageError(f"cannot parse --{name} value {text!r}") from None
-    if len(parts) == 2:
+    elif len(parts) == 2:
         try:
-            lo, hi = float(parts[0]), float(parts[1])
+            value = float(parts[0]), float(parts[1])
         except ValueError:
             raise UsageError(f"cannot parse --{name} range {text!r}") from None
-        if not (lo < hi):
+        if not (value[0] < value[1]):
             raise UsageError(f"--{name} range needs low < high, got {text!r}")
-        return lo, hi
-    raise UsageError(f"--{name} accepts 'V' or 'A:B', got {text!r}")
+    else:
+        raise UsageError(f"--{name} accepts 'V' or 'A:B', got {text!r}")
+    for point in value if isinstance(value, tuple) else (value,):
+        try:
+            build(point)
+        except ValueError as exc:
+            raise UsageError(f"--{name} {point!r}: {exc}") from None
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,80 +187,94 @@ def _build_parser() -> argparse.ArgumentParser:
         "--beta-over-a",
         help="inverse temperature over gap width: value or 'inf' (zero temperature)",
     )
-    parser.add_argument("--grid", type=int, help="number of points for a range")
-    parser.add_argument("--format", choices=("csv", "json"), dest="output_format")
+    parser.add_argument("--grid", type=int, default=RunSpec.grid,
+                        help="number of points for a range")
+    parser.add_argument("--format", choices=("csv", "json"), default=RunSpec.output_format,
+                        dest="output_format")
     parser.add_argument("--out", dest="output_path", help="output file (default stdout)")
-    parser.add_argument("--rel-tol", type=float, help="relative quadrature tolerance")
-    parser.add_argument("--abs-tol", type=float, help="absolute quadrature tolerance")
-    parser.add_argument("--jobs", type=int, help="accepted for compatibility; no effect")
-    parser.add_argument("--si", action="store_true", default=None,
+    parser.add_argument("--rel-tol", type=float, default=RunSpec.rel_tol,
+                        help="relative quadrature tolerance")
+    parser.add_argument("--abs-tol", type=float, default=RunSpec.abs_tol,
+                        help="absolute quadrature tolerance")
+    parser.add_argument("--jobs", type=int, default=RunSpec.jobs,
+                        help="accepted for compatibility; no effect")
+    parser.add_argument("--si", action="store_true",
                         help="report J/m**3 instead of 1/a**4 units")
     parser.add_argument("--separation-um", type=float,
                         help="gap width in micrometers (required with --si)")
     parser.add_argument("--kelvin", type=float,
                         help="temperature in Kelvin (with --si; sets beta/a)")
-    parser.add_argument("--emit-plot-script", action="store_true", default=None,
+    parser.add_argument("--emit-plot-script", action="store_true",
                         help="also write a matplotlib script next to --out")
-    parser.add_argument("--config", help="JSON file with default option values")
+    parser.add_argument("--config", help="JSON object of option values (explicit flags win)")
     return parser
 
 
-_CONFIG_KEYS = {
-    "omega_pa", "z", "beta_over_a", "grid", "output_format", "output_path",
-    "rel_tol", "abs_tol", "jobs", "si", "separation_um", "kelvin",
-    "emit_plot_script",
-}
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:
+            raise  # --help and friends exit cleanly
+        raise UsageError("invalid arguments (see usage above)") from None
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Fold an optional JSON config under the explicit flags."""
-    merged = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-    if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise UsageError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise UsageError("config file must hold a JSON object")
-        unknown = sorted(set(raw) - _CONFIG_KEYS)
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in raw.items():
-            if merged[key] is None:
-                merged[key] = value
-    return merged
+def _config_tokens(parser: argparse.ArgumentParser, path: str | None) -> list[str]:
+    """A JSON config object as flag tokens.  Its keys are the flags' dests,
+    null leaves a flag unset and a switch takes true or false."""
+    if path is None:
+        return []
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise UsageError("config file must hold a JSON object")
+    actions = {
+        action.dest: action for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    unknown = sorted(set(raw) - set(actions))
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    tokens = []
+    for key, value in raw.items():
+        if value is None:
+            continue
+        flag = actions[key].option_strings[0]
+        switch = actions[key].nargs == 0
+        if switch != isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            wanted = "true or false" if switch else "a string or a number"
+            raise UsageError(f"config key {key} ({flag}) takes {wanted}, got {json.dumps(value)}")
+        if not switch:
+            tokens.append(f"{flag}={value}")
+        elif value:
+            tokens.append(flag)
+    return tokens
 
 
 def build_run_spec(argv: list[str]) -> RunSpec:
     """Parse arguments (and config) into a validated RunSpec."""
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code == 0:
-            raise  # --help and friends exit cleanly
-        raise UsageError("invalid arguments (see usage above)") from None
-    merged = _merge_config(args)
-    command = args.command
+    args = _parse(parser, argv)
+    if args.command == "critical":
+        parser.set_defaults(rel_tol=CRITICAL_TOLERANCE.rel_tol,
+                            abs_tol=CRITICAL_TOLERANCE.abs_tol)
+    # Config entries go first, so an explicit flag wins: argparse keeps the last.
+    args = _parse(parser, [*_config_tokens(parser, args.config), *argv])
 
-    omega = _parse_value_or_range(merged["omega_pa"], "omega-pa", allow_inf=True)
-    z_over_a = _parse_value_or_range(merged["z"], "z")
-    beta = _parse_value_or_range(merged["beta_over_a"], "beta-over-a", allow_inf=True)
+    omega = _parse_value_or_range(args.omega_pa, "omega-pa", PlasmaModel)
+    z_over_a = _parse_value_or_range(args.z, "z", Geometry)
+    beta = _parse_value_or_range(args.beta_over_a, "beta-over-a")
     if isinstance(beta, tuple):
         raise UsageError("--beta-over-a takes a single value, not a range")
-    if beta is not None and math.isinf(beta):
-        beta = None
-    if beta is not None and not (beta > 0.0):
-        raise UsageError("--beta-over-a must be positive or 'inf'")
 
-    si = bool(merged["si"]) if merged["si"] is not None else False
-    separation_um = merged["separation_um"]
-    kelvin = merged["kelvin"]
-    if si and separation_um is None:
+    separation_um, kelvin = args.separation_um, args.kelvin
+    if args.si and separation_um is None:
         raise UsageError("--si needs --separation-um")
-    if (separation_um is not None or kelvin is not None) and not si:
+    if (separation_um is not None or kelvin is not None) and not args.si:
         raise UsageError("--separation-um/--kelvin only apply with --si")
     # a**4 in m**4 and the J/m**3 scale then stay far inside the float range.
     if separation_um is not None and not (1e-60 <= separation_um <= 1e60):
@@ -255,71 +282,49 @@ def build_run_spec(argv: list[str]) -> RunSpec:
     if kelvin is not None:
         if kelvin < 0.0:
             raise UsageError("--kelvin must be >= 0")
-        if merged["beta_over_a"] is not None:
+        if beta is not None:
             raise UsageError("give either --kelvin or --beta-over-a, not both")
-        if kelvin == 0.0:
-            beta = None
-        else:
+        if kelvin != 0.0:
             try:
                 beta = beta_from_temperature(kelvin) / (separation_um * 1e-6)
             except ValueError:
                 raise UsageError("--kelvin must be a finite temperature") from None
-    if beta is not None:
-        try:
-            ThermalState.finite(beta)
-        except ValueError as exc:
-            source = "--kelvin with --separation-um" if kelvin else "--beta-over-a"
-            raise UsageError(f"{source} gives beta/a = {beta:g}: {exc}") from None
+    try:
+        beta = ThermalState(beta).beta
+    except ValueError as exc:
+        source = "--kelvin with --separation-um" if kelvin else "--beta-over-a"
+        raise UsageError(f"{source} gives beta/a = {beta:g}: {exc}") from None
 
-    grid = merged["grid"]
-    grid = 25 if grid is None else int(grid)
-
-    defaults_rel, defaults_abs = (1e-9, 1e-14)
-    if command == "critical" and merged["rel_tol"] is None:
-        # Root location needs sign stability, not many digits.
-        defaults_rel, defaults_abs = (1e-7, 1e-10)
-    rel_tol = float(merged["rel_tol"]) if merged["rel_tol"] is not None else defaults_rel
-    abs_tol = float(merged["abs_tol"]) if merged["abs_tol"] is not None else defaults_abs
-
-    jobs = int(merged["jobs"]) if merged["jobs"] is not None else 1
-    if jobs < 1:
+    if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
+    try:
+        Tolerance(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+    except ValueError as exc:
+        raise UsageError(
+            f"--rel-tol {args.rel_tol:g}, --abs-tol {args.abs_tol:g}: {exc}"
+        ) from None
 
     spec = RunSpec(
-        command=command,
+        command=args.command,
         omega_pa=omega,
         z_over_a=z_over_a,
         beta_over_a=beta,
-        grid=grid,
-        output_format=merged["output_format"] or "csv",
-        output_path=merged["output_path"],
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        jobs=jobs,
-        si=si,
+        grid=args.grid,
+        output_format=args.output_format,
+        output_path=args.output_path,
+        rel_tol=args.rel_tol,
+        abs_tol=args.abs_tol,
+        jobs=args.jobs,
+        si=args.si,
         separation_um=separation_um,
         kelvin=kelvin,
-        emit_plot_script=bool(merged["emit_plot_script"])
-        if merged["emit_plot_script"] is not None
-        else False,
+        emit_plot_script=args.emit_plot_script,
     )
     _validate_spec(spec)
     return spec
 
 
-def _check_points(flag: str, build, value) -> None:
-    """A usage error naming ``flag`` when ``build`` rejects the value or
-    either end of its range."""
-    for point in value if isinstance(value, tuple) else (value,):
-        try:
-            build(point)
-        except ValueError as exc:
-            raise UsageError(f"{flag} {point!r}: {exc}") from None
-
-
 def _validate_spec(spec: RunSpec) -> None:
-    if spec.output_format not in ("csv", "json"):
-        raise UsageError("--format must be csv or json")
     if spec.emit_plot_script and spec.output_path is None:
         raise UsageError("--emit-plot-script needs --out")
     if spec.grid < 2 and (
@@ -333,10 +338,8 @@ def _validate_spec(spec: RunSpec) -> None:
             raise UsageError(f"{command} needs --omega-pa")
         if isinstance(spec.omega_pa, tuple):
             raise UsageError(f"{command} takes a single --omega-pa; use sweep for ranges")
-        _check_points("--omega-pa", PlasmaModel, spec.omega_pa)
         if spec.z_over_a is None:
             raise UsageError(f"{command} needs --z (value or range)")
-        _check_points("--z", Geometry, spec.z_over_a)
     elif command == "sweep":
         if spec.omega_pa is None:
             raise UsageError("sweep needs --omega-pa as an 'A:B' range")
@@ -344,10 +347,8 @@ def _validate_spec(spec: RunSpec) -> None:
             raise UsageError("sweep needs an --omega-pa range 'A:B'")
         if not (0.0 < spec.omega_pa[0] and spec.omega_pa[1] < math.inf):
             raise UsageError("sweep needs an --omega-pa range inside (0, inf) (log spacing)")
-        _check_points("--omega-pa", PlasmaModel, spec.omega_pa)
         if spec.z_over_a is None or isinstance(spec.z_over_a, tuple):
             raise UsageError("sweep needs a single --z value")
-        _check_points("--z", Geometry, spec.z_over_a)
     elif command in ("limits", "critical"):
         if isinstance(spec.omega_pa, tuple) or isinstance(spec.z_over_a, tuple):
             raise UsageError(f"{command} does not take ranges")
@@ -450,16 +451,9 @@ def _cmd_limits(spec: RunSpec):
     rows = [[name, value] for name, value in limits.items()]
     if spec.beta_over_a is not None:
         beta4 = spec.beta_over_a**4
-        rows.append(["blackbody_energy_at_beta", limits["blackbody_energy_coeff"] / beta4])
-        rows.append(
-            ["blackbody_pressure_at_beta", limits["blackbody_pressure_coeff"] / beta4]
-        )
-        rows.append(
-            [
-                "blackbody_nec_transverse_at_beta",
-                limits["blackbody_nec_transverse_coeff"] / beta4,
-            ]
-        )
+        for name, value in limits.items():
+            if name.startswith("blackbody_"):
+                rows.append([name.removesuffix("_coeff") + "_at_beta", value / beta4])
     scale = _si_scale(spec)
     if scale != 1.0:
         rows = [[name, value * scale] for name, value in rows]
@@ -467,18 +461,15 @@ def _cmd_limits(spec: RunSpec):
 
 
 def _cmd_critical(spec: RunSpec):
-    root_rel_tol = 3e-4
-    value = critical_omega_pa(
-        ThermalState(spec.beta_over_a), tol=spec.tolerance(), root_rel_tol=root_rel_tol
-    )
+    value = critical_omega_pa(ThermalState(spec.beta_over_a), tol=spec.tolerance())
     beta_cell = "inf" if spec.beta_over_a is None else spec.beta_over_a
     if value is None:
         rows = [[beta_cell, "none", "none"]]
     else:
-        # The bisection stops once the log10 bracket is narrower than
-        # root_rel_tol times the grid scale; report that width as a
-        # relative uncertainty on the returned value.
-        rel_width = 10.0 ** (root_rel_tol * 5.0) - 1.0
+        # The bisection stops once the log10 bracket is narrower than the
+        # root tolerance times the scan's log10 span; report that width as
+        # a relative uncertainty on the returned value.
+        rel_width = 10.0 ** (CRITICAL_ROOT_REL_TOL * CRITICAL_LOG10_SPAN) - 1.0
         rows = [[beta_cell, value, rel_width]]
     return ["beta_over_a", "critical_omega_pa", "bracket_rel_width"], rows, False, []
 

@@ -341,7 +341,12 @@ def _zero_t(name, omega_p, z_over_a, tol) -> QuadratureResult:
             passes[names] = _zero_t_pass(omega_p, z_over_a, tol, names)
     columns = _columns(passes)
     value = sum(w * columns[c][0] for c, w in weights.items())
-    error = math.sqrt(sum((w * columns[c][1]) ** 2 for c, w in weights.items()))
+    errors = [abs(w * columns[c][1]) for c, w in weights.items()]
+    # An error above about 1e154 overflows when squared; hypot scales instead.
+    if max(errors) < 1e150:
+        error = math.sqrt(sum(e**2 for e in errors))
+    else:
+        error = math.hypot(*errors)
     return QuadratureResult(
         float(prefactor * value), float(prefactor * error),
         sum(p.evaluations for p in passes.values()),
@@ -742,11 +747,19 @@ def reference_limits() -> dict[str, float]:
     }
 
 
+# critical_omega_pa's defaults.  Root location needs sign stability, not
+# many digits, so its tolerance is relaxed relative to the package
+# default; the scan runs over log10(omega_p*a) in [0, CRITICAL_LOG10_SPAN].
+CRITICAL_TOLERANCE = Tolerance(rel_tol=1e-7, abs_tol=1e-10)
+CRITICAL_ROOT_REL_TOL = 3e-4
+CRITICAL_LOG10_SPAN = 5.0
+
+
 def critical_omega_pa(
     thermal: ThermalState | None = None,
     *,
     tol: Tolerance | None = None,
-    root_rel_tol: float = 3e-4,
+    root_rel_tol: float = CRITICAL_ROOT_REL_TOL,
 ) -> float | None:
     """Plasma frequency at which the midpoint energy density turns negative.
 
@@ -760,9 +773,8 @@ def critical_omega_pa(
     thermal : ThermalState, optional
     tol : Tolerance, optional
         Tolerance for the underlying energy evaluations; the default is
-        relaxed relative to the package default because root location
-        needs sign stability, not many digits.
-    root_rel_tol : float, default 3e-4
+        ``CRITICAL_TOLERANCE``.
+    root_rel_tol : float, default CRITICAL_ROOT_REL_TOL
         Bisection width target, relative to the log10 grid span.
 
     Returns
@@ -770,7 +782,7 @@ def critical_omega_pa(
     float or None
     """
     thermal = ThermalState.zero() if thermal is None else thermal
-    tol = Tolerance(rel_tol=1e-7, abs_tol=1e-10) if tol is None else tol
+    tol = CRITICAL_TOLERANCE if tol is None else tol
     # Values by log10(omega_p*a), so bisection reuses the scan's bracket ends.
     known: dict[float, float] = {}
 
@@ -779,7 +791,7 @@ def critical_omega_pa(
             known[log10_wp] = _midpoint_energy(10.0**log10_wp, thermal, tol)
         return known[log10_wp]
 
-    grid = np.linspace(0.0, 5.0, 11)
+    grid = np.linspace(0.0, CRITICAL_LOG10_SPAN, 11)
     for left, right in zip(grid, grid[1:]):
         f_left, f_right = midpoint_energy(left), midpoint_energy(right)
         if f_left == 0.0:

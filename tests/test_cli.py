@@ -197,6 +197,49 @@ def test_config_file_defaults_and_cli_override(tmp_path):
     assert doc["spec"]["rel_tol"] == 1e-6
 
 
+def test_config_entries_print_the_bytes_of_the_same_flags(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "omega_pa": "inf", "z": "0.25:0.75", "grid": 3, "rel_tol": 1e-6,
+        "abs_tol": "1e-10", "beta_over_a": None, "si": True, "separation_um": 2,
+        "emit_plot_script": False,
+    }), encoding="utf-8")
+    flags = ["--omega-pa", "inf", "--z", "0.25:0.75", "--grid", "3", "--rel-tol", "1e-6",
+             "--abs-tol", "1e-10", "--si", "--separation-um", "2"]
+    code, from_config = run_to_file(tmp_path, "config.csv", ["profile", "--config", str(config)])
+    assert code == 0
+    _, from_flags = run_to_file(tmp_path, "flags.csv", ["profile", *flags])
+    assert from_config == from_flags
+
+
+# Config entries that each ran with a wrong value or ended in a traceback
+# when config values skipped the flags' parsing, with the command line
+# they join and the flag the diagnostic must name.
+CONFIG_CASES = [
+    (["limits", "--separation-um", "1"], {"si": "no"}, "--si"),
+    (["profile", "--z", "0.5", *FAST], {"omega_pa": True}, "--omega-pa"),
+    (["profile", "--omega-pa", "10", "--z", "0.2:0.8", *FAST], {"grid": 2.7}, "--grid"),
+    (["limits"], {"grid": "x"}, "--grid"),
+    (["limits"], {"rel_tol": "abc"}, "--rel-tol"),
+    (["limits"], {"jobs": "two"}, "--jobs"),
+    (["limits", "--si", "--separation-um", "1", "--beta-over-a", "5"], {"kelvin": "300"},
+     "--kelvin"),
+    (["limits", "--si", "--kelvin", "1e100"], {"separation_um": "1"}, "--separation-um"),
+    (["limits"], {"output_format": "xml"}, "--format"),
+]
+
+
+def test_bad_config_entries_are_usage_errors(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for argv, entries, flag in CONFIG_CASES:
+        config.write_text(json.dumps(entries), encoding="utf-8")
+        code = cli.main([*argv, "--config", str(config)])
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("casimir-stress: error:")]
+        assert code == 1, entries
+        assert any(flag in line for line in errors), (entries, errors)
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"omega": 1.0}), encoding="utf-8")
@@ -258,6 +301,9 @@ EXTREME_INPUTS = [
     (["nec", "--omega-pa", "10", "--z", "1e-200:0.5"], "--z"),
     (["limits", "--si", "--separation-um", "1", "--kelvin", "inf"], "--kelvin"),
     (["limits", "--si", "--separation-um", "1", "--kelvin", "nan"], "--kelvin"),
+    # Options a command does not read are still checked by their types.
+    (["critical", "--z", "7", "--omega-pa", "-5"], "--omega-pa"),
+    (["limits", "--rel-tol", "-1"], "--rel-tol"),
 ]
 
 
@@ -275,11 +321,15 @@ def test_extreme_inputs_end_in_a_one_line_diagnostic(tmp_path, capsys):
         assert code == 0, argv
         _, _, rows = parse_csv(text)
         assert rows[0][-1] == "1", argv
-    # At the smallest position allowed the row is computed, not refused.
+    # At the smallest position allowed the row is computed, not refused,
+    # and its error estimates stay finite though their squares overflow.
     code, text = run_to_file(tmp_path, "edge.csv", ["profile", "--omega-pa", "10", "--z", "1e-100"])
     assert code in (0, 2)
-    _, _, rows = parse_csv(text)
+    _, header, rows = parse_csv(text)
     assert float(rows[0][0]) == 1e-100
+    errors = [float(cell) for name, cell in zip(header, rows[0]) if name.startswith("err_")]
+    assert len(errors) == 6 and all(math.isfinite(e) for e in errors), errors
+    assert "overflow" not in capsys.readouterr().err
     capsys.readouterr()
 
 
