@@ -41,6 +41,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -207,6 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--emit-plot-script", action="store_true",
                         help="also write a matplotlib script next to --out")
     parser.add_argument("--config", help="JSON object of option values (explicit flags win)")
+    # A token such as -1e-3, -inf or -1e-3:0.5 is a value, not a flag;
+    # argparse's own pattern takes only plain negative decimals.
+    parser._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

@@ -48,8 +48,11 @@ single integrand over ``x``: its weights times the columns at every
 node.  Up to about 400 predicted terms the sum is direct, blocks of
 frequencies sharing one ``x`` grid, until a geometric tail bound meets
 the tolerance.  Beyond that (large ``beta`` or near a wall) it is split:
-the zero-temperature value plus 21 windowed Matsubara terms of the
-columns minus their windowed integral, whatever ``beta`` and ``z`` are.
+each column's zero-temperature integral plus 21 windowed Matsubara terms
+of it minus their windowed integral, whatever ``beta`` and ``z`` are.
+Every route ends in the same assembly: a quantity is its prefactor times
+its weights on the sums, their errors combined in quadrature, plus its
+blackbody term.
 
 Sign conventions: negative energy density means the vacuum energy lies
 below the free-space value; negative ``pressure_zz`` means the walls
@@ -273,14 +276,13 @@ def _kernel(kappa, t, weight, omega_p, z_over_a, names):
 
 
 # ----------------------------------------------------------------------
-# Assembly: zero-temperature double integrals and Matsubara sums.
-#
-# At zero temperature two passes give every quantity: the bound pass,
-# which does not depend on the position and is kept for a profile's
-# rows, and a position pass, kept for the operations of one row beside
-# the field squares' pass.  At finite temperature a row's quantities
-# are kept likewise, and the z-independent tzz and bound part of the
-# split's correction are kept across the rows of a profile.
+# Assembly.  Every quantity is its prefactor times its weights on a set
+# of sums, plus its blackbody term at finite temperature.  A sum is a
+# zero-temperature double integral of columns, a split column (that
+# integral plus a windowed Matsubara correction) or a direct Matsubara
+# sum of a quantity's combined column.  Two memos keep the sums: those
+# that read no position, which a profile's rows share, and the last
+# position's, which the operations of one row share.
 # ----------------------------------------------------------------------
 
 # Each quantity: its prefactor, its blackbody part times beta**4 (None
@@ -299,13 +301,13 @@ _QUANTITIES = {
 _ROW = ("t00", "txx", "nec_x", "nec_z")
 
 
-def _summed(name):
-    """A quantity's column weights under a Matsubara sum.
+def _summed(weights):
+    """Column weights under a Matsubara sum.
 
     N's subtraction of b(t=1) integrates to zero over continuous t but
     not under a sum over zeta_n, so a sum reads N as B0 - 3*B2.
     """
-    weights = dict(_QUANTITIES[name][2])
+    weights = dict(weights)
     n = weights.pop("N", 0.0)
     if n:
         weights["B0"] = weights.get("B0", 0.0) + n
@@ -313,15 +315,12 @@ def _summed(name):
     return weights
 
 
-def _columns(passes):
-    """{column: (value, error)} from {column names: the pass forming them}."""
-    return {
-        c: (p.value[i], p.error_estimate[i])
-        for names, p in passes.items() for i, c in enumerate(names)
-    }
+def _matrix(weights):
+    """The columns that a list of weights reads, and the weights as rows on them."""
+    columns = tuple(dict.fromkeys(c for w in weights for c in w))
+    return columns, np.array([[w.get(c, 0.0) for c in columns] for w in weights])
 
 
-@lru_cache(maxsize=3)
 def _zero_t_pass(omega_p, z_over_a, tol, names) -> QuadratureResult:
     """The bound pass (z_over_a None) or a position pass of the named columns."""
     return integrate_2d(
@@ -329,28 +328,6 @@ def _zero_t_pass(omega_p, z_over_a, tol, names) -> QuadratureResult:
         SemiInfinite(_dep_scale(z_over_a)),
         UnitInterval(),
         tol,
-    )
-
-
-def _zero_t(name, omega_p, z_over_a, tol) -> QuadratureResult:
-    """One quantity at zero temperature, with root-sum-square column errors."""
-    prefactor, _, weights = _QUANTITIES[name]
-    passes = {_BOUND: _zero_t_pass(omega_p, None, tol, _BOUND)}
-    for names in _POSITION:
-        if weights.keys() & names:
-            passes[names] = _zero_t_pass(omega_p, z_over_a, tol, names)
-    columns = _columns(passes)
-    value = sum(w * columns[c][0] for c, w in weights.items())
-    errors = [abs(w * columns[c][1]) for c, w in weights.items()]
-    # An error above about 1e154 overflows when squared; hypot scales instead.
-    if max(errors) < 1e150:
-        error = math.sqrt(sum(e**2 for e in errors))
-    else:
-        error = math.hypot(*errors)
-    return QuadratureResult(
-        float(prefactor * value), float(prefactor * error),
-        sum(p.evaluations for p in passes.values()),
-        all(p.converged for p in passes.values()),
     )
 
 
@@ -372,17 +349,15 @@ def _frequency_integrals(zeta, matrix, omega_p, z_over_a, tol, names):
     return integrate_semiinf(f, _dep_scale(z_over_a), tol)
 
 
-def _thermal_direct(omega_p, z_over_a, beta, tol, names):
-    """Matsubara sums of the named quantities, term by term.
+def _thermal_direct(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
+    """Matsubara sums of the named quantities' combined columns, term by term.
 
     Each quantity is one integrand, its weights times the kernel's
     columns at every node, so that each meets the tolerance on its own.
     Each term's inner-quadrature error joins the tail estimate with the
     term's weight (half for the zero frequency).
     """
-    weights = [_summed(name) for name in names]
-    columns = tuple(dict.fromkeys(c for w in weights for c in w))
-    matrix = np.array([[w.get(c, 0.0) for c in columns] for w in weights])
+    columns, matrix = _matrix([_summed(_QUANTITIES[name][2]) for name in names])
     parts = []
 
     def summand(zeta):
@@ -392,17 +367,12 @@ def _thermal_direct(omega_p, z_over_a, beta, tol, names):
     summed = matsubara_sum(summand, beta, tol)
     inner = np.vstack([p.error_estimate.reshape(len(names), -1).T for p in parts])
     inner = inner[: summed.evaluations]
-    error = summed.error_estimate + (np.sum(inner, axis=0) - 0.5 * inner[0]) / beta
-    evaluations = summed.evaluations + sum(p.evaluations for p in parts)
-    converged = summed.converged and all(p.converged for p in parts)
-    results = {}
-    for name, v, err in zip(names, summed.value, error):
-        prefactor, blackbody, _ = _QUANTITIES[name]
-        results[name] = QuadratureResult(
-            float(2.0 * math.pi * prefactor * v + blackbody / beta**4),
-            float(2.0 * math.pi * prefactor * err), evaluations, converged,
-        )
-    return results
+    return QuadratureResult(
+        summed.value,
+        summed.error_estimate + (np.sum(inner, axis=0) - 0.5 * inner[0]) / beta,
+        summed.evaluations + sum(p.evaluations for p in parts),
+        summed.converged and all(p.converged for p in parts),
+    )
 
 
 # The split.  With h = 2*pi/beta and a window w = erfc((zeta - Z)/sigma)/2,
@@ -429,12 +399,8 @@ _SPLIT_WEIGHTS = np.where(_SPLIT_N, 2.0, 1.0) * math.pi * _window(2.0 * math.pi 
 _WINDOW_MISS = 4.0 * math.exp(-0.25 * _WINDOW[1] ** 2)
 
 
-# Two entries: a profile's rows share the bound correction, which each
-# row asks for before its own position correction.
-@lru_cache(maxsize=2)
-def _correction(omega_p, z_over_a, beta, tol) -> QuadratureResult:
-    """h*sum'(g*w) - int(g*w) of the bound columns (B0, B2), or of D."""
-    names = ("B0", "B2") if z_over_a is None else ("D",)
+def _correction(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
+    """h*sum'(g*w) - int(g*w) of the named columns (B0 and B2, or D)."""
     decay = _dep_scale(z_over_a)
     top = _WINDOW[2] / beta
     zeta = (2.0 * math.pi * _SPLIT_N / beta)[:, None]
@@ -459,72 +425,70 @@ def _correction(omega_p, z_over_a, beta, tol) -> QuadratureResult:
     )
 
 
-def _thermal_split(omega_p, z_over_a, beta, tol, names):
-    """Each quantity as its zero-temperature value plus its summed weights
-    on the bound and position corrections, whose errors add.
+def _sums(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
+    """The named columns at zero temperature or split, or the named
+    quantities' direct Matsubara sums; values and errors run over names.
+
+    A split column is its zero-temperature integral plus its windowed
+    correction, N's being that of B0 - 3*B2, and the two errors add.
     """
-    corrections = {("B0", "B2"): _correction(omega_p, None, beta, tol)}
-    if z_over_a is not None:
-        corrections[("D",)] = _correction(omega_p, z_over_a, beta, tol)
-    columns = _columns(corrections)
-    results = {}
-    for name in names:
-        prefactor, blackbody, _ = _QUANTITIES[name]
-        weights = _summed(name)
-        zero = _zero_t(name, omega_p, z_over_a, tol)
-        value = sum(w * columns[c][0] for c, w in weights.items())
-        error = sum(abs(w) * columns[c][1] for c, w in weights.items())
-        results[name] = QuadratureResult(
-            float(zero.value + prefactor * value + blackbody / beta**4),
-            float(zero.error_estimate + prefactor * error),
-            zero.evaluations + sum(c.evaluations for c in corrections.values()),
-            zero.converged and all(c.converged for c in corrections.values()),
-        )
-    return results
+    if beta is not None and names[0] in _QUANTITIES:
+        return _thermal_direct(omega_p, z_over_a, beta, tol, names)
+    zero = _zero_t_pass(omega_p, z_over_a, tol, names)
+    if beta is None:
+        return zero
+    windowed, matrix = _matrix([_summed({c: 1.0}) for c in names])
+    correction = _correction(omega_p, z_over_a, beta, tol, windowed)
+    return QuadratureResult(
+        zero.value + matrix @ correction.value,
+        zero.error_estimate + np.abs(matrix) @ correction.error_estimate,
+        zero.evaluations + correction.evaluations,
+        zero.converged and correction.converged,
+    )
 
 
+# The memos, each sized by the kinds of entry it holds.  The sums that
+# read no position: the bound columns (at zero temperature or split) and
+# tzz's direct sum.  The last position's: a row's own sums and the field
+# squares' columns.
+_unplaced = lru_cache(maxsize=2)(_sums)
+_placed = lru_cache(maxsize=2)(_sums)
+
+
+def clear_caches() -> None:
+    """Forget all kept sums; later results are bitwise the same."""
+    _unplaced.cache_clear()
+    _placed.cache_clear()
+
+
+_DEFAULT_TOL = Tolerance()
 # The split costs about as much as a direct sum of this many terms.
 _SPLIT_ABOVE = 400
 
 
-# Three entries: the rows of a profile share tzz, which each row asks for
-# between its own quantities, so a new row evicts only the row before.
-@lru_cache(maxsize=3)
-def _thermal(omega_p, z_over_a, beta, tol, names) -> dict[str, QuadratureResult]:
-    """The named finite-temperature quantities, by the cheaper route.
-
-    A direct sum needs about beta*ln(1/rel_tol)/(4*pi*m) terms, with m
-    the nearer wall's distance (1 for tzz, whose terms decay like
-    exp(-2*zeta_n)); above _SPLIT_ABOVE of them the split is cheaper.
-    """
-    nearest = 1.0 if z_over_a is None else min(z_over_a, 1.0 - z_over_a)
-    terms = beta * math.log(1.0 / tol.rel_tol) / (4.0 * math.pi * nearest)
-    path = _thermal_split if terms > _SPLIT_ABOVE else _thermal_direct
-    return path(omega_p, z_over_a, beta, tol, names)
-
-
-def clear_caches() -> None:
-    """Forget all cached integrals; later results are bitwise the same."""
-    _zero_t_pass.cache_clear()
-    _correction.cache_clear()
-    _thermal.cache_clear()
-
-
-_DEFAULT_TOL = Tolerance()
-
-
-def _quantity(name, geom, model, thermal=None, tol=None) -> QuadratureResult:
+def _quantity(name, geom, model, thermal=None, tol=None, row=_ROW) -> QuadratureResult:
     """A _QUANTITIES entry at geom's position, or at none if it reads no
-    position column, at zero or finite temperature.
+    position column: its prefactor times its weights on its sums, the
+    errors combined by hypot, plus blackbody/beta**4 at finite
+    temperature.
 
-    Called by a public operation: a position within 1e-3 of a wall warns
-    at the line that called it.  At finite temperature the quantities of
-    a position are summed together and kept.
+    Zero temperature and the split read the bound columns and the
+    position columns that the weights name.  A direct Matsubara sum
+    reads the quantity's own combined column with weight 1, summed at a
+    position together with the rest of ``row``.  It needs about
+    beta*ln(1/rel_tol)/(4*pi*m) terms, with m the nearer wall's distance
+    (1 for tzz, whose terms decay like exp(-2*zeta_n)); above
+    _SPLIT_ABOVE of them the split is cheaper.  Called by a public
+    operation: a position within 1e-3 of a wall warns at the line that
+    called it.
     """
     tol = _DEFAULT_TOL if tol is None else tol
-    z_over_a = None
-    if _QUANTITIES[name][2].keys() - set(_BOUND):
+    beta = None if thermal is None else thermal.beta
+    prefactor, blackbody, weights = _QUANTITIES[name]
+    z_over_a, nearest = None, 1.0
+    if weights.keys() - set(_BOUND):
         z_over_a = geom.z_over_a
+        nearest = min(z_over_a, 1.0 - z_over_a)
         if z_over_a < 1e-3 or z_over_a > 1.0 - 1e-3:
             warnings.warn(
                 "position is within 1e-3*a of a wall; convergence is slow and the "
@@ -532,10 +496,26 @@ def _quantity(name, geom, model, thermal=None, tol=None) -> QuadratureResult:
                 SlowConvergenceWarning,
                 stacklevel=3,
             )
-    if thermal is None or thermal.is_zero:
-        return _zero_t(name, model.omega_p, z_over_a, tol)
-    names = (name,) if z_over_a is None else _ROW
-    return _thermal(model.omega_p, z_over_a, thermal.beta, tol, names)[name]
+    direct = beta is not None and (
+        beta * math.log(1.0 / tol.rel_tol) / (4.0 * math.pi * nearest) <= _SPLIT_ABOVE)
+    if direct:
+        wanted = [(z_over_a, (name,) if z_over_a is None else row)]
+        prefactor, weights = 2.0 * math.pi * prefactor, {name: 1.0}
+    else:
+        wanted = [(None, _BOUND)]
+        wanted += [(z_over_a, names) for names in _POSITION if weights.keys() & names]
+    parts = [(names, (_unplaced if z is None else _placed)(model.omega_p, z, beta, tol, names))
+             for z, names in wanted]
+    columns = {c: (p.value[i], p.error_estimate[i])
+               for names, p in parts for i, c in enumerate(names)}
+    value = prefactor * sum(w * columns[c][0] for c, w in weights.items())
+    if beta is not None:
+        value += blackbody / beta**4
+    return QuadratureResult(
+        float(value),
+        float(prefactor * math.hypot(*(w * columns[c][1] for c, w in weights.items()))),
+        sum(p.evaluations for _, p in parts), all(p.converged for _, p in parts),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -800,14 +780,10 @@ def critical_omega_pa(
             root = bracket_root(
                 midpoint_energy, float(left), float(right), rel_tol=root_rel_tol
             )
-            if root is None:
-                continue
             return 10.0**root
     return None
 
 
 def _midpoint_energy(omega_p, thermal, tol) -> float:
-    """energy_density at z = a/2; at finite temperature only t00 is integrated."""
-    if thermal.is_zero:
-        return energy_density(Geometry(z=0.5), PlasmaModel(omega_p), tol=tol).value
-    return _thermal(omega_p, 0.5, thermal.beta, tol, ("t00",))["t00"].value
+    """energy_density at z = a/2; a direct Matsubara sum forms t00 alone."""
+    return _quantity("t00", Geometry(z=0.5), PlasmaModel(omega_p), thermal, tol, ("t00",)).value

@@ -304,6 +304,12 @@ EXTREME_INPUTS = [
     # Options a command does not read are still checked by their types.
     (["critical", "--z", "7", "--omega-pa", "-5"], "--omega-pa"),
     (["limits", "--rel-tol", "-1"], "--rel-tol"),
+    # Values that start with '-' but are not plain decimals reach their
+    # checks instead of being read as flags.
+    (["limits", "--beta-over-a", "-inf"], "--beta-over-a"),
+    (["nec", "--omega-pa", "10", "--z", "-1e-3:0.5"], "--z"),
+    (["profile", "--omega-pa", "-1e-3", "--z", "0.5"], "--omega-pa"),
+    (["profile", "--omega-pa", "10", "--z", "0.5", "--rel-tol", "-1e-9"], "--rel-tol"),
 ]
 
 

@@ -266,13 +266,14 @@ def test_thermal_error_estimates_bound_the_actual_error(monkeypatch):
     # Seeded points on both sides of the split threshold; every column
     # lies within its error estimate of the independent thermal oracle,
     # plus that oracle's own 1e-10, and the estimate is within ten times
-    # the tolerance the row claims to meet.
+    # the tolerance the row claims to meet.  Both routes are taken: the
+    # split's windowed correction and the direct sum.
     oracle = _thermal_oracle()
-    paths = []
-    for name in ("_thermal_split", "_thermal_direct"):
-        def taken(*args, _path=getattr(stress_mod, name), _name=name):
-            paths.append(_name)
-            return _path(*args)
+    routes = []
+    for name in ("_correction", "_thermal_direct"):
+        def taken(*args, _route=getattr(stress_mod, name), _name=name):
+            routes.append(_name)
+            return _route(*args)
 
         monkeypatch.setattr(stress_mod, name, taken)
     rng = np.random.default_rng(7)
@@ -289,23 +290,30 @@ def test_thermal_error_estimates_bound_the_actual_error(monkeypatch):
                 assert miss <= res.error_estimate + 1e-10 * abs(ref[name]), (
                     name, z, beta, res.value, ref[name], res.error_estimate)
                 assert res.error_estimate <= 10.0 * Tolerance().rel_tol * abs(ref[name])
-    assert set(paths) == {"_thermal_split", "_thermal_direct"}
+    assert set(routes) == {"_correction", "_thermal_direct"}
 
 
-def test_split_and_direct_sums_agree():
-    # Both routes at points below the threshold (where the direct sum is
-    # taken), above it, and for the position-independent tzz.
-    tol = Tolerance()
-    for omega_p, z, beta in ((100.0, 0.5, 20.0), (10.0, 0.3, 50.0), (100.0, 0.3, 100.0),
-                             (1e4, 0.5, 300.0), (100.0, None, 30.0), (100.0, None, 1000.0)):
-        names = ("tzz",) if z is None else stress_mod._ROW
-        split = stress_mod._thermal_split(omega_p, z, beta, tol, names)
-        direct = stress_mod._thermal_direct(omega_p, z, beta, tol, names)
-        for name in names:
-            a, b = split[name], direct[name]
-            assert a.converged and b.converged, (name, omega_p, z, beta)
-            assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, (
-                name, omega_p, z, beta, a, b)
+def test_split_and_direct_sums_agree(monkeypatch):
+    # Both routes, each forced through the public operations, at points
+    # below the threshold (where the direct sum is taken), above it, and
+    # for the position-independent tzz.
+    points = ((100.0, 0.5, 20.0), (10.0, 0.3, 50.0), (100.0, 0.3, 100.0),
+              (1e4, 0.5, 300.0), (100.0, None, 30.0), (100.0, None, 1000.0))
+    routes = []
+    for split_above in (0, math.inf):
+        monkeypatch.setattr(stress_mod, "_SPLIT_ABOVE", split_above)
+        stress_mod.clear_caches()
+        routes.append({})
+        for omega_p, z, beta in points:
+            for name in ("tzz",) if z is None else stress_mod._ROW:
+                op, geom = CLI_COLUMNS[name], Geometry(0.5 if z is None else z)
+                routes[-1][name, omega_p, z, beta] = op(
+                    geom, PlasmaModel(omega_p), ThermalState.finite(beta))
+    split, direct = routes
+    for key, a in split.items():
+        b = direct[key]
+        assert a.converged and b.converged, key
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, (key, a, b)
 
 
 def _count_thermal_work(monkeypatch):
@@ -408,10 +416,14 @@ def test_one_kernel_serves_every_reduction(monkeypatch):
 
 
 def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
-    # Three rows in CLI order: at beta = 5 (direct) tzz is summed once,
-    # at beta = 1000 (split) the bound correction's 21 frequencies, the
-    # one x-integral of decay scale 0.5, are integrated once.
-    sums, decays = [], []
+    # Rows in CLI order: at beta = 5 (direct) tzz is summed once, at
+    # beta = 1000 (split) the bound correction's 21 frequencies, the one
+    # x-integral of decay scale 0.5, are integrated once.  At beta = 100
+    # the 19 rows of z in 0.05:0.95 mix the routes: the edge rows split,
+    # while the middle three rows and tzz take the direct sum.  The bound
+    # pass and the bound correction's double integral still run once
+    # each, and tzz is summed once.
+    sums, decays, bound_passes = [], [], []
 
     def direct(omega_p, z_over_a, beta, tol, names):
         sums.append(names)
@@ -421,20 +433,48 @@ def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
         decays.append(decay)
         return original_semi(f, decay, tol)
 
+    def double(f, outer, inner, tol=None):
+        if outer.decay_scale == 0.5:
+            bound_passes.append(f.__qualname__.split(".")[0])
+        return original_double(f, outer, inner, tol)
+
     original_direct, original_semi = stress_mod._thermal_direct, stress_mod.integrate_semiinf
+    original_double = stress_mod.integrate_2d
     monkeypatch.setattr(stress_mod, "_thermal_direct", direct)
     monkeypatch.setattr(stress_mod, "integrate_semiinf", semi)
-    for beta in (5.0, 1000.0):
+    monkeypatch.setattr(stress_mod, "integrate_2d", double)
+    three = (0.25, 0.5, 0.75)
+    nineteen = [0.05 + i * (0.9 / 18) for i in range(19)]
+    for beta, rows in ((5.0, three), (1000.0, three), (100.0, nineteen)):
         stress_mod.clear_caches()
         sums.clear()
         decays.clear()
-        for z in (0.25, 0.5, 0.75):
+        bound_passes.clear()
+        for z in rows:
             for op in CLI_COLUMNS.values():
                 assert op(Geometry(z), PlasmaModel(100.0), ThermalState.finite(beta)).converged
         if beta == 5.0:
             assert sums.count(("tzz",)) == 1 and len(sums) == 4, sums
-        else:
+        elif beta == 1000.0:
             assert sums == [] and decays.count(0.5) == 1 and len(decays) == 4, decays
+        else:
+            assert sums.count(("tzz",)) == 1 and len(sums) == 4, sums
+            assert sorted(bound_passes) == ["_correction", "_zero_t_pass"], bound_passes
+
+
+def test_clear_caches_empties_every_memo():
+    # A zero-temperature row with the field squares, a direct row and a
+    # split row fill the memos; clear_caches must empty every one.
+    memos = [v for v in vars(stress_mod).values() if hasattr(v, "cache_clear")]
+    model = PlasmaModel(100.0)
+    for op in ZERO_T_OPS.values():
+        op(Geometry(0.5), model, tol=QUICK)
+    for beta in (5.0, 1000.0):
+        for op in OPS.values():
+            op(Geometry(0.5), model, ThermalState.finite(beta), tol=QUICK)
+    assert memos and all(m.cache_info().currsize > 0 for m in memos)
+    stress_mod.clear_caches()
+    assert all(m.cache_info().currsize == 0 for m in memos)
 
 
 def test_zero_temperature_rows_share_two_passes(monkeypatch):
