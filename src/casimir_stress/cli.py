@@ -106,8 +106,8 @@ class RunSpec:
     grid: int = 25
     output_format: str = "csv"
     output_path: str | None = None
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-14
+    rel_tol: float = Tolerance.rel_tol
+    abs_tol: float = Tolerance.abs_tol
     jobs: int = 1
     si: bool = False
     separation_um: float | None = None
@@ -206,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--kelvin", type=float,
                         help="temperature in Kelvin (with --si; sets beta/a)")
     parser.add_argument("--emit-plot-script", action="store_true",
-                        help="also write a matplotlib script next to --out")
+                        help="also write a matplotlib script next to --out (rows only)")
     parser.add_argument("--config", help="JSON object of option values (explicit flags win)")
     # A token such as -1e-3, -inf or -1e-3:0.5 is a value, not a flag;
     # argparse's own pattern takes only plain negative decimals.
@@ -331,10 +331,8 @@ def build_run_spec(argv: list[str]) -> RunSpec:
 def _validate_spec(spec: RunSpec) -> None:
     if spec.emit_plot_script and spec.output_path is None:
         raise UsageError("--emit-plot-script needs --out")
-    if spec.grid < 2 and (
-        isinstance(spec.omega_pa, tuple) or isinstance(spec.z_over_a, tuple)
-    ):
-        raise UsageError("--grid must be >= 2 when a range is given")
+    if spec.grid < 2:
+        raise UsageError("--grid must be >= 2")
 
     command = spec.command
     if command in ("profile", "nec"):
@@ -356,6 +354,8 @@ def _validate_spec(spec: RunSpec) -> None:
     elif command in ("limits", "critical"):
         if isinstance(spec.omega_pa, tuple) or isinstance(spec.z_over_a, tuple):
             raise UsageError(f"{command} does not take ranges")
+        if spec.emit_plot_script:
+            raise UsageError(f"--emit-plot-script plots rows along an axis; {command} has none")
 
 
 # ----------------------------------------------------------------------

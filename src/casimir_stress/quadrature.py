@@ -312,16 +312,9 @@ def _integrate(name, f, axes, tol):
             for a, ((domain, span), l) in enumerate(zip(axes, levels))
         ]
 
-    # The value at each level tuple, kept: after a round the coarser value
-    # along a refined axis is the total before it.
-    estimates = {}
-
     def estimate(levels):
-        key = tuple(levels)
-        if key not in estimates:
-            step = math.prod([_DE_STEP / 2**l for l in levels])
-            estimates[key] = step * np.add.reduce(parts[tuple([slice(l + 1) for l in levels])], over)
-        return estimates[key]
+        step = math.prod([_DE_STEP / 2**l for l in levels])
+        return step * np.add.reduce(parts[tuple([slice(l + 1) for l in levels])], over)
 
     levels = [int(size([1] * len(axes)) <= tol.max_evaluations)] * len(axes)
     parts = _grid_sums(fs, grid(levels))

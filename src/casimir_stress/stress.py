@@ -450,7 +450,9 @@ def _sums(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
 # The memos, each sized by the kinds of entry it holds.  The sums that
 # read no position: the bound columns (at zero temperature or split) and
 # tzz's direct sum.  The last position's: a row's own sums and the field
-# squares' columns.
+# squares' columns.  They are the only evaluation caches: with one kind
+# per point, critical_omega_pa finds its bisection's bracket ends, the
+# last two points, in them.
 _unplaced = lru_cache(maxsize=2)(_sums)
 _placed = lru_cache(maxsize=2)(_sums)
 
@@ -466,7 +468,7 @@ _DEFAULT_TOL = Tolerance()
 _SPLIT_ABOVE = 400
 
 
-def _quantity(name, geom, model, thermal=None, tol=None, row=_ROW) -> QuadratureResult:
+def _quantity(name, geom, model, thermal=None, tol=None) -> QuadratureResult:
     """A _QUANTITIES entry at geom's position, or at none if it reads no
     position column: its prefactor times its weights on its sums, the
     errors combined by hypot, plus blackbody/beta**4 at finite
@@ -475,20 +477,18 @@ def _quantity(name, geom, model, thermal=None, tol=None, row=_ROW) -> Quadrature
     Zero temperature and the split read the bound columns and the
     position columns that the weights name.  A direct Matsubara sum
     reads the quantity's own combined column with weight 1, summed at a
-    position together with the rest of ``row``.  It needs about
-    beta*ln(1/rel_tol)/(4*pi*m) terms, with m the nearer wall's distance
-    (1 for tzz, whose terms decay like exp(-2*zeta_n)); above
-    _SPLIT_ABOVE of them the split is cheaper.  Called by a public
-    operation: a position within 1e-3 of a wall warns at the line that
-    called it.
+    position together with the rest of _ROW.  It needs about
+    beta*ln(1/rel_tol)*_dep_scale/(2*pi) terms (tzz, which reads no
+    position, decays like exp(-2*zeta_n)); above _SPLIT_ABOVE of them
+    the split is cheaper.  Called by a public operation: a position
+    within 1e-3 of a wall warns at the line that called it.
     """
     tol = _DEFAULT_TOL if tol is None else tol
     beta = None if thermal is None else thermal.beta
     prefactor, blackbody, weights = _QUANTITIES[name]
-    z_over_a, nearest = None, 1.0
+    z_over_a = None
     if weights.keys() - set(_BOUND):
         z_over_a = geom.z_over_a
-        nearest = min(z_over_a, 1.0 - z_over_a)
         if z_over_a < 1e-3 or z_over_a > 1.0 - 1e-3:
             warnings.warn(
                 "position is within 1e-3*a of a wall; convergence is slow and the "
@@ -497,9 +497,10 @@ def _quantity(name, geom, model, thermal=None, tol=None, row=_ROW) -> Quadrature
                 stacklevel=3,
             )
     direct = beta is not None and (
-        beta * math.log(1.0 / tol.rel_tol) / (4.0 * math.pi * nearest) <= _SPLIT_ABOVE)
+        beta * math.log(1.0 / tol.rel_tol) * _dep_scale(z_over_a) / (2.0 * math.pi)
+        <= _SPLIT_ABOVE)
     if direct:
-        wanted = [(z_over_a, (name,) if z_over_a is None else row)]
+        wanted = [(z_over_a, (name,) if z_over_a is None else _ROW)]
         prefactor, weights = 2.0 * math.pi * prefactor, {name: 1.0}
     else:
         wanted = [(None, _BOUND)]
@@ -721,15 +722,17 @@ def reference_limits() -> dict[str, float]:
         "pc_pressure_zz": 3.0 * pc_energy,
         "pc_nec_transverse": 0.0,
         "pc_nec_longitudinal": -math.pi**2 / 180.0,
-        "blackbody_energy_coeff": math.pi**2 / 15.0,
-        "blackbody_pressure_coeff": math.pi**2 / 45.0,
-        "blackbody_nec_transverse_coeff": 4.0 * math.pi**2 / 45.0,
+        "blackbody_energy_coeff": _QUANTITIES["t00"][1],
+        "blackbody_pressure_coeff": _QUANTITIES["txx"][1],
+        "blackbody_nec_transverse_coeff": _QUANTITIES["nec_x"][1],
     }
 
 
-# critical_omega_pa's defaults.  Root location needs sign stability, not
-# many digits, so its tolerance is relaxed relative to the package
-# default; the scan runs over log10(omega_p*a) in [0, CRITICAL_LOG10_SPAN].
+# critical_omega_pa's default tolerance, its bisection's relative width
+# in log10(omega_p*a) and its scan span.  Root location needs sign
+# stability, not many digits, so the tolerance is relaxed relative to the
+# package default; the scan runs over log10(omega_p*a) in
+# [0, CRITICAL_LOG10_SPAN].
 CRITICAL_TOLERANCE = Tolerance(rel_tol=1e-7, abs_tol=1e-10)
 CRITICAL_ROOT_REL_TOL = 3e-4
 CRITICAL_LOG10_SPAN = 5.0
@@ -739,14 +742,16 @@ def critical_omega_pa(
     thermal: ThermalState | None = None,
     *,
     tol: Tolerance | None = None,
-    root_rel_tol: float = CRITICAL_ROOT_REL_TOL,
 ) -> float | None:
     """Plasma frequency at which the midpoint energy density turns negative.
 
     Scans omega_p*a over [1, 1e5] on a log grid up to the first sign
-    change of energy_density(z = a/2), then bisects it.  Returns None when the
-    energy density keeps one sign across the whole range, which is the
-    expected outcome at high temperature (beta below roughly 2.6*a).
+    change of energy_density(z = a/2), then bisects it in log10(omega_p*a)
+    to CRITICAL_ROOT_REL_TOL.  The bisection's bracket ends are the
+    scan's last two points, which the memos still hold, so every point
+    is evaluated once.  Returns None when the energy density keeps one
+    sign across the whole range, which is the expected outcome at high
+    temperature (beta below roughly 2.6*a).
 
     Parameters
     ----------
@@ -754,22 +759,15 @@ def critical_omega_pa(
     tol : Tolerance, optional
         Tolerance for the underlying energy evaluations; the default is
         ``CRITICAL_TOLERANCE``.
-    root_rel_tol : float, default CRITICAL_ROOT_REL_TOL
-        Bisection width target, relative to the log10 grid span.
 
     Returns
     -------
     float or None
     """
-    thermal = ThermalState.zero() if thermal is None else thermal
     tol = CRITICAL_TOLERANCE if tol is None else tol
-    # Values by log10(omega_p*a), so bisection reuses the scan's bracket ends.
-    known: dict[float, float] = {}
 
     def midpoint_energy(log10_wp: float) -> float:
-        if log10_wp not in known:
-            known[log10_wp] = _midpoint_energy(10.0**log10_wp, thermal, tol)
-        return known[log10_wp]
+        return energy_density(Geometry(z=0.5), PlasmaModel(10.0**log10_wp), thermal, tol=tol).value
 
     grid = np.linspace(0.0, CRITICAL_LOG10_SPAN, 11)
     for left, right in zip(grid, grid[1:]):
@@ -778,12 +776,7 @@ def critical_omega_pa(
             return 10.0**left
         if (f_left > 0.0) != (f_right > 0.0):
             root = bracket_root(
-                midpoint_energy, float(left), float(right), rel_tol=root_rel_tol
+                midpoint_energy, float(left), float(right), rel_tol=CRITICAL_ROOT_REL_TOL
             )
             return 10.0**root
     return None
-
-
-def _midpoint_energy(omega_p, thermal, tol) -> float:
-    """energy_density at z = a/2; a direct Matsubara sum forms t00 alone."""
-    return _quantity("t00", Geometry(z=0.5), PlasmaModel(omega_p), thermal, tol, ("t00",)).value

@@ -254,6 +254,9 @@ def test_usage_errors_exit_with_one(capsys):
     assert cli.main(["sweep", "--omega-pa", "10", "--z", "0.5"]) == 1  # needs a range
     assert cli.main(["sweep", "--omega-pa", "0:10", "--z", "0.5"]) == 1  # log axis
     assert cli.main(["profile", "--omega-pa", "10", "--z", "0.2:0.8", "--grid", "1"]) == 1
+    # --grid is checked whether or not a range uses it.
+    assert cli.main(["profile", "--omega-pa", "10", "--z", "0.5", "--grid", "-3"]) == 1
+    assert cli.main(["limits", "--grid", "1"]) == 1
     capsys.readouterr()
 
 
@@ -397,6 +400,17 @@ def test_plot_script_emission(tmp_path):
     compile(source, str(script), "exec")  # must at least be valid python
     assert "matplotlib" in source
     assert "run.csv" in source
+
+
+@pytest.mark.parametrize("command", ["limits", "critical"])
+def test_plot_script_is_refused_without_rows_to_plot(command, tmp_path, capsys):
+    # The script reads its x axis and error columns from the data, which
+    # limits and critical do not have, so neither file is written.
+    out = tmp_path / "run.csv"
+    assert cli.main([command, "--emit-plot-script", "--out", str(out)]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and "--emit-plot-script" in errors[0]
+    assert not out.exists() and not (tmp_path / "run_plot.py").exists()
 
 
 def test_plot_script_requires_an_output_file(capsys):

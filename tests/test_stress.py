@@ -683,24 +683,21 @@ def test_results_are_reproducible_after_cache_reset():
     assert first_hot.error_estimate == second_hot.error_estimate
 
 
-def test_critical_root_search_reuses_the_scan_values(monkeypatch):
+def test_critical_root_search_reuses_the_scan_values():
     # The scan stops at its first sign change, and the bisection's 10
-    # steps reuse the scan's bracket ends: 6 scan points at beta = 5
-    # (sign change between omega_p = 100 and 316), 5 at zero temperature
-    # (between 31.6 and 100).
-    calls = []
-
-    def counted(omega_p, thermal, tol):
-        calls.append(omega_p)
-        return original(omega_p, thermal, tol)
-
-    original = stress_mod._midpoint_energy
-    monkeypatch.setattr(stress_mod, "_midpoint_energy", counted)
-    assert critical_omega_pa(ThermalState.finite(5.0)) == 126.41733787754889
-    assert len(calls) == len(set(calls)) == 16
-    calls.clear()
-    assert critical_omega_pa() == pytest.approx(96.629, rel=1e-4)
-    assert len(calls) == len(set(calls)) == 15
+    # steps find the scan's bracket ends in the memos: 6 scan points at
+    # beta = 5 (sign change between omega_p = 100 and 316), 5 at zero
+    # temperature (between 31.6 and 100).  At beta = 5 each point is one
+    # direct sum at the midpoint; at zero temperature one bound pass and
+    # one position pass.
+    for thermal, root, placed, unplaced in [
+        (ThermalState.finite(5.0), 126.41733787754889, 16, 0),
+        (None, 96.62898593048274, 15, 15),
+    ]:
+        stress_mod.clear_caches()
+        assert critical_omega_pa(thermal) == root
+        assert stress_mod._placed.cache_info().misses == placed
+        assert stress_mod._unplaced.cache_info().misses == unplaced
 
 
 def test_no_sign_change_when_hot():
