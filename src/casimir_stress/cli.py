@@ -518,7 +518,6 @@ def _render_json(spec: RunSpec, columns, rows, references) -> str:
 
 _PLOT_TEMPLATE = '''"""Plot {command} data from {data_name}; generated by casimir-stress."""
 
-import csv
 import json
 from pathlib import Path
 
@@ -528,13 +527,14 @@ matplotlib.use("Agg")
 import matplotlib.pyplot as plt
 
 DATA = Path(__file__).resolve().parent / {data_name!r}
+FORMAT = {output_format!r}
 COLUMNS = {columns!r}
 LOG_X = {log_x!r}
 REFERENCE_FOR = {column_reference!r}
 
 
 def load():
-    if DATA.suffix == ".json":
+    if FORMAT == "json":
         doc = json.loads(DATA.read_text(encoding="utf-8"))
         return doc["columns"], doc["rows"], doc.get("references", {{}})
     references = {{}}
@@ -593,6 +593,7 @@ def _write_plot_script(spec: RunSpec, columns) -> Path:
     content = _PLOT_TEMPLATE.format(
         command=spec.command,
         data_name=data_path.name,
+        output_format=spec.output_format,
         columns=list(columns),
         log_x=spec.command == "sweep",
         column_reference=_COLUMN_REFERENCE,

@@ -123,8 +123,8 @@ def rs_rp(zeta, k, omega_p: float):
 def rs_rp_ut(u, t, omega_p: float):
     """Reflection coefficients in polar coordinates (u, t); array friendly.
 
-    r_s depends on u alone; r_p = (A - B*t**2)/(A + D*t**2) with u-only
-    A = omega_p**2*(u + Q), B = omega_p**2*u, D = u*(u + Q)**2 and
+    r_s depends on u alone; r_p = (A - B*t**2)/(A + C*t**2) with u-only
+    A = omega_p**2*(u + Q), B = omega_p**2*u, C = u*(u + Q)**2 and
     Q = sqrt(u**2 + omega_p**2).  A - B = omega_p**2*Q, so cancellation
     costs at most a factor (2*u + Q)/Q <= 3.
     """

@@ -25,15 +25,17 @@ reflection coefficients ``r_s``, ``r_p`` and the round-trip factor
 which is the overflow-free form of ``exp(-kappa*a)*cosh(kappa*(2z-a))``.
 One kernel forms these as columns, each times a weight its caller picks,
 and one table gives each quantity as a prefactor, a blackbody
-coefficient and weights on the columns.  At zero temperature the kernel
-runs on ``(u, t)`` with weight ``u**3``, and each quantity combines
-double integrals of columns: three from a bound pass that does not
-depend on the position, and from a position pass only those it reads,
-``D`` for the stress tensor and both null-energy combinations, ``D_E``
-and ``D_B`` for the field squares.  The transverse null-energy
-combination integrates the bound sum minus its value at ``t = 1``, so
-for perfect conductors both of its columns vanish identically instead of
-cancelling.
+coefficient and weights on the columns.  At zero temperature each
+quantity combines integrals of columns with weight ``u**3``: three from
+a bound pass that does not depend on the position, the kernel's
+double integrals over ``(u, t)``, and from a position pass only those it
+reads, ``D`` for the stress tensor and both null-energy combinations,
+``D_E`` and ``D_B`` for the field squares.  At fixed ``u`` the position
+columns are rational in ``t**2``, so the position pass integrates them
+over ``t`` in closed form and over ``u`` alone.  The transverse
+null-energy combination integrates the bound sum minus its value at
+``t = 1``, so for perfect conductors both of its columns vanish
+identically instead of cancelling.
 
 At finite temperature the continuous frequency integral becomes a sum
 over Matsubara frequencies ``zeta_n = 2*pi*n/beta`` (half weight at
@@ -212,9 +214,9 @@ def _dep_scale(z_over_a: float | None) -> float:
 # The spectral kernel.  In polar coordinates u = kappa, t = zeta/kappa
 # (zeta = u*t, k = u*sqrt(1 - t**2), dzeta dk = u/sqrt(1 - t**2) du dt)
 # every component is u**3 times a polynomial in t**2 times either the
-# bound sum b or the interference term I*M.  Zero temperature integrates
-# over (u, t) directly; finite temperature keeps u = kappa and
-# t = zeta_n/kappa for each Matsubara frequency.
+# bound sum b or the interference term I*M.  The zero-temperature bound
+# pass integrates over (u, t) directly; finite temperature keeps
+# u = kappa and t = zeta_n/kappa for each Matsubara frequency.
 # ----------------------------------------------------------------------
 
 
@@ -232,14 +234,12 @@ def _kernel(kappa, t, weight, omega_p, z_over_a, names):
     """The named columns at (kappa, t), each times ``weight``.
 
     Bound columns B0, B2, N: b, t**2*b and (1 - 3*t**2)*(b - b(t=1)).
-    With z_over_a given, also the position columns D, D_E, D_B:
-    (1 - t**2)*I*M, then the <E**2> and <B**2> parts, which weight
-    M*r/(1 - r**2*E) of the p and s polarizations by 2 - t**2 and -t**2
-    the one way round and the other.  Only the named columns are formed,
-    stored component-major: shape (len(names), *broadcast shape).  Each
-    is written into that one array, position columns before bound ones,
-    so that few temporaries live at once; every further one is fresh
-    memory, whose page faults cost more than the arithmetic.
+    With z_over_a given, also the position column D = (1 - t**2)*I*M.
+    Only the named columns are formed, stored component-major: shape
+    (len(names), *broadcast shape).  Each is written into that one
+    array, D before the bound ones, so that few temporaries live at
+    once; every further one is fresh memory, whose page faults cost more
+    than the arithmetic.
     """
     damp = np.exp(-2.0 * kappa)
     r_s, r_p = dielectric.rs_rp_ut(kappa, t, omega_p)
@@ -249,17 +249,11 @@ def _kernel(kappa, t, weight, omega_p, z_over_a, names):
     t2 = t * t
     out = np.empty((len(names), *den_p.shape))
     column = dict(zip(names, out))
-    if z_over_a is not None:
+    if "D" in column:
+        pair = dielectric.rp_plus_rs_ut(kappa, t, omega_p)
         mirrored = weight * _mirror(kappa, z_over_a)
-        if "D" in column:
-            pair = dielectric.rp_plus_rs_ut(kappa, t, omega_p)
-            np.multiply(1.0 - t2, pair * (1.0 - r_s * rp_damp) * (mirrored / den_s) / den_p,
-                        out=column["D"])
-        if column.keys() & set(_POSITION[1]):
-            part_s = mirrored * r_s / den_s
-            part_p = mirrored * r_p / den_p
-            np.subtract((2.0 - t2) * part_p, t2 * part_s, out=column.get("D_E"))
-            np.subtract((2.0 - t2) * part_s, t2 * part_p, out=column.get("D_B"))
+        np.multiply(1.0 - t2, pair * (1.0 - r_s * rp_damp) * (mirrored / den_s) / den_p,
+                    out=column["D"])
     if column.keys() & set(_BOUND):
         bound_s = r_s * r_s * damp / den_s
         bound_p = r_p * rp_damp / den_p
@@ -276,9 +270,110 @@ def _kernel(kappa, t, weight, omega_p, z_over_a, names):
 
 
 # ----------------------------------------------------------------------
+# The zero-temperature position columns, integrated over t in closed
+# form.  As in dielectric.rs_rp_ut, r_p = (A - B*tau)/(A + C*tau) with
+# tau = t**2, A = omega_p**2*(u + Q), B = omega_p**2*u, C = u*(u + Q)**2
+# and Q = sqrt(u**2 + omega_p**2).  With s = exp(-u), E = s**2,
+#     1 - r_p**2*E = f1*f2/(A + C*tau)**2,   f_i = a_i + c_i*tau,
+#     a1 = A*(1 - s), c1 = C + s*B,   a2 = A*(1 + s), c2 = C - s*B,
+# and, exactly, with no pole A + C*tau left:
+#     (r_p + r_s)*(1 - r_s*r_p*E)/(1 - r_p**2*E)
+#         = B*(1 - tau)*[(1 - r_s*s)/f1 + (1 + r_s*s)/f2],
+#     r_p/(1 - r_p**2*E) = (A - B*tau)*(1/f1 + 1/f2)/2.
+# Every t-integral is then a sum of the moments
+#     V_k(lam) = int_0^1 t**(2k)/(1 + lam*t**2) dt,   k = 0, 1, 2,
+# at lam_i = c_i/a_i, over a_i.  With h = u/(u + Q), g2 = (omega_p/(u + Q))**2
+# = 1 - 2*h = -r_s and r = omega_p/u, every factor is a sum of positive
+# terms:
+#     1/lam1 = (1 - s)*r**2/(2 + h*(1 + s)*r**2),
+#     1/lam2 = (1 + s)*r**2/(2 + h*(1 - s)*r**2),
+#     1 - r_s*s = 1 + g2*s,   1 + r_s*s = (1 - s) + 2*h*s,
+# and den_s = 1 - r_s**2*E is the product of the last two.  The moments
+# take 1/sqrt(lam), which is about omega_p/(sqrt(2)*u) at large u: lam
+# itself would overflow there for omega_p below about 1e-150.
+# ----------------------------------------------------------------------
+
+def _clenshaw_curtis(n):
+    """The (n + 1)-point Clenshaw-Curtis rule on [-1, 1], folded onto [0, 1]
+    for even integrands: tau = t**2 at its nodes t = cos(k*pi/n),
+    k = 0..n/2, and their weights, the middle node t = 0 with half its own.
+    """
+    k = np.arange(n // 2 + 1)
+    j = np.arange(1, n // 2 + 1)
+    b = np.where(j == n // 2, 1.0, 2.0) / (4.0 * j * j - 1.0)
+    weight = np.where((k == 0) | (k == n // 2), 1.0, 2.0) / n * (
+        1.0 - np.cos((2.0 * math.pi / n) * k[:, None] * j) @ b)
+    return np.cos(math.pi * k / n) ** 2, weight
+
+
+# For lam <= 1 the moments' poles lie at least 1 from [-1, 1], where 48
+# intervals are exact to rounding.
+_CC_TAU, _CC_WEIGHT = _clenshaw_curtis(48)
+_CC_MOMENTS = _CC_WEIGHT * _CC_TAU ** np.arange(3)[:, None]
+
+
+def _t_moments(q):
+    """V_0, V_1, V_2 at lam = 1/q**2, for every q >= 0: shape (3, *q.shape).
+
+    Clenshaw-Curtis up to lam = 1.  Above, V_0 = arctan(sqrt(lam))/sqrt(lam)
+    and V_k = (1/(2k - 1) - V_(k-1))/lam, which loses at most a factor 15;
+    in terms of q, which stays finite where lam would overflow.
+    """
+    moments = np.empty((3, *q.shape))
+    small = q >= 1.0
+    q2 = (q[small] ** 2)[:, None]
+    moments[:, small] = _CC_MOMENTS @ (q2 / (q2 + _CC_TAU)).T
+    q = q[~small]
+    inverse = q * q
+    v0 = q * np.arctan2(1.0, q)
+    v1 = inverse * (1.0 - v0)
+    moments[:, ~small] = v0, v1, inverse * (1.0 / 3.0 - v1)
+    return moments
+
+
+def _position(u, omega_p, z_over_a, names):
+    """The named position columns' t-integrals at u, weight u**3: shape (u.size, len(names)).
+
+    Each is u**2*M times a factor that grows at most like u, and u**2*M
+    is formed from u*exp(-u*z) so that neither overflows for any z the
+    Geometry admits.
+    """
+    u2m = 0.5 * ((u * np.exp(-u * z_over_a)) ** 2 + (u * np.exp(-u * (1.0 - z_over_a))) ** 2)
+    out = np.zeros((u.size, len(names)))
+    column = dict(zip(names, out.T))
+    if math.isinf(omega_p):
+        # r_p = -r_s = 1: D vanishes, and the field squares are
+        # +-2*u**3*M/(1 - E).
+        if "D_E" in column:
+            column["D_E"][:] = 2.0 * u2m * u / -np.expm1(-2.0 * u)
+            column["D_B"][:] = -column["D_E"]
+        return out
+    upq = u + np.sqrt(u * u + omega_p * omega_p)
+    h = u / upq
+    g2 = (omega_p / upq) ** 2
+    s = np.exp(-u)
+    den = np.stack([-np.expm1(-u), 1.0 + s])
+    r = omega_p / u
+    v0, v1, v2 = _t_moments(r * np.sqrt(den / (2.0 + h * den[::-1] * r * r)))
+    # 1 + r_s*s and 1 - r_s*s.
+    rs_plus = den[0] + 2.0 * h * s
+    rs_minus = 1.0 + g2 * s
+    if "D" in column:
+        poles = (v0 - 2.0 * v1 + v2) / (den * np.stack([rs_plus, rs_minus]))
+        column["D"][:] = u2m * (u * h) * (poles[0] + poles[1])
+    if "D_E" in column:
+        bound_s = g2 / (rs_plus * rs_minus)
+        p_e = ((2.0 * v0 - v1) - h * (2.0 * v1 - v2)) / den
+        p_b = (v1 - h * v2) / den
+        column["D_E"][:] = u2m * u * (0.5 * (p_e[0] + p_e[1]) + bound_s / 3.0)
+        column["D_B"][:] = -u2m * u * (0.5 * (p_b[0] + p_b[1]) + 5.0 / 3.0 * bound_s)
+    return out
+
+
+# ----------------------------------------------------------------------
 # Assembly.  Every quantity is its prefactor times its weights on a set
 # of sums, plus its blackbody term at finite temperature.  A sum is a
-# zero-temperature double integral of columns, a split column (that
+# zero-temperature integral of columns, a split column (that
 # integral plus a windowed Matsubara correction) or a direct Matsubara
 # sum of a quantity's combined column.  Two memos keep the sums: those
 # that read no position, which a profile's rows share, and the last
@@ -287,8 +382,8 @@ def _kernel(kappa, t, weight, omega_p, z_over_a, names):
 
 # Each quantity: its prefactor, its blackbody part times beta**4 (None
 # for the field squares, which are evaluated at zero temperature only)
-# and its weights on the kernel's columns.  A zero-temperature position
-# pass forms D alone, or the field squares' D_E and D_B.
+# and its weights on the columns.  A zero-temperature position pass forms
+# D alone, or the field squares' D_E and D_B, which only it forms.
 _QUANTITIES = {
     "t00": (_HALF_PI2, math.pi**2 / 15.0, {"B2": -1.0, "D": 1.0}),
     "txx": (_QUARTER_PI2, math.pi**2 / 45.0, {"B0": 1.0, "B2": -1.0, "D": 1.0}),
@@ -322,10 +417,14 @@ def _matrix(weights):
 
 
 def _zero_t_pass(omega_p, z_over_a, tol, names) -> QuadratureResult:
-    """The bound pass (z_over_a None) or a position pass of the named columns."""
+    """The bound pass of _kernel's columns over (u, t) (z_over_a None), or
+    a position pass of the named columns' closed-form t-integrals over u."""
+    if z_over_a is not None:
+        return integrate_semiinf(lambda u: _position(u, omega_p, z_over_a, names),
+                                 _dep_scale(z_over_a), tol)
     return integrate_2d(
-        lambda u, t: _kernel(u, t, u**3, omega_p, z_over_a, names).transpose(1, 2, 0),
-        SemiInfinite(_dep_scale(z_over_a)),
+        lambda u, t: _kernel(u, t, u**3, omega_p, None, names).transpose(1, 2, 0),
+        SemiInfinite(_dep_scale(None)),
         UnitInterval(),
         tol,
     )

@@ -402,6 +402,102 @@ def test_plot_script_emission(tmp_path):
     assert "run.csv" in source
 
 
+# A stand-in for matplotlib: the axes record what the script plots, and
+# savefig writes that record as JSON where the figure would go.
+_STUB_PYPLOT = """
+import json
+
+_record = {"series": {}, "references": {}}
+
+
+class _Axes:
+    def errorbar(self, x, y, yerr=None, **kwargs):
+        self._series = {"x": list(x), "y": list(y), "err": list(yerr)}
+
+    def axhline(self, y, **kwargs):
+        self._reference = y
+
+    def set_ylabel(self, name):
+        _record["series"][name] = self._series
+        if hasattr(self, "_reference"):
+            _record["references"][name] = self._reference
+
+    def set_xscale(self, scale):
+        _record["xscale"] = scale
+
+    def set_xlabel(self, name):
+        _record["xlabel"] = name
+
+
+class _Figure:
+    def tight_layout(self):
+        pass
+
+    def savefig(self, path, **kwargs):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(_record, handle)
+
+
+def subplots(rows, cols=1, **kwargs):
+    axes = [_Axes() for _ in range(rows)]
+    return _Figure(), axes if rows > 1 else axes[0]
+"""
+
+
+def _read_rows(path, output_format):
+    """(columns, rows, references) of a CLI data file, parsed here."""
+    text = path.read_text(encoding="utf-8")
+    if output_format == "json":
+        doc = json.loads(text)
+        return doc["columns"], doc["rows"], doc["references"]
+    preamble, header, rows = parse_csv(text)
+    references = {}
+    for line in preamble:
+        if line.startswith("# ref."):
+            key, _, value = line[len("# ref."):].partition("=")
+            references[key] = float(value)
+    return header, [[float(c) for c in row] for row in rows], references
+
+
+@pytest.mark.parametrize("argv, name, output_format", [
+    (["profile", "--omega-pa", "100", "--z", "0.25:0.75", "--grid", "3"], "profile.csv", "csv"),
+    (["profile", "--omega-pa", "100", "--z", "0.25:0.75", "--grid", "3"], "profile.json", "json"),
+    (["nec", "--omega-pa", "10", "--z", "0.3:0.7", "--grid", "2"], "nec.json", "csv"),
+    (["nec", "--omega-pa", "10", "--z", "0.3:0.7", "--grid", "2"], "nec.dat", "json"),
+    (["sweep", "--omega-pa", "1:1e4", "--z", "0.5", "--grid", "3"], "sweep.csv", "csv"),
+    (["sweep", "--omega-pa", "1:1e4", "--z", "0.5", "--grid", "3"], "sweep.txt", "json"),
+])
+def test_plot_script_reads_what_the_cli_wrote(argv, name, output_format, tmp_path):
+    # The generated script reads the data in the format the CLI wrote,
+    # whatever the file's suffix.  Run under a stub matplotlib, it must
+    # plot every quantity column against the x column, with its error
+    # bars and its reference line, as parsed here from the same file.
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("def use(backend):\n    pass\n", encoding="utf-8")
+    (stub / "pyplot.py").write_text(_STUB_PYPLOT, encoding="utf-8")
+    out = tmp_path / name
+    code = cli.main([*argv, *FAST, "--format", output_format, "--emit-plot-script", "--out", str(out)])
+    assert code == 0
+    script = out.with_name(out.stem + "_plot.py")
+    run = subprocess.run([sys.executable, str(script)], cwd=tmp_path, capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(stub.parent)}, text=True)
+    assert run.returncode == 0, run.stderr
+    record = json.loads(out.with_suffix(out.suffix + ".png").read_text(encoding="utf-8"))
+
+    columns, rows, references = _read_rows(out, output_format)
+    quantities = [c for c in columns[1:] if not c.startswith("err_") and c != "converged"]
+    assert quantities and set(record["series"]) == set(quantities)
+    assert record["xlabel"] == columns[0]
+    assert record.get("xscale") == ("log" if argv[0] == "sweep" else None)
+    for q in quantities:
+        series = record["series"][q]
+        assert series["x"] == [row[0] for row in rows]
+        assert series["y"] == [row[columns.index(q)] for row in rows]
+        assert series["err"] == [row[columns.index("err_" + q)] for row in rows]
+        assert record["references"][q] == references[cli._COLUMN_REFERENCE[q]]
+
+
 @pytest.mark.parametrize("command", ["limits", "critical"])
 def test_plot_script_is_refused_without_rows_to_plot(command, tmp_path, capsys):
     # The script reads its x axis and error columns from the data, which

@@ -190,16 +190,17 @@ def test_evaluation_budget_reports_non_convergence():
 
 def test_one_dimensional_levels_reuse_every_node():
     # Each level adds nodes between the earlier ones, so a pass evaluates
-    # every abscissa of its final level once and no other.  Levels 0 and 1
-    # share the first integrand call, so a pass that ends at level L makes
-    # L calls.  The half-line case has a component a million times smaller
-    # than the other, which must meet the relative tolerance on its own
-    # scale.
+    # every abscissa of its deepest level once and no other.  The first
+    # integrand call takes every node through level 4, and each later
+    # level one more call, so a pass that ends at level L > 4 makes
+    # L - 3 calls.  The half-line case has a component a million times
+    # smaller than the other, which must meet the relative tolerance on
+    # its own scale.
     def semi(x):
         return np.stack([np.exp(-x) * np.cos(x), 1e-6 * x * np.exp(-x)], axis=-1)
 
     cases = [
-        (lambda f: integrate_semiinf(f, 0.7), semi, SemiInfinite(0.7), _EXP_SINH_1D),
+        (lambda f, tol=None: integrate_semiinf(f, 0.7, tol), semi, SemiInfinite(0.7), _EXP_SINH_1D),
         (integrate_unit, lambda t: np.sqrt(t) * np.cos(3.0 * t), UnitInterval(), None),
     ]
     for integrate, g, domain, span in cases:
@@ -216,10 +217,31 @@ def test_one_dimensional_levels_reuse_every_node():
         level = 0
         while _de_axis(domain, level, span)[0].size < res.evaluations:
             level += 1
-        assert level >= 2
+        assert level >= 4
         assert set(_de_axis(domain, level, span)[0].tolist()) == set(seen)
-        assert len(calls) == level
-        assert calls[0] == _de_axis(domain, 1, span)[0].size
+        assert len(calls) == max(level - 3, 1)
+        assert calls[0] == _de_axis(domain, 4, span)[0].size
+
+        # A pass that meets a loose tolerance before level 4 still
+        # evaluates every node through level 4 in one call, but decides
+        # level by level: its value and error are those of the first
+        # level whose change from the one before meets the tolerance.
+        seen.clear()
+        calls.clear()
+        loose = Tolerance(rel_tol=1e-3, abs_tol=0.0)
+        res = integrate(f, loose)
+        assert res.converged and len(calls) == 1
+        assert res.evaluations == len(seen) == _de_axis(domain, 4, span)[0].size
+        sums = []
+        for level in range(5):
+            x, w, _ = _de_axis(domain, level, span)
+            sums.append(quadrature._DE_STEP / 2**level * (w @ np.asarray(g(x)).reshape(x.size, -1)))
+        changes = [np.abs(b - a) for a, b in zip(sums, sums[1:])]
+        stop = next(i for i, c in enumerate(changes, 1) if np.all(c <= loose.rel_tol * np.abs(sums[i])))
+        assert stop < 4
+        assert np.allclose(res.value, sums[stop], rtol=1e-14, atol=0.0)
+        assert np.allclose(res.error_estimate, changes[stop - 1], rtol=1e-9, atol=1e-17)
+
     exact = np.array([0.5, 1e-6])
     res = integrate_semiinf(semi, 0.7, Tolerance(rel_tol=1e-10, abs_tol=0.0))
     assert res.value.shape == res.error_estimate.shape == (2,)

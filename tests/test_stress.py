@@ -9,6 +9,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -367,9 +368,10 @@ def test_cold_thermal_row_sums_frequencies_in_blocks(monkeypatch):
 
 def test_cold_thermal_row_has_bounded_cost(monkeypatch):
     # At beta = 1000 and 1e4 a direct sum would need thousands of terms;
-    # the split needs 21 frequencies and four double integrals (the two
-    # zero-temperature passes and their two windowed corrections), at
-    # the midpoint and next to a wall alike.
+    # the split needs 21 frequencies and three double integrals (the
+    # zero-temperature bound pass and the two windowed corrections; the
+    # zero-temperature position pass is one-dimensional), at the midpoint
+    # and next to a wall alike.
     calls = _count_thermal_work(monkeypatch)
     for beta in (1000.0, 1e4):
         for z in (0.5, 1e-3):
@@ -380,15 +382,17 @@ def test_cold_thermal_row_has_bounded_cost(monkeypatch):
                 for op in CLI_COLUMNS.values():
                     assert op(Geometry(z), PlasmaModel(100.0), ThermalState.finite(beta)).converged
             assert len(_matsubara_terms(calls, beta)) <= 32
-            assert calls["integrate_2d"] == 4
+            assert calls["integrate_2d"] == 3
     assert calls["matsubara_sum"] == 0
 
 
 def test_one_kernel_serves_every_reduction(monkeypatch):
-    # The zero-T passes, the direct Matsubara sum and the split's
+    # The zero-T bound pass, the direct Matsubara sum and the split's
     # correction all read their columns from _kernel, the one function of
     # stress that reaches the reflection coefficients.  The Matsubara
     # terms of the direct sum and of the split come from one integrand.
+    # The zero-T position pass integrates over t in closed form and calls
+    # no kernel.
     callers = set()
 
     def kernel(*args):
@@ -406,6 +410,10 @@ def test_one_kernel_serves_every_reduction(monkeypatch):
         for op in CLI_COLUMNS.values():
             assert op(Geometry(0.5), PlasmaModel(100.0), thermal).converged
         assert callers == expected, thermal
+    callers.clear()
+    for names in stress_mod._POSITION:
+        assert stress_mod._zero_t_pass(100.0, 0.5, QUICK, names).converged
+    assert callers == set()
     reaching = {
         node.name for node in ast.walk(ast.parse(inspect.getsource(stress_mod)))
         if isinstance(node, ast.FunctionDef) and any(
@@ -418,11 +426,13 @@ def test_one_kernel_serves_every_reduction(monkeypatch):
 def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
     # Rows in CLI order: at beta = 5 (direct) tzz is summed once, at
     # beta = 1000 (split) the bound correction's 21 frequencies, the one
-    # x-integral of decay scale 0.5, are integrated once.  At beta = 100
-    # the 19 rows of z in 0.05:0.95 mix the routes: the edge rows split,
-    # while the middle three rows and tzz take the direct sum.  The bound
-    # pass and the bound correction's double integral still run once
-    # each, and tzz is summed once.
+    # x-integral of decay scale 0.5, are integrated once; each row adds
+    # its zero-temperature position pass over u and its position
+    # correction's 21 frequencies.  At beta = 100 the 19 rows of z in
+    # 0.05:0.95 mix the routes: the edge rows split, while the middle
+    # three rows and tzz take the direct sum.  The bound pass and the
+    # bound correction's double integral still run once each, and tzz is
+    # summed once.
     sums, decays, bound_passes = [], [], []
 
     def direct(omega_p, z_over_a, beta, tol, names):
@@ -456,7 +466,7 @@ def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
         if beta == 5.0:
             assert sums.count(("tzz",)) == 1 and len(sums) == 4, sums
         elif beta == 1000.0:
-            assert sums == [] and decays.count(0.5) == 1 and len(decays) == 4, decays
+            assert sums == [] and decays.count(0.5) == 1 and len(decays) == 1 + 2 * 3, decays
         else:
             assert sums.count(("tzz",)) == 1 and len(sums) == 4, sums
             assert sorted(bound_passes) == ["_correction", "_zero_t_pass"], bound_passes
@@ -477,26 +487,44 @@ def test_clear_caches_empties_every_memo():
     assert all(m.cache_info().currsize == 0 for m in memos)
 
 
+def _record_zero_t_passes(monkeypatch, record):
+    """Route stress's integrate_2d and integrate_semiinf through ``record``,
+    called as record(kind, f, decay_scale, run) with kind "2d" or "u"; it
+    returns the pass's result, from run(f) for an integrand of its own."""
+
+    def double(f, outer, inner, tol=None):
+        return record("2d", f, outer.decay_scale, lambda g: original_double(g, outer, inner, tol))
+
+    def single(f, decay_scale, tol=None):
+        return record("u", f, decay_scale, lambda g: original_single(g, decay_scale, tol))
+
+    original_double, original_single = stress_mod.integrate_2d, stress_mod.integrate_semiinf
+    monkeypatch.setattr(stress_mod, "integrate_2d", double)
+    monkeypatch.setattr(stress_mod, "integrate_semiinf", single)
+
+
 def test_zero_temperature_rows_share_two_passes(monkeypatch):
-    # The five CLI quantities of a row come from one bound pass, shared by
-    # all rows at the same omega_p, and one position pass forming D alone.
-    # The field squares add a field pass per position.
-    scales = []
+    # The five CLI quantities of a row come from one bound pass over
+    # (u, t), shared by all rows at the same omega_p, and one position
+    # pass over u forming D alone.  The field squares add a field pass
+    # over u per position.
+    passes = []
 
-    def counted(f, outer, inner, tol=None):
-        scales.append(outer.decay_scale)
-        return original(f, outer, inner, tol)
+    def record(kind, f, scale, run):
+        passes.append((kind, scale))
+        return run(f)
 
-    original = stress_mod.integrate_2d
-    monkeypatch.setattr(stress_mod, "integrate_2d", counted)
+    _record_zero_t_passes(monkeypatch, record)
     model = PlasmaModel(100.0)
-    for ops, expected in ((CLI_COLUMNS, [0.5, 1.0, 2.0]), (ZERO_T_OPS, [0.5, 1.0, 1.0, 2.0, 2.0])):
-        scales.clear()
+    for ops, expected in (
+            (CLI_COLUMNS, [("2d", 0.5), ("u", 1.0), ("u", 2.0)]),
+            (ZERO_T_OPS, [("2d", 0.5), ("u", 1.0), ("u", 1.0), ("u", 2.0), ("u", 2.0)])):
+        passes.clear()
         stress_mod.clear_caches()
         for z in (0.5, 0.25):
             for op in ops.values():
                 op(Geometry(z), model, tol=QUICK)
-        assert scales == expected
+        assert passes == expected
 
 
 def test_zero_temperature_row_forms_only_the_columns_it_uses(monkeypatch):
@@ -504,62 +532,76 @@ def test_zero_temperature_row_forms_only_the_columns_it_uses(monkeypatch):
     # alone, since no CLI quantity reads the field squares' columns.
     columns = []
 
-    def counted(f, outer, inner, tol=None):
-        def g(u, t):
-            values = f(u, t)
-            columns[-1].add(values.shape[-1])
+    def record(kind, f, scale, run):
+        def g(*args):
+            values = f(*args)
+            columns[-1].add((kind, values.shape[-1]))
             return values
 
         columns.append(set())
-        return original(g, outer, inner, tol)
+        return run(g)
 
-    original = stress_mod.integrate_2d
-    monkeypatch.setattr(stress_mod, "integrate_2d", counted)
+    _record_zero_t_passes(monkeypatch, record)
     stress_mod.clear_caches()
     for op in CLI_COLUMNS.values():
         op(Geometry(0.5), PlasmaModel(100.0))
-    assert columns == [{3}, {1}]
+    assert columns == [{("2d", 3)}, {("u", 1)}]
 
 
 def test_zero_temperature_row_refines_only_the_axis_that_needs_it(monkeypatch):
-    # At (100, 0.5) both passes need u level 4 but only t level 3: 149 by
-    # 96 nodes each, about half the square level-4 grid of 149 by 191.
-    nodes = []
+    # At (100, 0.5) the bound pass needs u level 4 but only t level 3: 149
+    # by 96 nodes, about half the square level-4 grid of 149 by 191.  The
+    # position pass has no t axis: one integrand call evaluates its 181
+    # nodes through u level 4.
+    nodes, calls = [], []
 
-    def counted(f, outer, inner, tol=None):
-        result = original(f, outer, inner, tol)
-        nodes.append(result.evaluations)
+    def record(kind, f, scale, run):
+        def g(*args):
+            calls.append(kind)
+            return f(*args)
+
+        result = run(g)
+        nodes.append((kind, result.evaluations))
         return result
 
-    original = stress_mod.integrate_2d
-    monkeypatch.setattr(stress_mod, "integrate_2d", counted)
+    _record_zero_t_passes(monkeypatch, record)
     stress_mod.clear_caches()
     for op in CLI_COLUMNS.values():
         assert op(Geometry(0.5), PlasmaModel(100.0)).converged
-    assert len(nodes) == 2
-    assert sum(nodes) <= 2 * 14_304
+    (bound, bound_nodes), position = nodes
+    assert bound == "2d" and bound_nodes <= 14_304
+    assert position == ("u", 181) and calls.count("u") == 1
 
 
-def _level5_reference(omega_p, z_over_a, names):
-    """The zero-T pass's columns from the same rule at level 5 on both axes."""
-    outer = SemiInfinite(0.5 if z_over_a is None else stress_mod._dep_scale(z_over_a))
-    u, wu, _ = quadrature._de_axis(outer, 5)
+def _level5_reference(omega_p, names):
+    """The bound pass's columns from the same rule at level 5 on both axes."""
+    u, wu, _ = quadrature._de_axis(SemiInfinite(0.5), 5)
     t, wt, _ = quadrature._de_axis(UnitInterval(), 5)
     total = 0.0
     for start in range(0, u.size, 32):
         rows = slice(start, start + 32)
         u3 = u[rows, None] ** 3
-        values = stress_mod._kernel(u[rows, None], t[None, :], u3, omega_p, z_over_a, names)
+        values = stress_mod._kernel(u[rows, None], t[None, :], u3, omega_p, None, names)
         total = total + np.einsum("r,mrn,n->m", wu[rows], values, wt)
     return total * (quadrature._DE_STEP / 2**5) ** 2
 
 
+def _level7_position_reference(omega_p, z_over_a, names):
+    """A position pass's columns from the same u rule at level 7."""
+    u, wu, _ = quadrature._de_axis(
+        SemiInfinite(stress_mod._dep_scale(z_over_a)), 7, quadrature._EXP_SINH_1D)
+    return quadrature._DE_STEP / 2**7 * (wu @ stress_mod._position(u, omega_p, z_over_a, names))
+
+
 def test_zero_temperature_error_estimates_bound_the_actual_error():
-    # Each column of the bound pass and of both position passes lies
-    # within its error estimate of a fixed level-5 grid (297 by 382
-    # nodes), whose own error is far below it.  The reference sums 113,454 terms, so its
-    # rounding, up to about sqrt(113,454) ulps or 1e-13 relative, is
-    # allowed for on top.
+    # Each column of the bound pass lies within its error estimate of a
+    # fixed level-5 grid (297 by 382 nodes), and each column of both
+    # position passes within its estimate of the same u rule at level 7
+    # (1,441 nodes), whose own errors are far below it; the position
+    # columns' t-integrals are exact to rounding (see
+    # test_closed_form_t_integrals_match_mpmath).  The level-5 reference
+    # sums 113,454 terms, so its rounding, up to about sqrt(113,454) ulps
+    # or 1e-13 relative, is allowed for on top.
     rng = np.random.default_rng(4)
     tol = Tolerance()
     for _ in range(12):
@@ -568,10 +610,126 @@ def test_zero_temperature_error_estimates_bound_the_actual_error():
         for z_over_a, names in ((None, stress_mod._BOUND), *((z, c) for c in stress_mod._POSITION)):
             res = stress_mod._zero_t_pass(omega_p, z_over_a, tol, names)
             assert res.converged, (omega_p, z_over_a, names)
-            ref = _level5_reference(omega_p, z_over_a, names)
+            if z_over_a is None:
+                ref = _level5_reference(omega_p, names)
+            else:
+                ref = _level7_position_reference(omega_p, z_over_a, names)
             miss = np.abs(res.value - ref)
             assert np.all(miss <= res.error_estimate + 1e-13 * np.abs(ref)), (
                 omega_p, z_over_a, miss, res.error_estimate)
+
+
+def _position_columns_mpmath(u, omega_p, z_over_a):
+    """D, D_E and D_B at fixed u, integrated over t by mpmath.
+
+    The reflection coefficients are the textbook ratios with
+    eps = 1 + omega_p**2/zeta**2, and the quadrature breaks [0, 1]
+    geometrically around the p-wave layer t = 1/sqrt(mu),
+    mu = u*(u + Q)/omega_p**2, across which r_p falls from 1.
+    """
+    mp = mpmath.mp
+    u, wp, z = mp.mpf(u), mp.mpf(omega_p), mp.mpf(z_over_a)
+    kappa1 = mp.sqrt(u * u + wp * wp)
+    damp = mp.exp(-2 * u)
+    weight = u**3 * (mp.exp(-2 * u * z) + mp.exp(-2 * u * (1 - z))) / 2
+    r_s = (u - kappa1) / (u + kappa1)
+    part_s = r_s / (1 - r_s**2 * damp)
+
+    def r_p(t):
+        eps = 1 + (wp / (u * t)) ** 2
+        return (eps * u - kappa1) / (eps * u + kappa1)
+
+    def d(t):
+        rp = r_p(t)
+        return (1 - t * t) * (rp + r_s) * (1 - r_s * rp * damp) / (
+            (1 - r_s**2 * damp) * (1 - rp**2 * damp))
+
+    def d_e(t):
+        rp = r_p(t)
+        return (2 - t * t) * rp / (1 - rp**2 * damp) - t * t * part_s
+
+    def d_b(t):
+        rp = r_p(t)
+        return (2 - t * t) * part_s - t * t * rp / (1 - rp**2 * damp)
+
+    layer = wp / mp.sqrt(u * (u + kappa1))
+    breaks = [layer * mp.mpf(10) ** k for k in range(-2, 3)]
+    points = [mp.mpf(0), *(b for b in breaks if b < 1), mp.mpf(1)]
+    return [float(weight * mp.quad(f, points)) for f in (d, d_e, d_b)]
+
+
+def test_closed_form_t_integrals_match_mpmath():
+    # The position pass integrates over t in closed form.  At fixed u
+    # from 1e-4 to 30 (where E = exp(-60)) and omega_p from 1e-6 to 1e8,
+    # its D, D_E and D_B agree with mpmath's quadrature of the textbook
+    # integrands.
+    names = ("D", "D_E", "D_B")
+    with mpmath.workdps(34):
+        # The moments V_k(lam) on both sides of lam = 1, where they switch
+        # from the quadrature rule to the recurrence.
+        lam = np.geomspace(1e-8, 1e8, 65)
+        moments = stress_mod._t_moments(lam**-0.5)
+        for i, x in enumerate(map(mpmath.mpf, lam)):
+            v0 = mpmath.atan(mpmath.sqrt(x)) / mpmath.sqrt(x)
+            v1 = (1 - v0) / x
+            for k, ref in enumerate((v0, v1, (mpmath.mpf(1) / 3 - v1) / x)):
+                assert abs(moments[k, i] - ref) <= 1e-14 * ref, (k, lam[i], moments[k, i], ref)
+        for u in (1e-4, 0.1, 1.0, 10.0, 30.0):
+            for omega_p in (1e-6, 1.0, 100.0, 1e8):
+                ref = _position_columns_mpmath(u, omega_p, 0.3)
+                got = stress_mod._position(np.array([u]), omega_p, 0.3, names)[0]
+                for name, a, b in zip(names, got, ref):
+                    assert abs(a - b) <= 1e-11 * abs(b), (name, u, omega_p, a, b)
+
+
+def test_closed_form_and_two_dimensional_routes_agree():
+    # The position columns through the public integrate_2d over (u, t),
+    # from the reflection coefficients of dielectric, against the
+    # position passes over u with t integrated in closed form, at seeded
+    # points: two independent routes, each within the other's estimate.
+    def columns(u, t, omega_p, z_over_a):
+        r_s, r_p = dielectric.rs_rp_ut(u, t, omega_p)
+        pair = dielectric.rp_plus_rs_ut(u, t, omega_p)
+        damp = np.exp(-2.0 * u)
+        weight = u**3 * stress_mod._mirror(u, z_over_a)
+        den_s, den_p = 1.0 - r_s**2 * damp, 1.0 - r_p**2 * damp
+        part_s, part_p, t2 = r_s / den_s, r_p / den_p, t * t
+        d = (1.0 - t2) * pair * (1.0 - r_s * r_p * damp) / (den_s * den_p)
+        d_e = (2.0 - t2) * part_p - t2 * part_s
+        d_b = (2.0 - t2) * part_s - t2 * part_p
+        return weight[..., None] * np.stack([d, d_e, d_b], axis=-1)
+
+    rng = np.random.default_rng(18)
+    tol = Tolerance()
+    for _ in range(6):
+        omega_p = float(10.0 ** rng.uniform(-3.0, 6.0))
+        z = float(rng.uniform(0.01, 0.99))
+        double = quadrature.integrate_2d(
+            lambda u, t: columns(u, t, omega_p, z),
+            SemiInfinite(stress_mod._dep_scale(z)), UnitInterval(), tol)
+        single = [stress_mod._zero_t_pass(omega_p, z, tol, names) for names in stress_mod._POSITION]
+        assert double.converged and all(p.converged for p in single)
+        value = np.concatenate([p.value for p in single])
+        error = np.concatenate([p.error_estimate for p in single])
+        assert np.all(np.abs(value - double.value) <= error + double.error_estimate), (
+            omega_p, z, value - double.value, error, double.error_estimate)
+
+
+def test_near_wall_corner_follows_the_leading_law():
+    # At omega_p = 10 the position pass over u meets its tolerance down
+    # to z = 1e-60, with no t rule to resolve the p-wave layer
+    # t < omega_p*z of the modes u ~ 1/z that dominate.  t00 and txx
+    # follow the leading law there, whose error is O(omega_p*z), at most
+    # about 1e-5 here.
+    model = PlasmaModel(10.0)
+    for z in (1e-6, 1e-20, 1e-60):
+        laws = near_wall_asymptote(z, model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowConvergenceWarning)
+            for op, law in zip((energy_density, pressure_xx), laws):
+                res = op(Geometry(z), model)
+                assert res.converged, (op.__name__, z)
+                assert abs(res.value - law) <= 1e-3 * law, (op.__name__, z, res.value, law)
 
 
 def test_transverse_null_energy_stays_nonnegative():
