@@ -13,7 +13,6 @@ from .dielectric import PlasmaModel
 from .quadrature import QuadratureError, QuadratureResult, Tolerance
 from .stress import (
     Geometry,
-    SlowConvergenceWarning,
     StressDiagonal,
     ThermalState,
     critical_omega_pa,
@@ -36,7 +35,6 @@ __all__ = [
     "PlasmaModel",
     "QuadratureError",
     "QuadratureResult",
-    "SlowConvergenceWarning",
     "StressDiagonal",
     "ThermalState",
     "Tolerance",

@@ -18,7 +18,8 @@ resolved run specification so a file regenerates byte for byte from its
 own metadata; nothing in the output depends on wall-clock time or
 machine identity.  Exit status is 0 on success, 1 on a usage error, and
 2 when any requested point failed to converge (the rows are still
-written, flagged in the ``converged`` column).
+written, flagged in the ``converged`` column) or on a numerical failure,
+which writes nothing.
 
 Options may also come from a JSON config file (``--config``).  Each
 entry is a flag, keyed by its argparse dest (``omega_pa``, ``z``,
@@ -363,34 +364,31 @@ def _validate_spec(spec: RunSpec) -> None:
 # ----------------------------------------------------------------------
 
 
+def _noted(evaluate, *args, **kwargs):
+    """evaluate(*args, **kwargs) and the sorted texts of the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = evaluate(*args, **kwargs)
+    return result, tuple(sorted({str(w.message) for w in caught}))
+
+
 def _evaluate_point(kind: str, omega_pa: float, z_over_a: float,
                     thermal: ThermalState, tol: Tolerance):
     """Evaluate one row: (flat [value, error, ...] pairs, converged flag, warning texts)."""
-    geom = Geometry(z=z_over_a)
-    model = PlasmaModel(omega_p=omega_pa)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if kind == "stress":
-            results = [
-                energy_density(geom, model, thermal, tol=tol),
-                pressure_xx(geom, model, thermal, tol=tol),
-            ]
-            results.append(results[1])  # tyy = txx
-            results.append(pressure_zz(geom, model, thermal, tol=tol))
-            results.append(nec_transverse(geom, model, thermal, tol=tol))
-            results.append(nec_longitudinal(geom, model, thermal, tol=tol))
-        else:
-            results = [
-                nec_transverse(geom, model, thermal, tol=tol),
-                nec_longitudinal(geom, model, thermal, tol=tol),
-            ]
-    flat: list[float] = []
-    converged = True
-    for r in results:
-        flat.extend([r.value, r.error_estimate])
-        converged = converged and r.converged
-    notes = tuple(sorted({str(w.message) for w in caught}))
-    return flat, int(converged), notes
+    geom, model = Geometry(z=z_over_a), PlasmaModel(omega_p=omega_pa)
+
+    def at(op):
+        return op(geom, model, thermal, tol=tol)
+
+    def row():
+        if kind == "nec":
+            return [at(nec_transverse), at(nec_longitudinal)]
+        t00, txx = at(energy_density), at(pressure_xx)
+        return [t00, txx, txx, at(pressure_zz), at(nec_transverse), at(nec_longitudinal)]
+
+    results, notes = _noted(row)
+    flat = [x for r in results for x in (r.value, r.error_estimate)]
+    return flat, int(all(r.converged for r in results)), notes
 
 
 def _axis_values(spec_value, grid: int, log_spaced: bool) -> list[float]:
@@ -465,7 +463,7 @@ def _cmd_limits(spec: RunSpec):
 
 
 def _cmd_critical(spec: RunSpec):
-    value = critical_omega_pa(ThermalState(spec.beta_over_a), tol=spec.tolerance())
+    value, notes = _noted(critical_omega_pa, ThermalState(spec.beta_over_a), tol=spec.tolerance())
     beta_cell = "inf" if spec.beta_over_a is None else spec.beta_over_a
     if value is None:
         rows = [[beta_cell, "none", "none"]]
@@ -475,7 +473,7 @@ def _cmd_critical(spec: RunSpec):
         # a relative uncertainty on the returned value.
         rel_width = 10.0 ** (CRITICAL_ROOT_REL_TOL * CRITICAL_LOG10_SPAN) - 1.0
         rows = [[beta_cell, value, rel_width]]
-    return ["beta_over_a", "critical_omega_pa", "bracket_rel_width"], rows, False, []
+    return ["beta_over_a", "critical_omega_pa", "bracket_rel_width"], rows, False, list(notes)
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,11 @@ axis's step is halved, with every earlier node reused, while the change
 from its previous level misses the tolerance, and the error estimate is
 that change (in two dimensions, the sum of both axes' changes, each axis
 refined on its own).  A pass that its evaluation budget stops warns,
-naming the level of each axis.  Refinement and accumulation order are
-fixed, so repeated runs return bit-identical values; nothing here depends
-on threads, hashing or global state (the cached node tables are
-read-only and equal to rebuilt ones).
+naming the level of each axis.  A non-finite integrand value, result
+or error estimate raises QuadratureError.  Refinement and
+accumulation order are fixed, so repeated runs return bit-identical
+values; nothing here depends on threads, hashing or global state (the
+cached node tables are read-only and equal to rebuilt ones).
 
 Integrands are called with numpy arrays of abscissae and should return
 an array of their broadcast shape, or one row of components per node for
@@ -49,7 +50,7 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """An integrand returned a non-finite value."""
+    """An integrand value, or a result or its error estimate, is not finite."""
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,13 @@ def _block_sums(values, weights, *axes):
     return sums
 
 
+def _finite(name, value, error):
+    """Raise QuadratureError unless a result is finite (``nan > bound`` is False)."""
+    if not (np.isfinite(value).all() and np.isfinite(error).all()):
+        raise QuadratureError(f"{name} result is not finite: value {value.tolist()}, "
+                              f"error {error.tolist()}")
+
+
 # Double-exponential rules (Takahasi & Mori 1974) put the nodes of each
 # axis at tau = i*h with h = _DE_STEP/2**level, so a level keeps every
 # node of the one before and adds the odd i between them.  exp-sinh maps
@@ -289,7 +297,8 @@ def _grid_sums(fs, axes):
         _block_sums(fs(x[i : i + rows, None], y[None, :]), by_y, x[i : i + rows], y)
         for i in range(0, x.size, rows)
     ], axis=1)
-    return (by_x.T @ per_row).transpose(1, 2, 0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (by_x.T @ per_row).transpose(1, 2, 0)
 
 
 def _integrate(name, f, axes, tol):
@@ -335,7 +344,7 @@ def _integrate(name, f, axes, tol):
     total = estimate(levels)
     error = np.abs(total)
     converged = False
-    while levels[0]:
+    while levels[0] and np.isfinite(total).all():
         changes = [
             np.abs(total - estimate(levels[:a] + [l - 1] + levels[a + 1 :]))
             for a, l in enumerate(levels)
@@ -355,6 +364,7 @@ def _integrate(name, f, axes, tol):
                     parts = np.concatenate([parts, _grid_sums(fs, grid(levels, a))], axis=a)
         total = estimate(levels)
     evaluations = size([n - 1 for n in parts.shape[:-1]])
+    _finite(name, total, error)
     if not converged:
         reached = " and ".join(f"level {l} in {v}" for l, v in zip(levels, "xy"))
         warnings.warn(
@@ -389,8 +399,8 @@ def integrate_unit(f, tol: Tolerance | None = None) -> QuadratureResult:
         change from the coarser level, the error estimate, meets the
         tolerance; ``evaluations`` counts every node evaluated.  A pass
         stopped by ``tol.max_evaluations`` warns and carries
-        ``converged=False``.  Non-finite integrand values raise
-        QuadratureError with the abscissa in the message.
+        ``converged=False``.  A non-finite integrand value (named by its
+        abscissa), result or error estimate raises QuadratureError.
     """
     return _integrate("integrate_unit", f, [(UnitInterval(), None)], tol)
 
@@ -420,8 +430,8 @@ def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> Qu
     Notes
     -----
     The integrand is assumed to vanish beyond 7e6*L; that is exactly the
-    exponential-decay contract.  Non-finite integrand values raise
-    QuadratureError carrying the abscissa.
+    exponential-decay contract.  A non-finite integrand value, result or
+    error estimate raises QuadratureError.
     """
     return _integrate("integrate_semiinf", f, [(SemiInfinite(decay_scale), _EXP_SINH_1D)], tol)
 
@@ -460,7 +470,7 @@ def integrate_2d(
         ``tol.max_evaluations`` does not, and the result then carries
         ``converged=False`` and a warning names the levels reached.
         Values and errors have shape (m,) for an (r, n, m) integrand.
-        Non-finite integrand values raise QuadratureError.
+        A non-finite integrand value, result or error raises QuadratureError.
     """
     return _integrate("integrate_2d", f, [(outer, None), (inner, None)], tol)
 
@@ -483,7 +493,7 @@ def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureRes
     end the sum.  A hard cap of 1e5 terms returns ``converged=False``.
     The error estimate is that tail plus abs_tol, over beta; values and
     errors have shape (m,) for m components.  ``evaluations`` counts the
-    terms summed.
+    terms summed; a sum or error that is not finite raises QuadratureError.
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError("beta must be a positive finite number")
@@ -491,15 +501,16 @@ def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureRes
     gs = _scalar_tolerant(g)
     cap = 100_000
     converged = False
-    n = 0
-    while n <= cap and not converged:
+    n, total = 0, 0.0
+    while n <= cap and not converged and np.isfinite(total).all():
         count = min(64, cap + 1 - n)
         block = gs(2.0 * math.pi * np.arange(n, n + count, dtype=float) / beta)
         if n == 0:
             total, recent, block, n = 0.5 * block[0], block[:0], block[1:], 1
         # Running sums in term order, and the tail after each term that
         # has two predecessors with n >= 1.
-        sums = np.cumsum(np.vstack([total, block]), axis=0)[1:]
+        with np.errstate(invalid="ignore", over="ignore"):
+            sums = np.cumsum(np.vstack([total, block]), axis=0)[1:]
         mags = np.vstack([recent, np.abs(block)])
         a, b, c = mags[:-2], mags[1:-1], mags[2:]
         ratio = np.maximum(_ratio(c, b), _ratio(b, a))
@@ -513,7 +524,9 @@ def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureRes
         n += first + stop + 1
     if not converged:
         tail = np.where(np.isfinite(tail), tail, np.max(recent, axis=0))
-    value, error = total / beta, (tail + tol.abs_tol) / beta
+    with np.errstate(over="ignore"):
+        value, error = total / beta, (tail + tol.abs_tol) / beta
+    _finite("matsubara_sum", value, error)
     if not gs.vector:
         value, error = float(value[0]), float(error[0])
     return QuadratureResult(value, error, n, converged)

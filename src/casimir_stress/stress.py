@@ -64,7 +64,6 @@ attract.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -73,6 +72,7 @@ import numpy as np
 from . import dielectric
 from .dielectric import PlasmaModel
 from .quadrature import (
+    QuadratureError,
     QuadratureResult,
     SemiInfinite,
     Tolerance,
@@ -85,7 +85,6 @@ from .quadrature import (
 
 __all__ = [
     "Geometry",
-    "SlowConvergenceWarning",
     "StressDiagonal",
     "ThermalState",
     "clear_caches",
@@ -104,16 +103,6 @@ __all__ = [
 
 _QUARTER_PI2 = 1.0 / (4.0 * math.pi**2)
 _HALF_PI2 = 1.0 / (2.0 * math.pi**2)
-
-
-class SlowConvergenceWarning(UserWarning):
-    """Issued when a requested position sits within 1e-3 of a wall.
-
-    The integrand there decays only on the scale 1/(2*min(z, a-z)) and
-    the quantities themselves grow like 1/z**3, so quadrature cost and
-    cancellation both climb.  Results are still returned; for positions
-    deep inside the wall region consider near_wall_asymptote instead.
-    """
 
 
 @dataclass(frozen=True)
@@ -579,22 +568,12 @@ def _quantity(name, geom, model, thermal=None, tol=None) -> QuadratureResult:
     position together with the rest of _ROW.  It needs about
     beta*ln(1/rel_tol)*_dep_scale/(2*pi) terms (tzz, which reads no
     position, decays like exp(-2*zeta_n)); above _SPLIT_ABOVE of them
-    the split is cheaper.  Called by a public operation: a position
-    within 1e-3 of a wall warns at the line that called it.
+    the split is cheaper.
     """
     tol = _DEFAULT_TOL if tol is None else tol
     beta = None if thermal is None else thermal.beta
     prefactor, blackbody, weights = _QUANTITIES[name]
-    z_over_a = None
-    if weights.keys() - set(_BOUND):
-        z_over_a = geom.z_over_a
-        if z_over_a < 1e-3 or z_over_a > 1.0 - 1e-3:
-            warnings.warn(
-                "position is within 1e-3*a of a wall; convergence is slow and the "
-                "quantity grows like 1/z**3 (near_wall_asymptote gives the leading law)",
-                SlowConvergenceWarning,
-                stacklevel=3,
-            )
+    z_over_a = geom.z_over_a if weights.keys() - set(_BOUND) else None
     direct = beta is not None and (
         beta * math.log(1.0 / tol.rel_tol) * _dep_scale(z_over_a) / (2.0 * math.pi)
         <= _SPLIT_ABOVE)
@@ -862,11 +841,20 @@ def critical_omega_pa(
     Returns
     -------
     float or None
+
+    Raises
+    ------
+    QuadratureError
+        When an evaluation of the scan or the bisection did not
+        converge, since a sign read from it can put the root anywhere.
     """
     tol = CRITICAL_TOLERANCE if tol is None else tol
 
     def midpoint_energy(log10_wp: float) -> float:
-        return energy_density(Geometry(z=0.5), PlasmaModel(10.0**log10_wp), thermal, tol=tol).value
+        res = energy_density(Geometry(z=0.5), PlasmaModel(10.0**log10_wp), thermal, tol=tol)
+        if not res.converged:
+            raise QuadratureError(f"energy_density did not converge at omega_p*a = 10**{log10_wp:g}")
+        return res.value
 
     grid = np.linspace(0.0, CRITICAL_LOG10_SPAN, 11)
     for left, right in zip(grid, grid[1:]):

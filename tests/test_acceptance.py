@@ -7,7 +7,6 @@ always carries the full scoreboard.  The frozen oracle numbers come from
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -15,7 +14,6 @@ from _frozen import ORACLE
 from casimir_stress import (
     Geometry,
     PlasmaModel,
-    SlowConvergenceWarning,
     ThermalState,
     Tolerance,
     critical_omega_pa,
@@ -254,12 +252,8 @@ def test_criterion_07_near_wall_law(capsys):
     omega_p = 100.0
     model = PlasmaModel(omega_p)
     zs = np.logspace(-4.0, -3.0, 5)
-    vals = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SlowConvergenceWarning)
-        for z in zs:
-            vals.append(pressure_xx(Geometry(float(z)), model, tol=SAMPLE_TOL).value)
-        u = energy_density(Geometry(float(zs[0])), model, tol=SAMPLE_TOL).value
+    vals = [pressure_xx(Geometry(float(z)), model, tol=SAMPLE_TOL).value for z in zs]
+    u = energy_density(Geometry(float(zs[0])), model, tol=SAMPLE_TOL).value
     slope = np.polyfit(np.log(zs), np.log(vals), 1)[0]
     slope_ok = -3.2 <= slope <= -2.8
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -340,6 +341,29 @@ def test_extreme_inputs_end_in_a_one_line_diagnostic(tmp_path, capsys):
     assert len(errors) == 6 and all(math.isfinite(e) for e in errors), errors
     assert "overflow" not in capsys.readouterr().err
     capsys.readouterr()
+
+
+def test_numerical_failures_exit_with_two(capsys):
+    # t00 at omega_p = 1e100, z = 1e-100 is about 7e397.  Such rows used
+    # to print inf with converged = 1 and exit 0, or end in a JSON
+    # traceback.  A critical search whose evaluations miss the tolerance
+    # used to print a root and exit 0.  Now each prints one diagnostic.
+    cases = [
+        ["profile", "--omega-pa", "1e100", "--z", "1e-100"],
+        ["profile", "--omega-pa", "1e100", "--z", "1e-100", "--format", "json"],
+        ["nec", "--omega-pa", "1e100", "--z", "1e-100", "--format", "json"],
+        ["sweep", "--omega-pa", "1e-300:1e100", "--z", "1e-100", "--grid", "3"],
+        ["critical", "--rel-tol", "1e-300", "--abs-tol", "0"],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in cases:
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert code == 2, argv
+            assert out == "", argv
+            assert err.startswith("casimir-stress: numerical failure:"), (argv, err)
+            assert err.count("\n") == 1, (argv, err)
 
 
 def test_si_mode_requires_separation(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,26 @@ from casimir_stress.quadrature import (
     integrate_unit,
     matsubara_sum,
 )
+
+
+def test_results_past_the_float_range_raise():
+    # Finite integrand values whose sum overflows used to come back as an
+    # inf value with converged=True, because nan > bound is False.  Each
+    # entry now raises, and warns of nothing on the way.
+    def full(*args):
+        return np.full(np.broadcast_shapes(*(a.shape for a in args)), 1e307)
+
+    cases = [
+        ("integrate_semiinf", lambda: integrate_semiinf(full, 1.0)),
+        ("integrate_2d", lambda: integrate_2d(full, SemiInfinite(1.0), UnitInterval())),
+        ("matsubara_sum", lambda: matsubara_sum(full, 1.0)),
+        ("matsubara_sum", lambda: matsubara_sum(lambda z: 1e307 * np.exp(-z), 1e-3)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in cases:
+            with pytest.raises(QuadratureError, match=f"^{name} result is not finite"):
+                call()
 
 
 def test_exponential_on_half_line():
