@@ -45,9 +45,9 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._record import record
 from .dielectric import PlasmaModel
 from .quadrature import QuadratureError, Tolerance
 from .stress import (
@@ -90,7 +90,7 @@ class UsageError(Exception):
     """Bad command line or config; maps to exit status 1."""
 
 
-@dataclass(frozen=True)
+@record
 class RunSpec:
     """Fully resolved description of one CLI run.
 
@@ -409,12 +409,19 @@ def _si_scale(spec: RunSpec) -> float:
     return to_si_energy_density(1.0, spec.separation_um * 1e-6)
 
 
-def _scale_rows(rows: list[list[float]], scale: float) -> None:
+def _scale_rows(rows: list[list[float]], scale: float, axis: str) -> None:
+    """Scale every value and error cell; a row finite in 1/a**4 units can
+    still overflow in J/m**3, which is a numerical failure like any other
+    non-finite result."""
     if scale == 1.0:
         return
     for row in rows:
         for i in range(1, len(row) - 1):
-            row[i] *= scale
+            value = row[i] * scale
+            if not math.isfinite(value):
+                raise QuadratureError(f"{row[i]!r} in 1/a**4 units at {axis} = {row[0]!r} "
+                                      f"overflows in J/m**3 (times {scale!r})")
+            row[i] = value
 
 
 def _quantity_header(names: list[str]) -> list[str]:
@@ -443,7 +450,7 @@ def _cmd_rows(spec: RunSpec):
         rows.append([value, *flat, converged])
         failed = failed or not converged
         notes.extend(note for note in row_notes if note not in notes)
-    _scale_rows(rows, _si_scale(spec))
+    _scale_rows(rows, _si_scale(spec), axis)
     columns = [axis, *_quantity_header(_QUANTITY_COLUMNS[kind]), "converged"]
     return columns, rows, failed, notes
 

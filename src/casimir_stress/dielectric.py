@@ -29,9 +29,10 @@ the dimensionless product (plasma frequency) * (gap width) / c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._record import record
 
 __all__ = [
     "PlasmaModel",
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class PlasmaModel:
     """Half-space material: a single plasma frequency in units of 1/a.
 

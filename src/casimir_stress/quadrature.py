@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
+
+from ._record import record
 
 __all__ = [
     "Tolerance",
@@ -53,7 +54,7 @@ class QuadratureError(RuntimeError):
     """An integrand value, or a result or its error estimate, is not finite."""
 
 
-@dataclass(frozen=True)
+@record
 class Tolerance:
     """Termination targets for one integration pass.
 
@@ -88,7 +89,7 @@ class Tolerance:
         )
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureResult:
     """Value of an integral together with bookkeeping.
 
@@ -108,7 +109,7 @@ class QuadratureResult:
     converged: bool
 
 
-@dataclass(frozen=True)
+@record
 class SemiInfinite:
     """Domain marker: [0, inf) with the given exponential decay scale."""
 
@@ -119,7 +120,7 @@ class SemiInfinite:
             raise ValueError("decay_scale must be a positive finite number")
 
 
-@dataclass(frozen=True)
+@record
 class UnitInterval:
     """Domain marker: [0, 1]."""
 

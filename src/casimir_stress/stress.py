@@ -64,12 +64,12 @@ attract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import dielectric
+from ._record import record
 from .dielectric import PlasmaModel
 from .quadrature import (
     QuadratureError,
@@ -105,7 +105,7 @@ _QUARTER_PI2 = 1.0 / (4.0 * math.pi**2)
 _HALF_PI2 = 1.0 / (2.0 * math.pi**2)
 
 
-@dataclass(frozen=True)
+@record
 class Geometry:
     """Gap geometry: evaluation position ``z`` inside a gap of width ``a``.
 
@@ -138,7 +138,7 @@ class Geometry:
         return self.z / self.a
 
 
-@dataclass(frozen=True)
+@record
 class ThermalState:
     """Zero temperature, or a finite inverse temperature ``beta``.
 
@@ -178,7 +178,7 @@ class ThermalState:
         return self.beta is None
 
 
-@dataclass(frozen=True)
+@record
 class StressDiagonal:
     """Diagonal stress tensor components, each with its error estimate.
 
@@ -712,7 +712,8 @@ def stress_tensor(
     t00 = energy_density(geom, model, thermal, tol=tol)
     txx = pressure_xx(geom, model, thermal, tol=tol)
     tzz = pressure_zz(geom, model, thermal, tol=tol)
-    return StressDiagonal(t00=t00, txx=txx, tyy=replace(txx), tzz=tzz)
+    tyy = QuadratureResult(txx.value, txx.error_estimate, txx.evaluations, txx.converged)
+    return StressDiagonal(t00=t00, txx=txx, tyy=tyy, tzz=tzz)
 
 
 def nec_transverse(

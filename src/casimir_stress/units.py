@@ -13,7 +13,8 @@ that SI output is reproducible digit for digit across machines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import record
 
 __all__ = [
     "BOLTZMANN",
@@ -39,7 +40,7 @@ SPEED_OF_LIGHT = CODATA_2018["c"]
 BOLTZMANN = CODATA_2018["k_B"]
 
 
-@dataclass(frozen=True)
+@record
 class LabParameters:
     """Laboratory description of one configuration.
 

@@ -145,6 +145,24 @@ def test_cli_import_loads_no_optional_module():
     assert out.stdout.strip() == ""
 
 
+def test_cli_import_loads_no_dataclasses():
+    # The package's records generate no code at import; dataclasses may
+    # only be present because numpy loaded it first.
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    script = (
+        "import sys, numpy\n"
+        "before = 'dataclasses' in sys.modules\n"
+        "import casimir_stress.cli\n"
+        "print(before, 'dataclasses' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    before, after = out.stdout.split()
+    assert after == before
+
+
 def test_sweep_grid_is_logarithmic_with_exact_endpoints(tmp_path):
     code, text = run_to_file(
         tmp_path,
@@ -364,6 +382,30 @@ def test_numerical_failures_exit_with_two(capsys):
             assert out == "", argv
             assert err.startswith("casimir-stress: numerical failure:"), (argv, err)
             assert err.count("\n") == 1, (argv, err)
+
+
+def test_si_rows_that_overflow_are_numerical_failures(capsys, tmp_path):
+    # t00 at omega_p = 10, z = 1e-100 is about 7e298 in 1/a**4 units and
+    # overflows in J/m**3 for a 1e-60 micrometer gap.  The row used to
+    # print inf with converged = 1 (CSV) or end in a traceback (JSON).
+    argv = ["profile", "--omega-pa", "10", "--z", "1e-100", "--si", "--separation-um", "1e-60"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for output_format in ("csv", "json"):
+            code = cli.main([*argv, "--format", output_format])
+            out, err = capsys.readouterr()
+            assert code == 2, output_format
+            assert out == "", output_format
+            assert err.startswith("casimir-stress: numerical failure:"), (output_format, err)
+            assert err.count("\n") == 1, (output_format, err)
+    # A 1 micrometer gap at 300 K, as in the thermal workload, still prints.
+    code, text = run_to_file(tmp_path, "si.csv", [
+        "profile", "--omega-pa", "100", "--z", "0.25:0.75", "--grid", "3", "--si",
+        "--separation-um", "1", "--kelvin", "300"])
+    assert code == 0
+    _, header, rows = parse_csv(text)
+    assert len(rows) == 3 and all(row[-1] == "1" for row in rows)
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 def test_si_mode_requires_separation(capsys):

@@ -6,7 +6,6 @@ import inspect
 import math
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import mpmath
