@@ -33,12 +33,15 @@ but has no effect: rows are evaluated in order in one process, since a
 row takes milliseconds and a worker process longer to start.  ``--si``
 with ``--separation-um`` (and optionally ``--kelvin``) converts
 densities to J/m**3 through the units module.  Diagnostics go to stderr
-and honor the NO_COLOR convention.
+and honor the NO_COLOR convention.  Only the process entry ``run``
+(``python -m`` and the ``casimir-stress`` script) freezes the heap after
+``main`` so that exit skips collecting it; ``main`` itself never does.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -66,7 +69,7 @@ from .stress import (
 )
 from .units import beta_from_temperature, to_si_energy_density
 
-__all__ = ["RunSpec", "build_run_spec", "main"]
+__all__ = ["RunSpec", "build_run_spec", "main", "run"]
 
 _COMMANDS = ("profile", "sweep", "nec", "limits", "critical")
 
@@ -666,5 +669,12 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run(argv: list[str] | None = None) -> int:
+    """Process entry: ``main(argv)``, then ``gc.freeze()``; returns its status."""
+    status = main(argv)
+    gc.freeze()  # the interpreter's exit collections then skip the import-time heap
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -80,14 +80,6 @@ class Tolerance:
         if self.max_evaluations < 15:
             raise ValueError("max_evaluations must be at least 15")
 
-    def tightened(self, factor: float) -> "Tolerance":
-        """A copy with both tolerances divided by ``factor``."""
-        return Tolerance(
-            rel_tol=self.rel_tol / factor,
-            abs_tol=self.abs_tol / factor,
-            max_evaluations=self.max_evaluations,
-        )
-
 
 @record
 class QuadratureResult:

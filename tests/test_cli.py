@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import gc
 import json
 import math
 import os
@@ -130,37 +131,82 @@ def test_cold_thermal_row_near_a_wall_converges(tmp_path):
     assert rows[0][header.index("converged")] == "1"
 
 
-def test_cli_import_loads_no_optional_module():
-    # Importing the CLI sets the start-up time of every invocation.
-    optional = ("scipy", "mpmath", "matplotlib", "jsonschema", "numpy.polynomial")
+def python(args, **kwargs):
+    """Run a fresh interpreter that imports this checkout's package."""
     src = Path(cli.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, **kwargs)
+
+
+def test_cli_import_loads_no_optional_module():
+    # Importing the CLI sets the start-up time of every invocation.
+    optional = ("scipy", "mpmath", "matplotlib", "jsonschema", "numpy.polynomial")
     script = (
         "import sys, casimir_stress.cli\n"
         f"print(','.join(m for m in {optional!r} if m in sys.modules))"
     )
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
+    out = python(["-c", script], check=True)
     assert out.stdout.strip() == ""
 
 
 def test_cli_import_loads_no_dataclasses():
     # The package's records generate no code at import; dataclasses may
     # only be present because numpy loaded it first.
-    src = Path(cli.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
     script = (
         "import sys, numpy\n"
         "before = 'dataclasses' in sys.modules\n"
         "import casimir_stress.cli\n"
         "print(before, 'dataclasses' in sys.modules)"
     )
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
+    out = python(["-c", script], check=True)
     before, after = out.stdout.split()
     assert after == before
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["profile", "--omega-pa", "10", "--z", "0.2:0.8", "--grid", "3", *FAST], 0),
+    (["profile", "--omega-pa", "-3", "--z", "0.5"], 1),
+    (["critical", "--rel-tol", "1e-300", "--abs-tol", "0"], 2),
+])
+def test_process_entry_prints_what_main_prints(argv, status, capsys):
+    # python -m runs cli.run, which freezes the heap before the exit.
+    assert cli.main(argv) == status
+    out, err = capsys.readouterr()
+    done = python(["-m", "casimir_stress.cli", *argv])
+    assert (done.stdout, done.stderr, done.returncode) == (out, err, status)
+
+
+def test_process_entry_writes_the_whole_file(tmp_path):
+    argv = ["sweep", "--omega-pa", "1:100", "--z", "0.5", "--grid", "3", "--format", "json",
+            *FAST]
+    code, text = run_to_file(tmp_path, "main.json", argv)
+    out = tmp_path / "run.json"
+    done = python(["-m", "casimir_stress.cli", *argv, "--out", str(out)])
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", "")
+    assert out.read_text(encoding="utf-8") == text
+
+
+def test_process_entry_freezes_the_heap_and_main_does_not(capsys):
+    script = (
+        "import gc\n"
+        "from casimir_stress import cli\n"
+        "status = cli.run(['profile', '--omega-pa', '-3', '--z', '0.5'])\n"
+        "print(status, gc.get_freeze_count() > 0)"
+    )
+    assert python(["-c", script], check=True).stdout.split() == ["1", "True"]
+    frozen = gc.get_freeze_count()
+    assert cli.main(["limits"]) == 0
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"casimir-stress": "casimir_stress.cli:run"}
 
 
 def test_sweep_grid_is_logarithmic_with_exact_endpoints(tmp_path):

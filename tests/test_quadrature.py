@@ -353,9 +353,6 @@ def test_tolerance_validation():
         SemiInfinite(0.0)
     with pytest.raises(ValueError):
         integrate_semiinf(lambda x: np.exp(-x), decay_scale=-1.0)
-    tight = Tolerance(rel_tol=1e-6, abs_tol=1e-10).tightened(10.0)
-    assert tight.rel_tol == 1e-6 / 10.0
-    assert tight.abs_tol == 1e-10 / 10.0
 
 
 def test_matsubara_sum_geometric_case():
