@@ -130,7 +130,7 @@ def _scalar_tolerant(f):
     """
 
     def call(*args):
-        shape = np.broadcast_shapes(*(a.shape for a in args))
+        shape = np.broadcast(*args).shape
         if not call.loop:
             try:
                 y = np.asarray(f(*args), dtype=float)
@@ -194,8 +194,10 @@ _EXP_SINH = (-3.75, 1.8)
 # levels, not the far part of the integral.
 _EXP_SINH_1D = (-3.75, 3.0)
 _TANH_SINH = (-4.0, 3.15)
-# Integrand calls take at most this many nodes, bounding memory.
-_BLOCK = 16384
+# Integrand calls take at most this many nodes, bounding memory: 32 KB
+# an array, far below the size from which the allocator maps fresh pages
+# for every allocation.
+_BLOCK = 4096
 # The deepest level that a pass's first integrand call evaluates, by the
 # number of axes.  A single integral evaluates its 181 or 191 nodes
 # through level 4 at once: most passes end there, and for a small
@@ -264,28 +266,37 @@ def _by_group(weight, starts):
     bounds = starts.tolist() + [weight.size]
     for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
         matrix[a:b, g] = weight[a:b]
+    matrix.flags.writeable = False
     return matrix
+
+
+@lru_cache(maxsize=128)
+def _axis(scale, level, span, newest):
+    """Read-only (nodes, _by_group matrix) of _de_axis(domain, level,
+    span), or of _newest with ``newest``, for the half-line of decay
+    scale ``scale``, or [0, 1] where that is None."""
+    domain = UnitInterval() if scale is None else SemiInfinite(scale)
+    x, weight, starts = (_newest if newest else _de_axis)(domain, level, span)
+    return x, _by_group(weight, starts)
 
 
 def _grid_sums(fs, axes):
     """Sums of the weighted integrand over every tuple of node groups.
 
-    ``axes`` holds (nodes, weights, starts) per axis, as from _de_axis;
+    ``axes`` holds (nodes, _by_group matrix) per axis, as from _axis;
     returns shape (groups per axis..., m).  Integrand calls take at most
     _BLOCK nodes, in two dimensions whole rows of x.  Matrix products
     with one weight column per group contract each block's last axis,
     then in two dimensions the x axis.
     """
-    x, wx, gx = axes[0]
-    by_x = _by_group(wx, gx)
+    x, by_x = axes[0]
     if len(axes) == 1:
         return sum(
             _block_sums(fs(x[i : i + _BLOCK]), by_x[i : i + _BLOCK], x[i : i + _BLOCK])
             for i in range(0, x.size, _BLOCK)
         ).T
-    y, wy, gy = axes[1]
+    y, by_y = axes[1]
     rows = max(1, _BLOCK // y.size)
-    by_y = _by_group(wy, gy)
     per_row = np.concatenate([
         _block_sums(fs(x[i : i + rows, None], y[None, :]), by_y, x[i : i + rows], y)
         for i in range(0, x.size, rows)
@@ -314,48 +325,23 @@ def _integrate(name, f, axes, tol):
     """
     tol = tol or _DEFAULT_TOL
     fs = _scalar_tolerant(f)
-    over = tuple(range(len(axes)))
+    scales = [getattr(domain, "decay_scale", None) for domain, _ in axes]
 
     def size(levels):
         return math.prod([_size(domain, l, span) for (domain, span), l in zip(axes, levels)])
 
     def grid(levels, newest=None):
-        return [
-            (_newest if a == newest else _de_axis)(domain, l, span)
-            for a, ((domain, span), l) in enumerate(zip(axes, levels))
-        ]
+        return [_axis(scale, l, span, a == newest)
+                for a, (scale, (_, span), l) in enumerate(zip(scales, axes, levels))]
 
-    def estimate(levels):
-        step = math.prod([_DE_STEP / 2**l for l in levels])
-        return step * np.add.reduce(parts[tuple([slice(l + 1) for l in levels])], over)
-
-    first = 0
-    while first < _FIRST_LEVEL[len(axes)] and size([first + 1] * len(axes)) <= tol.max_evaluations:
-        first += 1
+    first = _FIRST_LEVEL[len(axes)]
+    while first and size([first] * len(axes)) > tol.max_evaluations:
+        first -= 1
     parts = _grid_sums(fs, grid([first] * len(axes)))
-    levels = [min(first, 1)] * len(axes)
-    total = estimate(levels)
-    error = np.abs(total)
-    converged = False
-    while levels[0] and np.isfinite(total).all():
-        changes = [
-            np.abs(total - estimate(levels[:a] + [l - 1] + levels[a + 1 :]))
-            for a, l in enumerate(levels)
-        ]
-        error = sum(changes[1:], changes[0])
-        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))
-        refine = [bool((change > bound).any()) for change in changes]
-        if not any(refine):
-            converged = True
-            break
-        if size([l + r for l, r in zip(levels, refine)]) > tol.max_evaluations:
-            break
-        for a in over:
-            if refine[a]:
-                levels[a] += 1
-                if levels[a] == parts.shape[a]:
-                    parts = np.concatenate([parts, _grid_sums(fs, grid(levels, a))], axis=a)
-        total = estimate(levels)
+    if len(axes) == 1:
+        levels, total, error, converged, parts = _refine_1d(fs, grid, size, parts, tol)
+    else:
+        levels, total, error, converged, parts = _refine_2d(fs, grid, size, parts, tol)
     evaluations = size([n - 1 for n in parts.shape[:-1]])
     _finite(name, total, error)
     if not converged:
@@ -368,6 +354,91 @@ def _integrate(name, f, axes, tol):
     if fs.vector:
         return QuadratureResult(total, error, evaluations, converged)
     return QuadratureResult(float(total[0]), float(error[0]), evaluations, converged)
+
+
+# A level's total is its step times np.add.reduce of the group sums up to
+# it.  On one axis that adds one group after another while there are
+# fewer than 8, which prefix sums repeat exactly, and pairwise from 8 on.
+_SEQUENTIAL = 7
+
+
+def _refine_1d(fs, grid, size, parts, tol):
+    """_integrate's rounds on one axis: (levels, total, error, converged, parts).
+
+    Every evaluated level's total comes from one prefix sum, and the
+    rounds over the levels already evaluated are decided together: the
+    pass stops at the first of them whose total is not finite or whose
+    change meets the tolerance, else evaluates the next level.
+    """
+    sums = np.add.accumulate(parts[:_SEQUENTIAL], axis=0)
+    table = (_DE_STEP / 2.0 ** np.arange(len(sums)))[:, None] * sums
+    level = min(len(parts) - 1, 1)
+    total = table[level]
+    error = np.abs(total)
+    with np.errstate(invalid="ignore", over="ignore"):
+        while level:
+            newer = table[level:]
+            changes = np.abs(newer - table[level - 1 : -1])
+            finite = np.isfinite(newer).all(axis=1).tolist()
+            refine = (changes > np.maximum(tol.abs_tol, tol.rel_tol * np.abs(newer))).any(axis=1)
+            for j, (ok, more) in enumerate(zip(finite, refine.tolist())):
+                if not (ok and more):
+                    total = newer[j]
+                    if ok:
+                        return [level + j], total, changes[j], True, parts
+                    return [level + j], total, changes[j - 1] if j else error, False, parts
+            level = len(table) - 1
+            total, error = table[level], changes[-1]
+            if size([level + 1]) > tol.max_evaluations:
+                break
+            level += 1
+            new = _grid_sums(fs, grid([level], 0))
+            parts = np.concatenate([parts, new])
+            more = sums[-1] + new if level < _SEQUENTIAL else np.add.reduce(parts, 0)[None]
+            sums = np.concatenate([sums, more])
+            table = np.concatenate([table, _DE_STEP / 2**level * more])
+    return [level], total, error, False, parts
+
+
+def _refine_2d(fs, grid, size, parts, tol):
+    """_integrate's rounds on two axes: (levels, total, error, converged, parts).
+
+    Each round reads the totals at its levels and one level coarser on
+    each axis.  np.add.reduce adds a level pair's groups in their
+    flattened (x, y) order, pairwise from 8 on, which prefix sums over
+    the axes cannot repeat, so each total is reduced once and kept.
+    """
+    totals = {}
+
+    def estimate(levels):
+        key = tuple(levels)
+        if key not in totals:
+            step = math.prod([_DE_STEP / 2**l for l in levels])
+            totals[key] = step * np.add.reduce(parts[tuple([slice(l + 1) for l in levels])], (0, 1))
+        return totals[key]
+
+    levels = [min(parts.shape[0] - 1, 1)] * 2
+    total = estimate(levels)
+    error = np.abs(total)
+    while levels[0] and np.isfinite(total).all():
+        changes = [
+            np.abs(total - estimate(levels[:a] + [l - 1] + levels[a + 1 :]))
+            for a, l in enumerate(levels)
+        ]
+        error = changes[0] + changes[1]
+        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))
+        refine = [bool((change > bound).any()) for change in changes]
+        if not any(refine):
+            return levels, total, error, True, parts
+        if size([l + r for l, r in zip(levels, refine)]) > tol.max_evaluations:
+            break
+        for a in (0, 1):
+            if refine[a]:
+                levels[a] += 1
+                if levels[a] == parts.shape[a]:
+                    parts = np.concatenate([parts, _grid_sums(fs, grid(levels, a))], axis=a)
+        total = estimate(levels)
+    return levels, total, error, False, parts
 
 
 def integrate_unit(f, tol: Tolerance | None = None) -> QuadratureResult:
@@ -476,10 +547,13 @@ def _ratio(num, den):
 def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureResult:
     """Weighted thermal sum (1/beta) * [g(0)/2 + sum_{n>=1} g(2*pi*n/beta)].
 
-    ``g`` gets an array of up to 64 consecutive frequencies at a time and
-    returns one value, or one row of m components, per frequency (scalar
-    fallback applies).  The n = 0 term carries half weight.  Summation
-    stops at the first n where every component's geometric tail is within
+    ``g`` gets arrays of consecutive frequencies, 8 of them first, then
+    16, 32 and from then on 64 at a time, so that a short sum evaluates
+    few terms past its last, and returns one value, or one row of m
+    components, per frequency (scalar fallback applies).  The n = 0 term
+    carries half weight.  Each running sum adds one term after another,
+    whatever the blocks.  Summation stops at the first n where every
+    component's geometric tail is within
     rel_tol*|sum| + abs_tol (unscaled); the decay ratio is the larger of
     the last two term ratios and the tail is summed from the larger of the
     last two terms, so a term that is small only by a sign change cannot
@@ -494,10 +568,10 @@ def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureRes
     gs = _scalar_tolerant(g)
     cap = 100_000
     converged = False
-    n, total = 0, 0.0
+    n, total, count = 0, 0.0, 8
     while n <= cap and not converged and np.isfinite(total).all():
-        count = min(64, cap + 1 - n)
-        block = gs(2.0 * math.pi * np.arange(n, n + count, dtype=float) / beta)
+        block = gs(2.0 * math.pi * np.arange(n, min(n + count, cap + 1), dtype=float) / beta)
+        count = min(2 * count, 64)
         if n == 0:
             total, recent, block, n = 0.5 * block[0], block[:0], block[1:], 1
         # Running sums in term order, and the tail after each term that

@@ -72,6 +72,7 @@ from . import dielectric
 from ._record import record
 from .dielectric import PlasmaModel
 from .quadrature import (
+    _BLOCK,
     QuadratureError,
     QuadratureResult,
     SemiInfinite,
@@ -210,9 +211,14 @@ def _dep_scale(z_over_a: float | None) -> float:
 
 
 def _mirror(kappa, z_over_a):
-    return 0.5 * (
-        np.exp(-2.0 * kappa * z_over_a) + np.exp(-2.0 * kappa * (1.0 - z_over_a))
-    )
+    """(exp(-2*kappa*z) + exp(-2*kappa*(1 - z)))/2, formed in two arrays."""
+    near = np.multiply(-2.0, kappa)
+    far = near * (1.0 - z_over_a)
+    near *= z_over_a
+    np.exp(near, out=near)
+    near += np.exp(far, out=far)
+    near *= 0.5
+    return near
 
 
 _BOUND = ("B0", "B2", "N")
@@ -225,28 +231,34 @@ def _kernel(kappa, t, weight, omega_p, z_over_a, names):
     Bound columns B0, B2, N: b, t**2*b and (1 - 3*t**2)*(b - b(t=1)).
     With z_over_a given, also the position column D = (1 - t**2)*I*M.
     Only the named columns are formed, stored component-major: shape
-    (len(names), *broadcast shape).  Each is written into that one
-    array, D before the bound ones, so that few temporaries live at
-    once; every further one is fresh memory, whose page faults cost more
-    than the arithmetic.
+    (len(names), *broadcast shape), each written into that one array.
+    The terms they share are formed once, overwritten in place and
+    released as soon as they are used up, so that few arrays are alive
+    at once: fresh memory costs page faults, which cost more than the
+    arithmetic.
     """
-    damp = np.exp(-2.0 * kappa)
     r_s, r_p = dielectric.rs_rp_ut(kappa, t, omega_p)
-    den_s = 1.0 - r_s * r_s * damp
-    rp_damp = r_p * damp
-    den_p = 1.0 - r_p * rp_damp
-    t2 = t * t
+    damp = np.multiply(-2.0, kappa)
+    np.exp(damp, out=damp)
+    # r_s**2*E and r_p**2*E (in r_p's array), and 1 minus each.
+    bound_s = np.multiply(r_s, r_s)
+    bound_s *= damp
+    den_s = np.subtract(1.0, bound_s)
+    rp_damp = np.multiply(r_p, damp, out=damp if damp.shape == r_p.shape else None)
+    bound_p = np.multiply(r_p, rp_damp, out=r_p)
+    den_p = np.subtract(1.0, bound_p)
     out = np.empty((len(names), *den_p.shape))
     column = dict(zip(names, out))
     if "D" in column:
-        pair = dielectric.rp_plus_rs_ut(kappa, t, omega_p)
-        mirrored = weight * _mirror(kappa, z_over_a)
-        np.multiply(1.0 - t2, pair * (1.0 - r_s * rp_damp) * (mirrored / den_s) / den_p,
-                    out=column["D"])
+        d = np.multiply(r_s, rp_damp, out=column["D"])
+        np.subtract(1.0, d, out=d)
+    del r_s, r_p, damp, rp_damp
+    t2 = t * t
     if column.keys() & set(_BOUND):
-        bound_s = r_s * r_s * damp / den_s
-        bound_p = r_p * rp_damp / den_p
-        bound = np.multiply(weight, bound_s + bound_p, out=column.get("B0"))
+        bound_s /= den_s
+        bound_p /= den_p
+        bound = np.add(bound_s, bound_p, out=column.get("B0"))
+        bound *= weight
         if "B2" in column:
             np.multiply(t2, bound, out=column["B2"])
         if "N" in column:
@@ -254,7 +266,16 @@ def _kernel(kappa, t, weight, omega_p, z_over_a, names):
             # b does not depend on t, as for perfect conductors.  It
             # integrates to B0 - 3*B2, because 1 - 3*t**2 integrates to
             # zero over t.
-            np.multiply(weight * (1.0 - 3.0 * t2), bound_p - bound_s, out=column["N"])
+            n = np.subtract(bound_p, bound_s, out=column["N"])
+            n *= weight * (1.0 - 3.0 * t2)
+    del bound_s, bound_p
+    if "D" in column:
+        d *= dielectric.rp_plus_rs_ut(kappa, t, omega_p)
+        mirrored = _mirror(kappa, z_over_a)
+        mirrored *= weight
+        d *= np.divide(mirrored, den_s, out=mirrored if mirrored.shape == d.shape else None)
+        d /= den_p
+        d *= 1.0 - t2
     return out
 
 
@@ -426,13 +447,22 @@ def _frequency_integrals(zeta, matrix, omega_p, z_over_a, tol, names):
     every inner k-integral becomes one over x on [0, inf), and the kernel
     with weight kappa**2 gives B0 = kappa**2*b, B2 = zeta**2*b and
     D = k**2*I*M.  ``matrix`` combines the named columns; values and
-    errors run over its rows, then over zeta.
+    errors run over its rows, then over zeta.  The kernel takes whole
+    rows of frequencies, at most half a _BLOCK of nodes at a time: all
+    its arrays have the full node shape here, and with half a block the
+    memory a call frees is small enough for the allocator to keep for
+    the next call rather than return it and fault it in again.
     """
 
     def f(x):
-        kappa = zeta + x
-        values = _kernel(kappa, zeta / kappa, kappa**2, omega_p, z_over_a, names)
-        return (matrix @ values.reshape(len(names), -1)).reshape(-1, x.size).T
+        out = np.empty((len(matrix), zeta.size * x.size))
+        rows = max(1, _BLOCK // (2 * x.size))
+        for i in range(0, zeta.size, rows):
+            kappa = zeta[i : i + rows] + x
+            values = _kernel(kappa, zeta[i : i + rows] / kappa, kappa**2, omega_p, z_over_a, names)
+            np.matmul(matrix, values.reshape(len(names), -1),
+                      out=out[:, i * x.size : (i + rows) * x.size])
+        return out.reshape(-1, x.size).T
 
     return integrate_semiinf(f, _dep_scale(z_over_a), tol)
 
@@ -552,7 +582,13 @@ def clear_caches() -> None:
 
 
 _DEFAULT_TOL = Tolerance()
-# The split costs about as much as a direct sum of this many terms.
+# Above this many predicted terms a sum is split.  The split costs as
+# much as a direct sum of somewhat fewer: a cold row of the five CLI
+# quantities at omega_p = 100 costs 1.25 times as much split as direct
+# at 165 predicted terms (beta = 50, z = 0.5), but the same at 330
+# (beta = 20, z = 0.1) or 0.7 times as much (beta = 100, z = 0.5).  The
+# bound stays above that crossover, because moving it would move the
+# values of the rows that change route.
 _SPLIT_ABOVE = 400
 
 

@@ -387,6 +387,72 @@ def test_matsubara_sum_meets_its_tolerance_on_slowly_decaying_sums():
         assert abs(res.value - exact) <= res.error_estimate
 
 
+def test_matsubara_sum_grows_its_blocks_and_sums_term_by_term():
+    # The summand sees 8, 16 and 32 frequencies, then 64 at a time, so a
+    # short sum evaluates few terms past its last: one that stops by term
+    # 12 evaluates at most 24.  Whatever the blocks, each running sum adds
+    # one term after another, so the value is bitwise that of np.cumsum
+    # over the terms used, with half weight at n = 0.
+    def vector(z):
+        return np.stack([np.exp(-z), z * np.exp(-0.5 * z)], axis=-1)
+
+    for g, beta, blocks in ((lambda z: np.exp(-z), 3.0, [8, 16]),
+                            (lambda z: np.exp(-z), 1e3, [8, 16, 32, 64, 64]),
+                            (vector, 200.0, [8, 16, 32, 64, 64])):
+        sizes = []
+
+        def summand(zeta):
+            sizes.append(zeta.size)
+            return g(zeta)
+
+        res = matsubara_sum(summand, beta)
+        assert res.converged
+        assert sizes[: len(blocks)] == blocks
+        assert set(sizes[3:]) <= {64}
+        assert sum(sizes[:-1]) < res.evaluations <= sum(sizes)
+        if beta == 3.0:
+            assert res.evaluations <= 12 and sum(sizes) <= 24
+        terms = np.asarray(g(2.0 * math.pi * np.arange(res.evaluations, dtype=float) / beta))
+        terms[0] *= 0.5
+        assert np.array_equal(res.value, np.cumsum(terms, axis=0)[-1] / beta)
+
+
+def test_level_totals_keep_their_bits():
+    # Each pass forms the totals of every level it evaluated from prefix
+    # sums over the node groups, adding them in the order np.add.reduce
+    # does: one after another up to 7 groups, pairwise from 8.  These
+    # values were frozen from a driver that reduced each level's groups
+    # anew, and they must not move in any bit.  A trivial pass takes its
+    # 181 nodes in one integrand call.
+    calls = []
+
+    def trivial(x):
+        calls.append(x.size)
+        return np.exp(-x)
+
+    res = integrate_semiinf(trivial, 1.0)
+    assert calls == [181] and res.evaluations == 181
+    assert (res.value, res.error_estimate) == (0.9999999999999984, 2.3314683517128287e-15)
+    frozen = [
+        # Levels 8 and 9: nine and ten groups, summed pairwise.
+        (integrate_semiinf(lambda x: np.exp(-x) * np.cos(10.0 * x), 1.0),
+         0.009900990099006808, 2.1180973641676815e-15, 2881),
+        (integrate_semiinf(lambda x: np.exp(-x) * np.cos(20.0 * x), 1.0),
+         0.0024937655860317654, 2.4936649967166602e-15, 5761),
+        (integrate_semiinf(lambda x: np.stack([np.exp(-x) * np.cos(x), 1e-6 * x * np.exp(-x)],
+                                              axis=-1), 0.7),
+         [0.4999999999999984, 1e-06], [9.159339953157541e-14, 0.0], 361),
+        (integrate_unit(lambda t: np.sqrt(t) * np.cos(3.0 * t)),
+         -0.12461872214188977, 9.71445146547012e-17, 191),
+        (integrate_2d(lambda x, y: np.exp(-x - y) * np.cos(3.0 * x),
+                      SemiInfinite(1.0), SemiInfinite(1.0)),
+         0.0999999999999971, 4.896222316475018e-13, 88357),
+    ]
+    for res, value, error, evaluations in frozen:
+        assert res.converged and res.evaluations == evaluations
+        assert np.array_equal(res.value, value) and np.array_equal(res.error_estimate, error)
+
+
 def test_matsubara_sum_validation():
     with pytest.raises(ValueError):
         matsubara_sum(lambda z: 0.0, beta=0.0)

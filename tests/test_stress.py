@@ -380,6 +380,33 @@ def test_cold_thermal_row_has_bounded_cost(monkeypatch):
     assert calls["matsubara_sum"] == 0
 
 
+def test_kernel_calls_stay_within_a_block(monkeypatch):
+    # No kernel call takes more than quadrature._BLOCK nodes, counting the
+    # frequency axis of a direct Matsubara block: at zero temperature, in
+    # direct thermal rows near a wall and at the midpoint, and in a split
+    # row.  The direct blocks reach 64 frequencies of 181 nodes each, far
+    # more than a block of 1024 nodes, which the calls keep to as well.
+    sizes = []
+
+    def kernel(kappa, t, weight, omega_p, z_over_a, names):
+        sizes.append(np.broadcast(kappa, t, weight).size)
+        return original(kappa, t, weight, omega_p, z_over_a, names)
+
+    original = stress_mod._kernel
+    monkeypatch.setattr(stress_mod, "_kernel", kernel)
+    for block in (quadrature._BLOCK, 1024):
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        monkeypatch.setattr(stress_mod, "_BLOCK", block)
+        for z, beta in ((0.5, None), (0.05, 5.0), (0.5, 5.0), (0.5, 100.0), (0.5, 1000.0)):
+            stress_mod.clear_caches()
+            sizes.clear()
+            thermal = None if beta is None else ThermalState.finite(beta)
+            for op in CLI_COLUMNS.values():
+                assert op(Geometry(z), PlasmaModel(100.0), thermal).converged
+            assert sizes and max(sizes) <= block, (block, z, beta, max(sizes))
+    stress_mod.clear_caches()
+
+
 def test_one_kernel_serves_every_reduction(monkeypatch):
     # The zero-T bound pass, the direct Matsubara sum and the split's
     # correction all read their columns from _kernel, the one function of
