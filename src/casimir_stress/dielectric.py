@@ -121,51 +121,28 @@ def rs_rp(zeta, k, omega_p: float):
     return _rs_rp_k2(zeta, k * k, kappa, omega_p)
 
 
-def _u_plus_q(u, wp2):
-    """u + sqrt(u**2 + omega_p**2), formed in one array of u's shape."""
-    upq = np.multiply(u, u, out=np.empty(np.shape(u)))
-    upq += wp2
-    np.sqrt(upq, out=upq)
-    upq += u
-    return upq
-
-
-def _times(a, b, shape):
-    """a*b of the broadcast ``shape``, written into ``a`` if it has that shape."""
-    return np.multiply(a, b, out=a if a.shape == shape else np.empty(shape))
-
-
 def rs_rp_ut(u, t, omega_p: float):
     """Reflection coefficients in polar coordinates (u, t); array friendly.
 
     r_s depends on u alone; r_p = (A - B*t**2)/(A + C*t**2) with u-only
     A = omega_p**2*(u + Q), B = omega_p**2*u, C = u*(u + Q)**2 and
     Q = sqrt(u**2 + omega_p**2).  A - B = omega_p**2*Q, so cancellation
-    costs at most a factor (2*u + Q)/Q <= 3.  Intermediate terms are
-    overwritten in place, so a call allocates few arrays.
+    costs at most a factor (2*u + Q)/Q <= 3.
     """
-    shape = np.broadcast(u, t).shape
     if omega_p == 0.0:
-        zero = np.zeros(shape)
+        zero = np.zeros(np.broadcast(u, t).shape)
         return zero, zero.copy()
     if math.isinf(omega_p):
+        shape = np.broadcast(u, t).shape
         return -np.ones(shape), np.ones(shape)
     wp2 = omega_p * omega_p
-    upq = _u_plus_q(u, wp2)
-    rs = np.multiply(upq, upq, out=np.empty_like(upq))
-    np.divide(-wp2, rs, out=rs)
+    upq = u + np.sqrt(u * u + wp2)
+    rs = -wp2 / (upq * upq)
+    a = wp2 * upq
     t2 = t * t
-    den = np.multiply(u, upq, out=np.empty_like(upq))
-    den *= upq
-    den = _times(den, t2, shape)
-    upq *= wp2
-    den += upq
-    rp = _times(np.multiply(wp2, u, out=np.empty_like(upq)), t2, shape)
-    np.subtract(upq, rp, out=rp)
-    rp /= den
     # The exact value satisfies rp <= 1 (equality at t = 0); rounding can
     # overshoot by one ulp, so pin the analytic bound.
-    np.minimum(rp, 1.0, out=rp)
+    rp = np.minimum((a - (wp2 * u) * t2) / (a + (u * upq * upq) * t2), 1.0)
     return rs, rp
 
 
@@ -180,19 +157,9 @@ def rp_plus_rs_ut(u, t, omega_p: float):
             (omega_p**2*(u + Q) + u*(2*u*(u + Q) + omega_p**2)*t**2),
         Q = sqrt(u**2 + omega_p**2).
     """
-    shape = np.broadcast(u, t).shape
     if omega_p == 0.0 or math.isinf(omega_p):
-        return np.zeros(shape)
+        return np.zeros(np.broadcast(u, t).shape)
     wp2 = omega_p * omega_p
-    upq = _u_plus_q(u, wp2)
+    upq = u + np.sqrt(u * u + wp2)
     t2 = t * t
-    den = np.multiply(2.0, u, out=np.empty_like(upq))
-    den *= upq
-    den += wp2
-    np.multiply(u, den, out=den)
-    den = _times(den, t2, shape)
-    upq *= wp2
-    den += upq
-    pair = _times(np.multiply(2.0 * wp2, u, out=np.empty_like(upq)), 1.0 - t2, shape)
-    pair /= den
-    return pair
+    return (2.0 * wp2 * u) * (1.0 - t2) / (wp2 * upq + (u * (2.0 * u * upq + wp2)) * t2)

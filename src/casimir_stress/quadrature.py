@@ -356,22 +356,23 @@ def _integrate(name, f, axes, tol):
     return QuadratureResult(float(total[0]), float(error[0]), evaluations, converged)
 
 
-# A level's total is its step times np.add.reduce of the group sums up to
-# it.  On one axis that adds one group after another while there are
-# fewer than 8, which prefix sums repeat exactly, and pairwise from 8 on.
-_SEQUENTIAL = 7
+def _level_total(parts, level):
+    """A one-dimensional pass's total at ``level``: its step times the sum
+    of the group sums through it, reduced as the two-dimensional rounds do."""
+    return _DE_STEP / 2**level * np.add.reduce(parts[: level + 1], 0)
 
 
 def _refine_1d(fs, grid, size, parts, tol):
     """_integrate's rounds on one axis: (levels, total, error, converged, parts).
 
-    Every evaluated level's total comes from one prefix sum, and the
-    rounds over the levels already evaluated are decided together: the
-    pass stops at the first of them whose total is not finite or whose
-    change meets the tolerance, else evaluates the next level.
+    The first call evaluates up to four levels at once, and the rounds
+    over those levels need no evaluation, so they are decided together:
+    the pass stops at the first level whose total is not finite or whose
+    change meets the tolerance, else evaluates the next level.  Decided
+    one round at a time, as on two axes, a trivial pass of 181 nodes
+    takes 1.7 times as long.
     """
-    sums = np.add.accumulate(parts[:_SEQUENTIAL], axis=0)
-    table = (_DE_STEP / 2.0 ** np.arange(len(sums)))[:, None] * sums
+    table = np.array([_level_total(parts, l) for l in range(len(parts))])
     level = min(len(parts) - 1, 1)
     total = table[level]
     error = np.abs(total)
@@ -392,11 +393,8 @@ def _refine_1d(fs, grid, size, parts, tol):
             if size([level + 1]) > tol.max_evaluations:
                 break
             level += 1
-            new = _grid_sums(fs, grid([level], 0))
-            parts = np.concatenate([parts, new])
-            more = sums[-1] + new if level < _SEQUENTIAL else np.add.reduce(parts, 0)[None]
-            sums = np.concatenate([sums, more])
-            table = np.concatenate([table, _DE_STEP / 2**level * more])
+            parts = np.concatenate([parts, _grid_sums(fs, grid([level], 0))])
+            table = np.concatenate([table, _level_total(parts, level)[None]])
     return [level], total, error, False, parts
 
 
@@ -404,9 +402,8 @@ def _refine_2d(fs, grid, size, parts, tol):
     """_integrate's rounds on two axes: (levels, total, error, converged, parts).
 
     Each round reads the totals at its levels and one level coarser on
-    each axis.  np.add.reduce adds a level pair's groups in their
-    flattened (x, y) order, pairwise from 8 on, which prefix sums over
-    the axes cannot repeat, so each total is reduced once and kept.
+    each axis; ``parts`` only grows, so each total is reduced once and
+    kept.
     """
     totals = {}
 

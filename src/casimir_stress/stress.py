@@ -68,11 +68,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import dielectric
+from . import dielectric, quadrature
 from ._record import record
 from .dielectric import PlasmaModel
 from .quadrature import (
-    _BLOCK,
     QuadratureError,
     QuadratureResult,
     SemiInfinite,
@@ -211,14 +210,9 @@ def _dep_scale(z_over_a: float | None) -> float:
 
 
 def _mirror(kappa, z_over_a):
-    """(exp(-2*kappa*z) + exp(-2*kappa*(1 - z)))/2, formed in two arrays."""
-    near = np.multiply(-2.0, kappa)
-    far = near * (1.0 - z_over_a)
-    near *= z_over_a
-    np.exp(near, out=near)
-    near += np.exp(far, out=far)
-    near *= 0.5
-    return near
+    return 0.5 * (
+        np.exp(-2.0 * kappa * z_over_a) + np.exp(-2.0 * kappa * (1.0 - z_over_a))
+    )
 
 
 _BOUND = ("B0", "B2", "N")
@@ -238,20 +232,17 @@ def _kernel(kappa, t, weight, omega_p, z_over_a, names):
     arithmetic.
     """
     r_s, r_p = dielectric.rs_rp_ut(kappa, t, omega_p)
-    damp = np.multiply(-2.0, kappa)
-    np.exp(damp, out=damp)
-    # r_s**2*E and r_p**2*E (in r_p's array), and 1 minus each.
-    bound_s = np.multiply(r_s, r_s)
-    bound_s *= damp
-    den_s = np.subtract(1.0, bound_s)
-    rp_damp = np.multiply(r_p, damp, out=damp if damp.shape == r_p.shape else None)
+    damp = np.exp(-2.0 * kappa)
+    # r_s**2*E and r_p**2*E (the latter in r_p's array), and 1 minus each.
+    bound_s = r_s * r_s * damp
+    den_s = 1.0 - bound_s
+    rp_damp = r_p * damp
     bound_p = np.multiply(r_p, rp_damp, out=r_p)
-    den_p = np.subtract(1.0, bound_p)
+    den_p = 1.0 - bound_p
     out = np.empty((len(names), *den_p.shape))
     column = dict(zip(names, out))
     if "D" in column:
-        d = np.multiply(r_s, rp_damp, out=column["D"])
-        np.subtract(1.0, d, out=d)
+        d = np.subtract(1.0, r_s * rp_damp, out=column["D"])
     del r_s, r_p, damp, rp_damp
     t2 = t * t
     if column.keys() & set(_BOUND):
@@ -271,9 +262,7 @@ def _kernel(kappa, t, weight, omega_p, z_over_a, names):
     del bound_s, bound_p
     if "D" in column:
         d *= dielectric.rp_plus_rs_ut(kappa, t, omega_p)
-        mirrored = _mirror(kappa, z_over_a)
-        mirrored *= weight
-        d *= np.divide(mirrored, den_s, out=mirrored if mirrored.shape == d.shape else None)
+        d *= weight * _mirror(kappa, z_over_a) / den_s
         d /= den_p
         d *= 1.0 - t2
     return out
@@ -448,15 +437,17 @@ def _frequency_integrals(zeta, matrix, omega_p, z_over_a, tol, names):
     with weight kappa**2 gives B0 = kappa**2*b, B2 = zeta**2*b and
     D = k**2*I*M.  ``matrix`` combines the named columns; values and
     errors run over its rows, then over zeta.  The kernel takes whole
-    rows of frequencies, at most half a _BLOCK of nodes at a time: all
-    its arrays have the full node shape here, and with half a block the
-    memory a call frees is small enough for the allocator to keep for
-    the next call rather than return it and fault it in again.
+    rows of frequencies, as many as fit in half of quadrature._BLOCK
+    nodes and one at least; x has at most _BLOCK nodes, so no call
+    exceeds a block.  All the kernel's arrays have the full node shape
+    here, and with half a block the memory a call frees stays with the
+    allocator for the next one: a thermal run faults half as often as
+    with whole blocks, at the same compute time.
     """
 
     def f(x):
         out = np.empty((len(matrix), zeta.size * x.size))
-        rows = max(1, _BLOCK // (2 * x.size))
+        rows = max(1, quadrature._BLOCK // (2 * x.size))
         for i in range(0, zeta.size, rows):
             kappa = zeta[i : i + rows] + x
             values = _kernel(kappa, zeta[i : i + rows] / kappa, kappa**2, omega_p, z_over_a, names)

@@ -107,6 +107,14 @@ def test_combined_amplitude_matches_direct_sum():
         assert np.max(np.abs(combined - (rp + rs))) <= 1e-12
 
 
+def test_polar_kernels_return_floats_for_scalar_arguments():
+    for omega_p in (0.5, 120.0):
+        values = (*rs_rp_ut(1.5, 0.3, omega_p), rp_plus_rs_ut(1.5, 0.3, omega_p))
+        assert all(isinstance(v, float) for v in values)
+        rs, rp = rs_rp_ut(np.array([1.5]), np.array([0.3]), omega_p)
+        assert (rs[0], rp[0]) == values[:2]
+
+
 def test_polar_and_cartesian_forms_match_textbook_coefficients():
     # The textbook ratios, with kappa1**2 = kappa**2 + omega_p**2, are
     # accurate while kappa and omega_p are comparable and zeta > 0, which

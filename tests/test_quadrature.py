@@ -418,12 +418,12 @@ def test_matsubara_sum_grows_its_blocks_and_sums_term_by_term():
 
 
 def test_level_totals_keep_their_bits():
-    # Each pass forms the totals of every level it evaluated from prefix
-    # sums over the node groups, adding them in the order np.add.reduce
-    # does: one after another up to 7 groups, pairwise from 8.  These
-    # values were frozen from a driver that reduced each level's groups
-    # anew, and they must not move in any bit.  A trivial pass takes its
-    # 181 nodes in one integrand call.
+    # A one-dimensional pass decides the rounds over the levels of its
+    # first call together, and a two-dimensional one keeps each level
+    # pair's total once reduced.  These values were frozen from a driver
+    # that reduced every total anew in every round, and they must not
+    # move in any bit.  A trivial pass takes its 181 nodes in one
+    # integrand call.
     calls = []
 
     def trivial(x):

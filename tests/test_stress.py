@@ -385,7 +385,9 @@ def test_kernel_calls_stay_within_a_block(monkeypatch):
     # frequency axis of a direct Matsubara block: at zero temperature, in
     # direct thermal rows near a wall and at the midpoint, and in a split
     # row.  The direct blocks reach 64 frequencies of 181 nodes each, far
-    # more than a block of 1024 nodes, which the calls keep to as well.
+    # more than a block of 1024 nodes, which the calls keep to as well; a
+    # block of 256 nodes holds less than two such rows, so each direct
+    # call takes one.  Patching quadrature._BLOCK alone sets the bound.
     sizes = []
 
     def kernel(kappa, t, weight, omega_p, z_over_a, names):
@@ -394,9 +396,8 @@ def test_kernel_calls_stay_within_a_block(monkeypatch):
 
     original = stress_mod._kernel
     monkeypatch.setattr(stress_mod, "_kernel", kernel)
-    for block in (quadrature._BLOCK, 1024):
+    for block in (quadrature._BLOCK, 1024, 256):
         monkeypatch.setattr(quadrature, "_BLOCK", block)
-        monkeypatch.setattr(stress_mod, "_BLOCK", block)
         for z, beta in ((0.5, None), (0.05, 5.0), (0.5, 5.0), (0.5, 100.0), (0.5, 1000.0)):
             stress_mod.clear_caches()
             sizes.clear()
