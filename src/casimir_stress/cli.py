@@ -298,7 +298,9 @@ def build_run_spec(argv: list[str]) -> RunSpec:
             except ValueError:
                 raise UsageError("--kelvin must be a finite temperature") from None
     try:
-        beta = ThermalState(beta).beta
+        # ThermalState reads inf as zero temperature; from --kelvin it is an
+        # overflow, so it is checked as the largest float instead.
+        beta = ThermalState(min(beta, sys.float_info.max) if kelvin else beta).beta
     except ValueError as exc:
         source = "--kelvin with --separation-um" if kelvin else "--beta-over-a"
         raise UsageError(f"{source} gives beta/a = {beta:g}: {exc}") from None
@@ -412,14 +414,15 @@ def _si_scale(spec: RunSpec) -> float:
     return to_si_energy_density(1.0, spec.separation_um * 1e-6)
 
 
-def _scale_rows(rows: list[list[float]], scale: float, axis: str) -> None:
-    """Scale every value and error cell; a row finite in 1/a**4 units can
-    still overflow in J/m**3, which is a numerical failure like any other
-    non-finite result."""
+def _scale_rows(rows: list[list[float]], scale: float, axis: str, end: int = -1) -> None:
+    """Scale every value and error cell: all but the first, and the last
+    ``-end`` (the converged column by default).  A row finite in 1/a**4
+    units can still overflow in J/m**3, which is a numerical failure like
+    any other non-finite result."""
     if scale == 1.0:
         return
     for row in rows:
-        for i in range(1, len(row) - 1):
+        for i in range(1, len(row) + end):
             value = row[i] * scale
             if not math.isfinite(value):
                 raise QuadratureError(f"{row[i]!r} in 1/a**4 units at {axis} = {row[0]!r} "
@@ -466,9 +469,7 @@ def _cmd_limits(spec: RunSpec):
         for name, value in limits.items():
             if name.startswith("blackbody_"):
                 rows.append([name.removesuffix("_coeff") + "_at_beta", value / beta4])
-    scale = _si_scale(spec)
-    if scale != 1.0:
-        rows = [[name, value * scale] for name, value in rows]
+    _scale_rows(rows, _si_scale(spec), "name", end=0)
     return ["name", "value"], rows, False, []
 
 

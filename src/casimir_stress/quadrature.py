@@ -7,16 +7,18 @@ either alone or together with a second variable on [0, inf) or [0, 1].
 Every integral, in one dimension or two, runs through one driver on
 the double-exponential rules: exp-sinh on a half-line, tanh-sinh on
 [0, 1].  The first integrand call takes levels 0 to 4 of a single
-integral, levels 0 and 1 of both axes of a double one.  From level 1 an
-axis's step is halved, with every earlier node reused, while the change
-from its previous level misses the tolerance, and the error estimate is
-that change (in two dimensions, the sum of both axes' changes, each axis
-refined on its own).  A pass that its evaluation budget stops warns,
-naming the level of each axis.  A non-finite integrand value, result
-or error estimate raises QuadratureError.  Refinement and
-accumulation order are fixed, so repeated runs return bit-identical
-values; nothing here depends on threads, hashing or global state (the
-cached node tables are read-only and equal to rebuilt ones).
+integral, levels 0 and 1 of both axes of a double one, and each axis
+starts at the deepest level that call evaluated.  While an axis's change
+from its previous level misses the tolerance, its step is halved, with
+every earlier node reused.  The value is the total at the levels
+reached, and the error estimate that change (in two dimensions, the sum
+of both axes' changes, each axis refined on its own).  A pass that its
+evaluation budget stops warns, naming the level of each axis.  A
+non-finite integrand value, result or error estimate raises
+QuadratureError.  Refinement and accumulation order are fixed, so
+repeated runs return bit-identical values; nothing here depends on
+threads, hashing or global state (the cached node tables are read-only
+and equal to rebuilt ones).
 
 Integrands are called with numpy arrays of abscissae and should return
 an array of their broadcast shape, or one row of components per node for
@@ -85,11 +87,12 @@ class Tolerance:
 class QuadratureResult:
     """Value of an integral together with bookkeeping.
 
+    ``value`` is the total at the deepest level evaluated, level 4 at
+    least for a single integral unless the budget is smaller.
     ``error_estimate`` is an upper-bound style estimate: the change from
     the previous level (in two dimensions, the sum of each axis's change
     from its previous level); ``evaluations`` counts the nodes at which
-    the integrand was evaluated, which for a single integral include
-    every node through level 4 even where the value stops earlier;
+    the integrand was evaluated, every node of the value's level;
     ``converged`` records whether the tolerance targets were met within
     budget.
     ``value`` and ``error_estimate`` are arrays for a vector integrand.
@@ -194,16 +197,20 @@ _EXP_SINH = (-3.75, 1.8)
 # levels, not the far part of the integral.
 _EXP_SINH_1D = (-3.75, 3.0)
 _TANH_SINH = (-4.0, 3.15)
-# Integrand calls take at most this many nodes, bounding memory: 32 KB
-# an array, far below the size from which the allocator maps fresh pages
-# for every allocation.
+# One-dimensional integrand calls take at most this many nodes, bounding
+# memory: 32 KB an array, far below the size from which the allocator
+# maps fresh pages for every allocation.  A double integral's calls take
+# whole rows of y, one x node each, as many as fit and one at least, so
+# from level 9 of the y axis (4,737 nodes on a half-line, 6,102 on
+# [0, 1]) a call takes one row longer than this.
 _BLOCK = 4096
-# The deepest level that a pass's first integrand call evaluates, by the
-# number of axes.  A single integral evaluates its 181 or 191 nodes
-# through level 4 at once: most passes end there, and for a small
-# integrand such as the zero-temperature position pass's one call on all
-# of them costs far less than four calls level by level.  A double
-# integral refines each axis on its own, so it starts from levels 0 and 1.
+# The deepest level that a pass's first integrand call evaluates, and the
+# level each axis starts from, by the number of axes.  A single integral
+# evaluates its 181 or 191 nodes through level 4 at once and reports no
+# coarser total: most passes end there, and for a small integrand such as
+# the zero-temperature position pass's one call on all of them costs far
+# less than four calls level by level.  A double integral refines each
+# axis on its own, so it starts from levels 0 and 1.
 _FIRST_LEVEL = {1: 4, 2: 1}
 
 
@@ -284,10 +291,12 @@ def _grid_sums(fs, axes):
     """Sums of the weighted integrand over every tuple of node groups.
 
     ``axes`` holds (nodes, _by_group matrix) per axis, as from _axis;
-    returns shape (groups per axis..., m).  Integrand calls take at most
-    _BLOCK nodes, in two dimensions whole rows of x.  Matrix products
-    with one weight column per group contract each block's last axis,
-    then in two dimensions the x axis.
+    returns shape (groups per axis..., m).  One-dimensional integrand
+    calls take at most _BLOCK nodes; two-dimensional ones take whole rows
+    of y, one x node each, as many as fit in _BLOCK and one at least, so
+    a row longer than _BLOCK is one call.  Matrix products with one
+    weight column per group contract each block's last axis, then in two
+    dimensions the x axis.
     """
     x, by_x = axes[0]
     if len(axes) == 1:
@@ -310,22 +319,25 @@ def _integrate(name, f, axes, tol):
 
     ``axes`` holds (domain, tau span) for each of one or two axes, x
     first.  Each axis has its own level; refining one halves its step
-    and reuses every earlier node.  ``parts`` keeps sums by the levels
-    at which their nodes first appear, so the value with any axis one
-    level coarser costs no evaluation.  The first integrand call
-    evaluates every level through _FIRST_LEVEL (4 in one dimension, 1
-    in two), or as deep as the budget admits, level 0 at least.
-    Convergence is still decided level by level from level 1: each
-    round refines every axis whose change from its coarser level misses
-    the tolerance in some component, evaluating only the levels not yet
-    evaluated, and the pass ends when none does; the error estimate is
-    the sum of the axes' changes.  A refinement that would take the node
-    count past ``tol.max_evaluations`` does not run: the result then
-    carries ``converged=False`` and a warning names the levels reached.
+    and evaluates only the nodes it adds.  ``parts`` keeps sums by the
+    levels at which their nodes first appear, so the value with any axis
+    one level coarser costs no evaluation, and ``totals`` keeps each
+    total once reduced.  The first integrand call evaluates every level
+    through _FIRST_LEVEL (4 in one dimension, 1 in two), or as deep as
+    the budget admits, level 0 at least, and every axis starts there.
+    Each round refines every axis whose change from its coarser level
+    misses the tolerance in some component, and the pass ends when none
+    does; the value is the total at the levels reached and the error
+    estimate the sum of the axes' changes.  A refinement that would take
+    the node count past ``tol.max_evaluations`` does not run: the result
+    then carries ``converged=False`` and a warning names the levels
+    reached.
     """
     tol = tol or _DEFAULT_TOL
     fs = _scalar_tolerant(f)
     scales = [getattr(domain, "decay_scale", None) for domain, _ in axes]
+    over = tuple(range(len(axes)))
+    totals = {}
 
     def size(levels):
         return math.prod([_size(domain, l, span) for (domain, span), l in zip(axes, levels)])
@@ -334,15 +346,40 @@ def _integrate(name, f, axes, tol):
         return [_axis(scale, l, span, a == newest)
                 for a, (scale, (_, span), l) in enumerate(zip(scales, axes, levels))]
 
+    def estimate(levels):
+        key = tuple(levels)
+        if key not in totals:
+            step = math.prod([_DE_STEP / 2**l for l in levels])
+            totals[key] = step * np.add.reduce(parts[tuple([slice(l + 1) for l in levels])], over)
+        return totals[key]
+
     first = _FIRST_LEVEL[len(axes)]
     while first and size([first] * len(axes)) > tol.max_evaluations:
         first -= 1
-    parts = _grid_sums(fs, grid([first] * len(axes)))
-    if len(axes) == 1:
-        levels, total, error, converged, parts = _refine_1d(fs, grid, size, parts, tol)
-    else:
-        levels, total, error, converged, parts = _refine_2d(fs, grid, size, parts, tol)
-    evaluations = size([n - 1 for n in parts.shape[:-1]])
+    levels = [first] * len(axes)
+    parts = _grid_sums(fs, grid(levels))
+    total = estimate(levels)
+    error = np.abs(total)
+    converged = False
+    while levels[0] and np.isfinite(total).all():
+        changes = [
+            np.abs(total - estimate(levels[:a] + [l - 1] + levels[a + 1 :]))
+            for a, l in enumerate(levels)
+        ]
+        error = sum(changes[1:], changes[0])
+        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))
+        refine = [bool((change > bound).any()) for change in changes]
+        if not any(refine):
+            converged = True
+            break
+        if size([l + r for l, r in zip(levels, refine)]) > tol.max_evaluations:
+            break
+        for a in over:
+            if refine[a]:
+                levels[a] += 1
+                parts = np.concatenate([parts, _grid_sums(fs, grid(levels, a))], axis=a)
+        total = estimate(levels)
+    evaluations = size(levels)
     _finite(name, total, error)
     if not converged:
         reached = " and ".join(f"level {l} in {v}" for l, v in zip(levels, "xy"))
@@ -354,88 +391,6 @@ def _integrate(name, f, axes, tol):
     if fs.vector:
         return QuadratureResult(total, error, evaluations, converged)
     return QuadratureResult(float(total[0]), float(error[0]), evaluations, converged)
-
-
-def _level_total(parts, level):
-    """A one-dimensional pass's total at ``level``: its step times the sum
-    of the group sums through it, reduced as the two-dimensional rounds do."""
-    return _DE_STEP / 2**level * np.add.reduce(parts[: level + 1], 0)
-
-
-def _refine_1d(fs, grid, size, parts, tol):
-    """_integrate's rounds on one axis: (levels, total, error, converged, parts).
-
-    The first call evaluates up to four levels at once, and the rounds
-    over those levels need no evaluation, so they are decided together:
-    the pass stops at the first level whose total is not finite or whose
-    change meets the tolerance, else evaluates the next level.  Decided
-    one round at a time, as on two axes, a trivial pass of 181 nodes
-    takes 1.7 times as long.
-    """
-    table = np.array([_level_total(parts, l) for l in range(len(parts))])
-    level = min(len(parts) - 1, 1)
-    total = table[level]
-    error = np.abs(total)
-    with np.errstate(invalid="ignore", over="ignore"):
-        while level:
-            newer = table[level:]
-            changes = np.abs(newer - table[level - 1 : -1])
-            finite = np.isfinite(newer).all(axis=1).tolist()
-            refine = (changes > np.maximum(tol.abs_tol, tol.rel_tol * np.abs(newer))).any(axis=1)
-            for j, (ok, more) in enumerate(zip(finite, refine.tolist())):
-                if not (ok and more):
-                    total = newer[j]
-                    if ok:
-                        return [level + j], total, changes[j], True, parts
-                    return [level + j], total, changes[j - 1] if j else error, False, parts
-            level = len(table) - 1
-            total, error = table[level], changes[-1]
-            if size([level + 1]) > tol.max_evaluations:
-                break
-            level += 1
-            parts = np.concatenate([parts, _grid_sums(fs, grid([level], 0))])
-            table = np.concatenate([table, _level_total(parts, level)[None]])
-    return [level], total, error, False, parts
-
-
-def _refine_2d(fs, grid, size, parts, tol):
-    """_integrate's rounds on two axes: (levels, total, error, converged, parts).
-
-    Each round reads the totals at its levels and one level coarser on
-    each axis; ``parts`` only grows, so each total is reduced once and
-    kept.
-    """
-    totals = {}
-
-    def estimate(levels):
-        key = tuple(levels)
-        if key not in totals:
-            step = math.prod([_DE_STEP / 2**l for l in levels])
-            totals[key] = step * np.add.reduce(parts[tuple([slice(l + 1) for l in levels])], (0, 1))
-        return totals[key]
-
-    levels = [min(parts.shape[0] - 1, 1)] * 2
-    total = estimate(levels)
-    error = np.abs(total)
-    while levels[0] and np.isfinite(total).all():
-        changes = [
-            np.abs(total - estimate(levels[:a] + [l - 1] + levels[a + 1 :]))
-            for a, l in enumerate(levels)
-        ]
-        error = changes[0] + changes[1]
-        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))
-        refine = [bool((change > bound).any()) for change in changes]
-        if not any(refine):
-            return levels, total, error, True, parts
-        if size([l + r for l, r in zip(levels, refine)]) > tol.max_evaluations:
-            break
-        for a in (0, 1):
-            if refine[a]:
-                levels[a] += 1
-                if levels[a] == parts.shape[a]:
-                    parts = np.concatenate([parts, _grid_sums(fs, grid(levels, a))], axis=a)
-        total = estimate(levels)
-    return levels, total, error, False, parts
 
 
 def integrate_unit(f, tol: Tolerance | None = None) -> QuadratureResult:
@@ -456,9 +411,10 @@ def integrate_unit(f, tol: Tolerance | None = None) -> QuadratureResult:
         integrable endpoint behavior is fine.  The first integrand call
         takes every node through level 4 (191 nodes), or as deep as
         ``tol.max_evaluations`` admits, and each later level one call
-        more.  The value is that of the first level from 1 up whose
-        change from the coarser level, the error estimate, meets the
-        tolerance; ``evaluations`` counts every node evaluated.  A pass
+        more.  The value is the total at the deepest level evaluated,
+        level 4 at least, and the error estimate its change from the
+        coarser level; the pass ends at the first level whose change
+        meets the tolerance, and ``evaluations`` counts its nodes.  A pass
         stopped by ``tol.max_evaluations`` warns and carries
         ``converged=False``.  A non-finite integrand value (named by its
         abscissa), result or error estimate raises QuadratureError.
@@ -484,7 +440,7 @@ def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> Qu
     -------
     QuadratureResult
         Of shape (m,) values and errors for an (n, m) integrand, each
-        component meeting the tolerance on its own.  Levels, error
+        component meeting the tolerance on its own.  Value, levels, error
         estimate, budget and ``evaluations`` are as for integrate_unit,
         warning included; through level 4 there are 181 nodes.
 

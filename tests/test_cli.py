@@ -369,6 +369,8 @@ EXTREME_INPUTS = [
     (["nec", "--omega-pa", "10", "--z", "1e-200:0.5"], "--z"),
     (["limits", "--si", "--separation-um", "1", "--kelvin", "inf"], "--kelvin"),
     (["limits", "--si", "--separation-um", "1", "--kelvin", "nan"], "--kelvin"),
+    # beta/a overflows to inf here, which used to read as zero temperature.
+    (["limits", "--si", "--separation-um", "1e-60", "--kelvin", "1e-300"], "--kelvin"),
     # Options a command does not read are still checked by their types.
     (["critical", "--z", "7", "--omega-pa", "-5"], "--omega-pa"),
     (["limits", "--rel-tol", "-1"], "--rel-tol"),
@@ -434,16 +436,22 @@ def test_si_rows_that_overflow_are_numerical_failures(capsys, tmp_path):
     # t00 at omega_p = 10, z = 1e-100 is about 7e298 in 1/a**4 units and
     # overflows in J/m**3 for a 1e-60 micrometer gap.  The row used to
     # print inf with converged = 1 (CSV) or end in a traceback (JSON).
-    argv = ["profile", "--omega-pa", "10", "--z", "1e-100", "--si", "--separation-um", "1e-60"]
+    # The blackbody limits at beta/a = 1e-70, about 7e279, overflow there
+    # too; limits scaled its rows on its own and skipped the check.
+    cases = [
+        ["profile", "--omega-pa", "10", "--z", "1e-100", "--si", "--separation-um", "1e-60"],
+        ["limits", "--si", "--separation-um", "1e-60", "--beta-over-a", "1e-70"],
+    ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for output_format in ("csv", "json"):
-            code = cli.main([*argv, "--format", output_format])
-            out, err = capsys.readouterr()
-            assert code == 2, output_format
-            assert out == "", output_format
-            assert err.startswith("casimir-stress: numerical failure:"), (output_format, err)
-            assert err.count("\n") == 1, (output_format, err)
+        for argv in cases:
+            for output_format in ("csv", "json"):
+                code = cli.main([*argv, "--format", output_format])
+                out, err = capsys.readouterr()
+                assert code == 2, (argv, output_format)
+                assert out == "", (argv, output_format)
+                assert err.startswith("casimir-stress: numerical failure:"), (argv, err)
+                assert err.count("\n") == 1, (argv, output_format, err)
     # A 1 micrometer gap at 300 K, as in the thermal workload, still prints.
     code, text = run_to_file(tmp_path, "si.csv", [
         "profile", "--omega-pa", "100", "--z", "0.25:0.75", "--grid", "3", "--si",
