@@ -298,9 +298,7 @@ def build_run_spec(argv: list[str]) -> RunSpec:
             except ValueError:
                 raise UsageError("--kelvin must be a finite temperature") from None
     try:
-        # ThermalState reads inf as zero temperature; from --kelvin it is an
-        # overflow, so it is checked as the largest float instead.
-        beta = ThermalState(min(beta, sys.float_info.max) if kelvin else beta).beta
+        beta = (ThermalState.finite if kelvin else ThermalState)(beta).beta
     except ValueError as exc:
         source = "--kelvin with --separation-um" if kelvin else "--beta-over-a"
         raise UsageError(f"{source} gives beta/a = {beta:g}: {exc}") from None

@@ -89,20 +89,6 @@ def eps_imag(zeta: float, model: PlasmaModel) -> float:
     return 1.0 + (model.omega_p / zeta) ** 2
 
 
-def _rs_rp_k2(zeta, k2, kappa, omega_p):
-    """Core stable forms; k enters only squared (arrays welcome)."""
-    wp2 = omega_p * omega_p
-    kappa1 = np.sqrt(kappa * kappa + wp2)
-    rs = -wp2 / (kappa + kappa1) ** 2
-    z2 = zeta * zeta
-    num = wp2 * (k2 * (2.0 * z2 + wp2) + z2 * (z2 + wp2))
-    den = kappa * (z2 + wp2) + z2 * kappa1
-    # The exact value satisfies rp <= 1 (equality at zeta = 0); rounding
-    # can overshoot by one ulp, so pin the analytic bound.
-    rp = np.minimum(num / (den * den), 1.0)
-    return rs, rp
-
-
 def rs_rp(zeta, k, omega_p: float):
     """Reflection coefficients (r_s, r_p) at (zeta, k); array friendly.
 
@@ -117,8 +103,16 @@ def rs_rp(zeta, k, omega_p: float):
     if math.isinf(omega_p):
         shape = np.broadcast(zeta, k).shape
         return -np.ones(shape), np.ones(shape)
-    kappa = np.sqrt(zeta * zeta + k * k)
-    return _rs_rp_k2(zeta, k * k, kappa, omega_p)
+    k2, z2, wp2 = k * k, zeta * zeta, omega_p * omega_p
+    kappa = np.sqrt(z2 + k2)
+    kappa1 = np.sqrt(kappa * kappa + wp2)
+    rs = -wp2 / (kappa + kappa1) ** 2
+    num = wp2 * (k2 * (2.0 * z2 + wp2) + z2 * (z2 + wp2))
+    den = kappa * (z2 + wp2) + z2 * kappa1
+    # The exact value satisfies rp <= 1 (equality at zeta = 0); rounding
+    # can overshoot by one ulp, so pin the analytic bound.
+    rp = np.minimum(num / (den * den), 1.0)
+    return rs, rp
 
 
 def rs_rp_ut(u, t, omega_p: float):
@@ -141,8 +135,10 @@ def rs_rp_ut(u, t, omega_p: float):
     a = wp2 * upq
     t2 = t * t
     # The exact value satisfies rp <= 1 (equality at t = 0); rounding can
-    # overshoot by one ulp, so pin the analytic bound.
-    rp = np.minimum((a - (wp2 * u) * t2) / (a + (u * upq * upq) * t2), 1.0)
+    # overshoot by one ulp, so pin the analytic bound.  Where omega_p**2
+    # underflows, the ratio is 0/0 at t = 0, and fmin reads that NaN as
+    # the bound too.
+    rp = np.fmin((a - (wp2 * u) * t2) / (a + (u * upq * upq) * t2), 1.0)
     return rs, rp
 
 
@@ -162,4 +158,7 @@ def rp_plus_rs_ut(u, t, omega_p: float):
     wp2 = omega_p * omega_p
     upq = u + np.sqrt(u * u + wp2)
     t2 = t * t
-    return (2.0 * wp2 * u) * (1.0 - t2) / (wp2 * upq + (u * (2.0 * u * upq + wp2)) * t2)
+    # At most 1, since r_s <= 0 and r_p <= 1; as in rs_rp_ut, fmin reads
+    # the 0/0 of an underflowed omega_p**2 at t = 0 as that bound.
+    ratio = (2.0 * wp2 * u) * (1.0 - t2) / (wp2 * upq + (u * (2.0 * u * upq + wp2)) * t2)
+    return np.fmin(ratio, 1.0)

@@ -17,8 +17,8 @@ evaluation budget stops warns, naming the level of each axis.  A
 non-finite integrand value, result or error estimate raises
 QuadratureError.  Refinement and accumulation order are fixed, so
 repeated runs return bit-identical values; nothing here depends on
-threads, hashing or global state (the cached node tables are read-only
-and equal to rebuilt ones).
+threads, hashing or global state (the one cache, of node tables, holds
+read-only tables equal to rebuilt ones).
 
 Integrands are called with numpy arrays of abscissae and should return
 an array of their broadcast shape, or one row of components per node for
@@ -214,89 +214,55 @@ _BLOCK = 4096
 _FIRST_LEVEL = {1: 4, 2: 1}
 
 
-@lru_cache(maxsize=64)
-def _unit_axis(semi, level, span):
-    """_de_axis for decay scale 1 on a half-line (``semi``), or on [0, 1]."""
-    h = _DE_STEP / 2**level
-    lo, hi = span or (_EXP_SINH if semi else _TANH_SINH)
-    index = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
-    first = np.full(index.size, level)
-    for k in range(1, level + 1):
-        first[index % 2**k == 0] = level - k
-    order = np.argsort(first, kind="stable")
-    tau = index[order] * h
-    s = 0.5 * math.pi * np.sinh(tau)
-    if semi:
-        x = np.exp(s)
-        weight = x * (0.5 * math.pi) * np.cosh(tau)
-    else:
-        x = 1.0 / (1.0 + np.exp(-2.0 * s))
-        weight = (0.25 * math.pi) * np.cosh(tau) / np.cosh(s) ** 2
-    starts = np.searchsorted(first[order], np.arange(level + 1))
-    for table in (x, weight, starts):
-        table.flags.writeable = False
-    return x, weight, starts
-
-
-def _de_axis(domain, level, span=None):
-    """Nodes of one axis up to ``level``, grouped by first level.
-
-    Returns read-only (x, weight, starts): group ``a`` holds the nodes
-    that level ``a`` adds and begins at x[starts[a]].  Weights leave out
-    the step, so a node keeps its weight from level to level.  ``span``
-    replaces the domain's tau range.  Half-line tables are cached for
-    decay scale 1 and scaled here, so every scale shares them.
-    """
-    x, weight, starts = _unit_axis(isinstance(domain, SemiInfinite), level, span)
-    if isinstance(domain, SemiInfinite):
-        x, weight = domain.decay_scale * x, domain.decay_scale * weight
-        x.flags.writeable = weight.flags.writeable = False
-    return x, weight, starts
-
-
-def _size(domain, level, span=None):
-    """The node count of _de_axis(domain, level, span)."""
-    return _unit_axis(isinstance(domain, SemiInfinite), level, span)[0].size
-
-
-def _newest(domain, level, span=None):
-    """The nodes that ``level`` adds to an axis, as one group."""
-    x, weight, starts = _de_axis(domain, level, span)
-    return x[starts[-1]:], weight[starts[-1]:], starts[:1]
-
-
-def _by_group(weight, starts):
-    """(nodes, groups) matrix: column g holds group g's weights, else 0."""
-    if starts.size == 1:
-        return weight[:, None]
-    matrix = np.zeros((weight.size, starts.size))
-    bounds = starts.tolist() + [weight.size]
-    for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        matrix[a:b, g] = weight[a:b]
-    matrix.flags.writeable = False
-    return matrix
-
-
 @lru_cache(maxsize=128)
 def _axis(scale, level, span, newest):
-    """Read-only (nodes, _by_group matrix) of _de_axis(domain, level,
-    span), or of _newest with ``newest``, for the half-line of decay
-    scale ``scale``, or [0, 1] where that is None."""
-    domain = UnitInterval() if scale is None else SemiInfinite(scale)
-    x, weight, starts = (_newest if newest else _de_axis)(domain, level, span)
-    return x, _by_group(weight, starts)
+    """Read-only nodes of one axis up to ``level`` and their weights by group.
+
+    The axis is the half-line of decay scale ``scale``, or [0, 1] where
+    that is None; ``span`` replaces its tau range.  Returns (x, matrix):
+    x is ordered by the level that adds each node, and column g of the
+    (nodes, groups) matrix holds the weights of the nodes that level g
+    adds, zeros elsewhere.  Weights leave out the step, so a node keeps
+    its weight from level to level.  With ``newest``, only the nodes that
+    ``level`` adds, as one group.  A half-line table is built at scale 1
+    and scaled, so that one build serves every scale.
+    """
+    if scale not in (None, 1.0):
+        tables = [scale * table for table in _axis(1.0, level, span, newest)]
+    else:
+        h = _DE_STEP / 2**level
+        lo, hi = span or (_TANH_SINH if scale is None else _EXP_SINH)
+        index = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+        first = np.full(index.size, level)
+        for k in range(1, level + 1):
+            first[index % 2**k == 0] = level - k
+        order = np.argsort(first, kind="stable")
+        first, tau = first[order], index[order] * h
+        s = 0.5 * math.pi * np.sinh(tau)
+        if scale is None:
+            x = 1.0 / (1.0 + np.exp(-2.0 * s))
+            weight = (0.25 * math.pi) * np.cosh(tau) / np.cosh(s) ** 2
+        else:
+            x = np.exp(s)
+            weight = x * (0.5 * math.pi) * np.cosh(tau)
+        groups = np.arange(level if newest else 0, level + 1)
+        keep = first >= groups[0]
+        tables = [x[keep], np.where(first[keep, None] == groups, weight[keep, None], 0.0)]
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
 
 
 def _grid_sums(fs, axes):
     """Sums of the weighted integrand over every tuple of node groups.
 
-    ``axes`` holds (nodes, _by_group matrix) per axis, as from _axis;
-    returns shape (groups per axis..., m).  One-dimensional integrand
-    calls take at most _BLOCK nodes; two-dimensional ones take whole rows
-    of y, one x node each, as many as fit in _BLOCK and one at least, so
-    a row longer than _BLOCK is one call.  Matrix products with one
-    weight column per group contract each block's last axis, then in two
-    dimensions the x axis.
+    ``axes`` holds (nodes, weight matrix) per axis, as _axis returns
+    them; returns shape (groups per axis..., m).  One-dimensional
+    integrand calls take at most _BLOCK nodes; two-dimensional ones take
+    whole rows of y, one x node each, as many as fit in _BLOCK and one
+    at least, so a row longer than _BLOCK is one call.  Matrix products
+    with one weight column per group contract each block's last axis,
+    then in two dimensions the x axis.
     """
     x, by_x = axes[0]
     if len(axes) == 1:
@@ -317,34 +283,35 @@ def _grid_sums(fs, axes):
 def _integrate(name, f, axes, tol):
     """The double-exponential pass behind the public function ``name``.
 
-    ``axes`` holds (domain, tau span) for each of one or two axes, x
-    first.  Each axis has its own level; refining one halves its step
-    and evaluates only the nodes it adds.  ``parts`` keeps sums by the
-    levels at which their nodes first appear, so the value with any axis
-    one level coarser costs no evaluation, and ``totals`` keeps each
-    total once reduced.  The first integrand call evaluates every level
-    through _FIRST_LEVEL (4 in one dimension, 1 in two), or as deep as
-    the budget admits, level 0 at least, and every axis starts there.
-    Each round refines every axis whose change from its coarser level
-    misses the tolerance in some component, and the pass ends when none
-    does; the value is the total at the levels reached and the error
-    estimate the sum of the axes' changes.  A refinement that would take
-    the node count past ``tol.max_evaluations`` does not run: the result
-    then carries ``converged=False`` and a warning names the levels
-    reached.
+    ``axes`` holds (decay scale, tau span) for each of one or two axes,
+    x first, as _axis reads them.  Each axis has its own level; refining
+    one halves its step and evaluates only the nodes it adds.  ``parts``
+    keeps sums by the levels at which their nodes first appear, so the
+    value with any axis one level coarser costs no evaluation, and
+    ``totals`` keeps each total once reduced.  The first integrand call
+    evaluates every level through _FIRST_LEVEL (4 in one dimension, 1 in
+    two), or as deep as the budget admits, level 0 at least, and every
+    axis starts there.  Each round refines every axis whose change from
+    its coarser level misses the tolerance in some component, and the
+    pass ends when none does; the value is the total at the levels
+    reached and the error estimate the sum of the axes' changes.  A
+    refinement that would take the node count past
+    ``tol.max_evaluations`` does not run: the result then carries
+    ``converged=False`` and a warning names the levels reached.
     """
     tol = tol or _DEFAULT_TOL
     fs = _scalar_tolerant(f)
-    scales = [getattr(domain, "decay_scale", None) for domain, _ in axes]
     over = tuple(range(len(axes)))
     totals = {}
 
     def size(levels):
-        return math.prod([_size(domain, l, span) for (domain, span), l in zip(axes, levels)])
+        # Node counts do not depend on the scale: read the scale-1 tables.
+        return math.prod([_axis(scale and 1.0, l, span, False)[0].size
+                          for (scale, span), l in zip(axes, levels)])
 
     def grid(levels, newest=None):
         return [_axis(scale, l, span, a == newest)
-                for a, (scale, (_, span), l) in enumerate(zip(scales, axes, levels))]
+                for a, ((scale, span), l) in enumerate(zip(axes, levels))]
 
     def estimate(levels):
         key = tuple(levels)
@@ -419,7 +386,7 @@ def integrate_unit(f, tol: Tolerance | None = None) -> QuadratureResult:
         ``converged=False``.  A non-finite integrand value (named by its
         abscissa), result or error estimate raises QuadratureError.
     """
-    return _integrate("integrate_unit", f, [(UnitInterval(), None)], tol)
+    return _integrate("integrate_unit", f, [(None, None)], tol)
 
 
 def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> QuadratureResult:
@@ -450,7 +417,8 @@ def integrate_semiinf(f, decay_scale: float, tol: Tolerance | None = None) -> Qu
     exponential-decay contract.  A non-finite integrand value, result or
     error estimate raises QuadratureError.
     """
-    return _integrate("integrate_semiinf", f, [(SemiInfinite(decay_scale), _EXP_SINH_1D)], tol)
+    scale = SemiInfinite(decay_scale).decay_scale
+    return _integrate("integrate_semiinf", f, [(scale, _EXP_SINH_1D)], tol)
 
 
 def integrate_2d(
@@ -489,7 +457,8 @@ def integrate_2d(
         Values and errors have shape (m,) for an (r, n, m) integrand.
         A non-finite integrand value, result or error raises QuadratureError.
     """
-    return _integrate("integrate_2d", f, [(outer, None), (inner, None)], tol)
+    axes = [(outer.decay_scale, None), (getattr(inner, "decay_scale", None), None)]
+    return _integrate("integrate_2d", f, axes, tol)
 
 
 def _ratio(num, den):

@@ -169,7 +169,13 @@ class ThermalState:
 
     @classmethod
     def finite(cls, beta: float) -> "ThermalState":
-        """A finite-temperature state with inverse temperature ``beta``."""
+        """A finite-temperature state with inverse temperature ``beta``.
+
+        Unlike the constructor, it refuses an infinite ``beta``, which
+        here is an overflow, not zero temperature.
+        """
+        if not math.isfinite(beta):
+            raise ValueError("beta must be a positive finite number")
         return cls(float(beta))
 
     @property
@@ -442,9 +448,12 @@ def _frequency_integrals(zeta, matrix, omega_p, z_over_a, tol, names):
     exceeds a block.  All the kernel's arrays have the full node shape
     here, and with half a block the memory a call frees stays with the
     allocator for the next one: a thermal run faults half as often as
-    with whole blocks, at the same compute time.
+    with whole blocks, at the same compute time.  Where omega_p**2
+    underflows, the reflection kernels divide 0 by 0 at zeta = 0 and
+    read the NaN as their bound, so that warning is silenced.
     """
 
+    @np.errstate(invalid="ignore")
     def f(x):
         out = np.empty((len(matrix), zeta.size * x.size))
         rows = max(1, quadrature._BLOCK // (2 * x.size))

@@ -409,6 +409,22 @@ def test_extreme_inputs_end_in_a_one_line_diagnostic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_thermal_rows_survive_an_underflowing_omega_p_squared(tmp_path, capsys):
+    # Below about omega_p = 1.5e-154, omega_p**2 underflows and the
+    # reflection kernels divide 0 by 0 at zeta = 0, which ended these
+    # rows in "numerical failure".  r_p = 1 there for any omega_p > 0,
+    # so they print the data rows of omega_p = 1e-150, and no note.
+    for beta in ("5", "1000"):
+        rows = []
+        for omega in ("1e-150", "1e-160", "1e-300"):
+            argv = ["profile", "--omega-pa", omega, "--z", "0.05:0.5", "--grid", "3",
+                    "--beta-over-a", beta]
+            code, text = run_to_file(tmp_path, "tiny.csv", argv)
+            assert code == 0 and capsys.readouterr().err == "", argv
+            rows.append(parse_csv(text)[1:])
+        assert rows[1] == rows[0] and rows[2] == rows[0], beta
+
+
 def test_numerical_failures_exit_with_two(capsys):
     # t00 at omega_p = 1e100, z = 1e-100 is about 7e397.  Such rows used
     # to print inf with converged = 1 and exit 0, or end in a JSON

@@ -14,7 +14,7 @@ from casimir_stress.quadrature import (
     SemiInfinite,
     Tolerance,
     UnitInterval,
-    _de_axis,
+    _axis,
     bracket_root,
     integrate_2d,
     integrate_semiinf,
@@ -169,7 +169,7 @@ def test_non_finite_integrand_raises(monkeypatch):
     # order, also where a +inf and a -inf in one group sum to a NaN.
     monkeypatch.setattr(quadrature, "_BLOCK", 8)
     half_line = SemiInfinite(1.0)
-    x = quadrature._newest(half_line, 2, _EXP_SINH_1D)[0]
+    x = _axis(1.0, 2, _EXP_SINH_1D, True)[0]
     for bad in ({x[12]: np.nan}, {x[11]: -np.inf, x[13]: np.inf}):
 
         def g(x):
@@ -180,8 +180,8 @@ def test_non_finite_integrand_raises(monkeypatch):
 
         with pytest.raises(QuadratureError, match=re.escape(f"x = {float(min(bad))!r}")):
             integrate_semiinf(g, 1.0)
-    x = quadrature._newest(half_line, 1)[0]
-    y = _de_axis(UnitInterval(), 0)[0]
+    x = _axis(1.0, 1, None, True)[0]
+    y = _axis(None, 0, None, False)[0]
     for bad in ({(x[7], y[3]): np.nan}, {(x[5], y[2]): np.inf, (x[5], y[6]): -np.inf}):
 
         def h(u, t):
@@ -221,10 +221,10 @@ def test_one_dimensional_levels_reuse_every_node():
         return np.stack([np.exp(-x) * np.cos(x), 1e-6 * x * np.exp(-x)], axis=-1)
 
     cases = [
-        (lambda f, tol=None: integrate_semiinf(f, 0.7, tol), semi, SemiInfinite(0.7), _EXP_SINH_1D),
-        (integrate_unit, lambda t: np.sqrt(t) * np.cos(3.0 * t), UnitInterval(), None),
+        (lambda f, tol=None: integrate_semiinf(f, 0.7, tol), semi, 0.7, _EXP_SINH_1D),
+        (integrate_unit, lambda t: np.sqrt(t) * np.cos(3.0 * t), None, None),
     ]
-    for integrate, g, domain, span in cases:
+    for integrate, g, scale, span in cases:
         seen, calls = [], []
 
         def f(x):
@@ -236,12 +236,12 @@ def test_one_dimensional_levels_reuse_every_node():
         assert res.converged
         assert len(seen) == len(set(seen)) == res.evaluations
         level = 0
-        while _de_axis(domain, level, span)[0].size < res.evaluations:
+        while _axis(scale, level, span, False)[0].size < res.evaluations:
             level += 1
         assert level >= 4
-        assert set(_de_axis(domain, level, span)[0].tolist()) == set(seen)
+        assert set(_axis(scale, level, span, False)[0].tolist()) == set(seen)
         assert len(calls) == max(level - 3, 1)
-        assert calls[0] == _de_axis(domain, 4, span)[0].size
+        assert calls[0] == _axis(scale, 4, span, False)[0].size
 
         # A pass whose change meets a loose tolerance before level 4
         # still evaluates every node through level 4 in one call, and
@@ -252,10 +252,13 @@ def test_one_dimensional_levels_reuse_every_node():
         loose = Tolerance(rel_tol=1e-3, abs_tol=0.0)
         res = integrate(f, loose)
         assert res.converged and len(calls) == 1
-        assert res.evaluations == len(seen) == _de_axis(domain, 4, span)[0].size
+        assert res.evaluations == len(seen) == _axis(scale, 4, span, False)[0].size
         sums = []
         for level in range(5):
-            x, w, _ = _de_axis(domain, level, span)
+            # A node's weight is its matrix row's sum, exactly: each row
+            # holds one nonzero entry.
+            x, matrix = _axis(scale, level, span, False)
+            w = matrix.sum(axis=1)
             sums.append(quadrature._DE_STEP / 2**level * (w @ np.asarray(g(x)).reshape(x.size, -1)))
         changes = [np.abs(b - a) for a, b in zip(sums, sums[1:])]
         stop = next(i for i, c in enumerate(changes, 1) if np.all(c <= loose.rel_tol * np.abs(sums[i])))
@@ -271,20 +274,29 @@ def test_one_dimensional_levels_reuse_every_node():
 
 
 def test_half_line_tables_serve_every_decay_scale():
-    # One cached table per level serves every decay scale.  Each scale's
-    # nodes are bitwise those of a table built for that scale, and its
-    # nodes and weights are read-only.
-    quadrature._unit_axis.cache_clear()
+    # One scale-1 table per level serves every decay scale: each scale's
+    # tables are bitwise scale times it, and its nodes bitwise those of a
+    # table built for that scale.  Every table is read-only, and the
+    # newest level's weights are a contiguous column.
+    _axis.cache_clear()
     h = quadrature._DE_STEP / 2**3
     tau = np.arange(math.ceil(-3.75 / h), math.floor(1.8 / h) + 1) * h
-    for scale in (0.5, 7.3):
-        x, weight, _ = _de_axis(SemiInfinite(scale), 3)
+    tables = {scale: _axis(scale, 3, None, False) for scale in (0.5, 7.3)}
+    unit_x, unit_matrix = _axis(1.0, 3, None, False)
+    assert _axis.cache_info().misses == 3
+    for scale, (x, matrix) in tables.items():
+        assert np.array_equal(x, scale * unit_x) and np.array_equal(matrix, scale * unit_matrix)
         built = scale * np.exp(0.5 * math.pi * np.sinh(tau))
         order = np.argsort(x)
         assert np.array_equal(x[order], built)
+        weight = matrix.sum(axis=1)
         assert np.allclose(weight[order], built * 0.5 * math.pi * np.cosh(tau), rtol=1e-15, atol=0.0)
-        assert not (x.flags.writeable or weight.flags.writeable)
-    assert quadrature._unit_axis.cache_info().currsize == 1
+        newest, column = _axis(scale, 3, None, True)
+        assert np.array_equal(newest, x[-newest.size :])
+        assert np.array_equal(column[:, 0], matrix[-newest.size :, -1])
+        assert column.shape == (newest.size, 1) and column.flags.c_contiguous
+        for table in (x, matrix, newest, column):
+            assert not table.flags.writeable
 
 
 def test_two_dimensional_vector_components_meet_their_own_tolerance():

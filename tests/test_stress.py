@@ -596,9 +596,14 @@ def test_zero_temperature_row_refines_only_the_axis_that_needs_it(monkeypatch):
 
 
 def _level5_reference(omega_p, names):
-    """The bound pass's columns from the same rule at level 5 on both axes."""
-    u, wu, _ = quadrature._de_axis(SemiInfinite(0.5), 5)
-    t, wt, _ = quadrature._de_axis(UnitInterval(), 5)
+    """The bound pass's columns from the same rule at level 5 on both axes.
+
+    A node's weight is its row's sum in quadrature._axis's matrix,
+    exactly: each row holds one nonzero entry.
+    """
+    u, wu = quadrature._axis(0.5, 5, None, False)
+    t, wt = quadrature._axis(None, 5, None, False)
+    wu, wt = wu.sum(axis=1), wt.sum(axis=1)
     total = 0.0
     for start in range(0, u.size, 32):
         rows = slice(start, start + 32)
@@ -610,9 +615,9 @@ def _level5_reference(omega_p, names):
 
 def _level7_position_reference(omega_p, z_over_a, names):
     """A position pass's columns from the same u rule at level 7."""
-    u, wu, _ = quadrature._de_axis(
-        SemiInfinite(stress_mod._dep_scale(z_over_a)), 7, quadrature._EXP_SINH_1D)
-    return quadrature._DE_STEP / 2**7 * (wu @ stress_mod._position(u, omega_p, z_over_a, names))
+    u, wu = quadrature._axis(stress_mod._dep_scale(z_over_a), 7, quadrature._EXP_SINH_1D, False)
+    step = quadrature._DE_STEP / 2**7
+    return step * (wu.sum(axis=1) @ stress_mod._position(u, omega_p, z_over_a, names))
 
 
 def test_zero_temperature_error_estimates_bound_the_actual_error():
@@ -902,6 +907,11 @@ def test_geometry_and_thermal_state_validation():
     assert ThermalState(math.inf).is_zero
     assert ThermalState.zero().is_zero
     assert not ThermalState.finite(2.0).is_zero
+    # An infinite beta is zero temperature to the constructor, but asked
+    # for a finite temperature it is an overflow, and refused.
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ThermalState.finite(beta)
     with pytest.raises(ValueError):
         ThermalState(0.0)
     with pytest.raises(ValueError):
