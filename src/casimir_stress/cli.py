@@ -71,8 +71,6 @@ from .units import beta_from_temperature, to_si_energy_density
 
 __all__ = ["RunSpec", "build_run_spec", "main", "run"]
 
-_COMMANDS = ("profile", "sweep", "nec", "limits", "critical")
-
 _QUANTITY_COLUMNS = {
     "stress": ["t00", "txx", "tyy", "tzz", "nec_x", "nec_z"],
     "nec": ["nec_x", "nec_z"],
@@ -312,8 +310,35 @@ def build_run_spec(argv: list[str]) -> RunSpec:
             f"--rel-tol {args.rel_tol:g}, --abs-tol {args.abs_tol:g}: {exc}"
         ) from None
 
-    spec = RunSpec(
-        command=args.command,
+    if args.emit_plot_script and args.output_path is None:
+        raise UsageError("--emit-plot-script needs --out")
+    if args.grid < 2:
+        raise UsageError("--grid must be >= 2")
+    command = args.command
+    if command in ("profile", "nec"):
+        if omega is None:
+            raise UsageError(f"{command} needs --omega-pa")
+        if isinstance(omega, tuple):
+            raise UsageError(f"{command} takes a single --omega-pa; use sweep for ranges")
+        if z_over_a is None:
+            raise UsageError(f"{command} needs --z (value or range)")
+    elif command == "sweep":
+        if omega is None:
+            raise UsageError("sweep needs --omega-pa as an 'A:B' range")
+        if not isinstance(omega, tuple):
+            raise UsageError("sweep needs an --omega-pa range 'A:B'")
+        if not (0.0 < omega[0] and omega[1] < math.inf):
+            raise UsageError("sweep needs an --omega-pa range inside (0, inf) (log spacing)")
+        if z_over_a is None or isinstance(z_over_a, tuple):
+            raise UsageError("sweep needs a single --z value")
+    else:
+        if isinstance(omega, tuple) or isinstance(z_over_a, tuple):
+            raise UsageError(f"{command} does not take ranges")
+        if args.emit_plot_script:
+            raise UsageError(f"--emit-plot-script plots rows along an axis; {command} has none")
+
+    return RunSpec(
+        command=command,
         omega_pa=omega,
         z_over_a=z_over_a,
         beta_over_a=beta,
@@ -328,38 +353,6 @@ def build_run_spec(argv: list[str]) -> RunSpec:
         kelvin=kelvin,
         emit_plot_script=args.emit_plot_script,
     )
-    _validate_spec(spec)
-    return spec
-
-
-def _validate_spec(spec: RunSpec) -> None:
-    if spec.emit_plot_script and spec.output_path is None:
-        raise UsageError("--emit-plot-script needs --out")
-    if spec.grid < 2:
-        raise UsageError("--grid must be >= 2")
-
-    command = spec.command
-    if command in ("profile", "nec"):
-        if spec.omega_pa is None:
-            raise UsageError(f"{command} needs --omega-pa")
-        if isinstance(spec.omega_pa, tuple):
-            raise UsageError(f"{command} takes a single --omega-pa; use sweep for ranges")
-        if spec.z_over_a is None:
-            raise UsageError(f"{command} needs --z (value or range)")
-    elif command == "sweep":
-        if spec.omega_pa is None:
-            raise UsageError("sweep needs --omega-pa as an 'A:B' range")
-        if not isinstance(spec.omega_pa, tuple):
-            raise UsageError("sweep needs an --omega-pa range 'A:B'")
-        if not (0.0 < spec.omega_pa[0] and spec.omega_pa[1] < math.inf):
-            raise UsageError("sweep needs an --omega-pa range inside (0, inf) (log spacing)")
-        if spec.z_over_a is None or isinstance(spec.z_over_a, tuple):
-            raise UsageError("sweep needs a single --z value")
-    elif command in ("limits", "critical"):
-        if isinstance(spec.omega_pa, tuple) or isinstance(spec.z_over_a, tuple):
-            raise UsageError(f"{command} does not take ranges")
-        if spec.emit_plot_script:
-            raise UsageError(f"--emit-plot-script plots rows along an axis; {command} has none")
 
 
 # ----------------------------------------------------------------------
@@ -394,31 +387,14 @@ def _evaluate_point(kind: str, omega_pa: float, z_over_a: float,
     return flat, int(all(r.converged for r in results)), notes
 
 
-def _axis_values(spec_value, grid: int, log_spaced: bool) -> list[float]:
-    if not isinstance(spec_value, tuple):
-        return [float(spec_value)]
-    lo, hi = spec_value
-    if log_spaced:
-        step = (math.log10(hi) - math.log10(lo)) / (grid - 1)
-        return [10.0 ** (math.log10(lo) + i * step) for i in range(grid)]
-    step = (hi - lo) / (grid - 1)
-    return [lo + i * step for i in range(grid)]
-
-
-def _si_scale(spec: RunSpec) -> float:
-    """J/m**3 per 1/a**4 unit, or 1.0 outside SI mode."""
+def _scale_rows(rows: list[list[float]], spec: RunSpec, axis: str, end: int = -1) -> None:
+    """In SI mode, take every value and error cell to J/m**3: all but the
+    first, and the last ``-end`` (the converged column by default).  A
+    row finite in 1/a**4 units can still overflow in J/m**3, which is a
+    numerical failure like any other non-finite result."""
     if not spec.si:
-        return 1.0
-    return to_si_energy_density(1.0, spec.separation_um * 1e-6)
-
-
-def _scale_rows(rows: list[list[float]], scale: float, axis: str, end: int = -1) -> None:
-    """Scale every value and error cell: all but the first, and the last
-    ``-end`` (the converged column by default).  A row finite in 1/a**4
-    units can still overflow in J/m**3, which is a numerical failure like
-    any other non-finite result."""
-    if scale == 1.0:
         return
+    scale = to_si_energy_density(1.0, spec.separation_um * 1e-6)
     for row in rows:
         for i in range(1, len(row) + end):
             value = row[i] * scale
@@ -426,13 +402,6 @@ def _scale_rows(rows: list[list[float]], scale: float, axis: str, end: int = -1)
                 raise QuadratureError(f"{row[i]!r} in 1/a**4 units at {axis} = {row[0]!r} "
                                       f"overflows in J/m**3 (times {scale!r})")
             row[i] = value
-
-
-def _quantity_header(names: list[str]) -> list[str]:
-    header = []
-    for name in names:
-        header.extend([name, f"err_{name}"])
-    return header
 
 
 # ----------------------------------------------------------------------
@@ -447,15 +416,23 @@ def _cmd_rows(spec: RunSpec):
     axis = "omega_pa" if sweep else "z_over_a"
     thermal = ThermalState(spec.beta_over_a)
     tol = spec.tolerance()
+    values = getattr(spec, axis)
+    if isinstance(values, tuple):
+        lo, hi = map(math.log10, values) if sweep else values
+        step = (hi - lo) / (spec.grid - 1)
+        values = [10.0 ** (lo + i * step) if sweep else lo + i * step for i in range(spec.grid)]
+    else:
+        values = [float(values)]
     rows, failed, notes = [], False, []
-    for value in _axis_values(getattr(spec, axis), spec.grid, log_spaced=sweep):
+    for value in values:
         omega_pa, z_over_a = (value, spec.z_over_a) if sweep else (spec.omega_pa, value)
         flat, converged, row_notes = _evaluate_point(kind, omega_pa, z_over_a, thermal, tol)
         rows.append([value, *flat, converged])
         failed = failed or not converged
         notes.extend(note for note in row_notes if note not in notes)
-    _scale_rows(rows, _si_scale(spec), axis)
-    columns = [axis, *_quantity_header(_QUANTITY_COLUMNS[kind]), "converged"]
+    _scale_rows(rows, spec, axis)
+    quantities = [cell for name in _QUANTITY_COLUMNS[kind] for cell in (name, f"err_{name}")]
+    columns = [axis, *quantities, "converged"]
     return columns, rows, failed, notes
 
 
@@ -467,7 +444,7 @@ def _cmd_limits(spec: RunSpec):
         for name, value in limits.items():
             if name.startswith("blackbody_"):
                 rows.append([name.removesuffix("_coeff") + "_at_beta", value / beta4])
-    _scale_rows(rows, _si_scale(spec), "name", end=0)
+    _scale_rows(rows, spec, "name", end=0)
     return ["name", "value"], rows, False, []
 
 
@@ -485,6 +462,10 @@ def _cmd_critical(spec: RunSpec):
     return ["beta_over_a", "critical_omega_pa", "bracket_rel_width"], rows, False, list(notes)
 
 
+_COMMANDS = {"profile": _cmd_rows, "sweep": _cmd_rows, "nec": _cmd_rows,
+             "limits": _cmd_limits, "critical": _cmd_critical}
+
+
 # ----------------------------------------------------------------------
 # Serialization.
 # ----------------------------------------------------------------------
@@ -493,8 +474,6 @@ def _cmd_critical(spec: RunSpec):
 def _format_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
     return format(value, ".17g")
@@ -560,7 +539,7 @@ def load():
             if header is None:
                 header = cells
                 continue
-            rows.append([float(c) if c not in ("none",) else float("nan") for c in cells])
+            rows.append([float(c) for c in cells])
     return header, rows, references
 
 
@@ -616,11 +595,9 @@ def _write_plot_script(spec: RunSpec, columns) -> Path:
 
 def _diagnostic(message: str) -> None:
     stream = sys.stderr
-    use_color = stream.isatty() and not os.environ.get("NO_COLOR")
-    if use_color:
-        stream.write(f"\x1b[33mcasimir-stress:\x1b[0m {message}\n")
-    else:
-        stream.write(f"casimir-stress: {message}\n")
+    color = stream.isatty() and not os.environ.get("NO_COLOR")
+    prefix = "\x1b[33mcasimir-stress:\x1b[0m" if color else "casimir-stress:"
+    stream.write(f"{prefix} {message}\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -633,12 +610,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        if spec.command in ("profile", "nec", "sweep"):
-            columns, rows, failed, notes = _cmd_rows(spec)
-        elif spec.command == "limits":
-            columns, rows, failed, notes = _cmd_limits(spec)
-        else:
-            columns, rows, failed, notes = _cmd_critical(spec)
+        columns, rows, failed, notes = _COMMANDS[spec.command](spec)
     except QuadratureError as exc:
         _diagnostic(f"numerical failure: {exc}")
         return 2
@@ -646,11 +618,8 @@ def main(argv: list[str] | None = None) -> int:
         _diagnostic(f"error: {exc}")
         return 1
 
-    references = reference_limits()
-    if spec.output_format == "json":
-        payload = _render_json(spec, columns, rows, references)
-    else:
-        payload = _render_csv(spec, columns, rows, references)
+    render = _render_json if spec.output_format == "json" else _render_csv
+    payload = render(spec, columns, rows, reference_limits())
 
     if spec.output_path is not None:
         Path(spec.output_path).write_text(payload, encoding="utf-8")

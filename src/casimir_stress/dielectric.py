@@ -110,8 +110,10 @@ def rs_rp(zeta, k, omega_p: float):
     num = wp2 * (k2 * (2.0 * z2 + wp2) + z2 * (z2 + wp2))
     den = kappa * (z2 + wp2) + z2 * kappa1
     # The exact value satisfies rp <= 1 (equality at zeta = 0); rounding
-    # can overshoot by one ulp, so pin the analytic bound.
-    rp = np.minimum(num / (den * den), 1.0)
+    # can overshoot by one ulp, so pin the analytic bound.  Where omega_p**4
+    # underflows (omega_p below about 1e-81) the ratio is 0/0 at zeta = 0,
+    # and fmin reads that NaN as the bound.
+    rp = np.fmin(num / (den * den), 1.0)
     return rs, rp
 
 

@@ -543,8 +543,7 @@ def bracket_root(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         return None
-    scale = max(abs(lo), abs(hi), 1e-300)
-    while (hi - lo) > rel_tol * scale:
+    while (hi - lo) > rel_tol * max(abs(lo), abs(hi), 1e-300):
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break
@@ -556,6 +555,5 @@ def bracket_root(
         if (fm > 0.0) == (flo > 0.0):
             lo, flo = mid, fm
         else:
-            hi, fhi = mid, fm
-        scale = max(abs(lo), abs(hi), 1e-300)
+            hi = mid
     return 0.5 * (lo + hi)

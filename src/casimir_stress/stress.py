@@ -116,9 +116,9 @@ class Geometry:
         1e-100: below that the position pass's decay scale a/(2z) puts
         its nodes past the float range.
     a : float, default 1.0
-        Gap width.  All internal arithmetic uses the ratio z/a and
-        reports densities in 1/a**4 units; ``a`` itself matters only for
-        SI conversion.
+        Gap width.  Nothing reads ``a`` except through the ratio z/a, and
+        densities come out in 1/a**4 units; the CLI converts them to
+        J/m**3 from its own ``--separation-um``.
     """
 
     z: float
@@ -569,8 +569,8 @@ def _sums(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
 # read no position: the bound columns (at zero temperature or split) and
 # tzz's direct sum.  The last position's: a row's own sums and the field
 # squares' columns.  They are the only evaluation caches: with one kind
-# per point, critical_omega_pa finds its bisection's bracket ends, the
-# last two points, in them.
+# per point, each of critical_omega_pa's scan intervals finds its left
+# end, the previous interval's right end, in them.
 _unplaced = lru_cache(maxsize=2)(_sums)
 _placed = lru_cache(maxsize=2)(_sums)
 
@@ -860,13 +860,14 @@ def critical_omega_pa(
 ) -> float | None:
     """Plasma frequency at which the midpoint energy density turns negative.
 
-    Scans omega_p*a over [1, 1e5] on a log grid up to the first sign
-    change of energy_density(z = a/2), then bisects it in log10(omega_p*a)
-    to CRITICAL_ROOT_REL_TOL.  The bisection's bracket ends are the
-    scan's last two points, which the memos still hold, so every point
-    is evaluated once.  Returns None when the energy density keeps one
-    sign across the whole range, which is the expected outcome at high
-    temperature (beta below roughly 2.6*a).
+    Scans omega_p*a over [1, 1e5] on a log grid of ten intervals, each
+    one ``bracket_root`` call in log10(omega_p*a) on energy_density(z =
+    a/2), and returns the first root it finds, bisected to
+    CRITICAL_ROOT_REL_TOL.  An interval's left end is the previous one's
+    right end, which the memos still hold, so every point is evaluated
+    once.  Returns None when the energy density keeps one sign across
+    the whole range, which is the expected outcome at high temperature
+    (beta below roughly 2.6*a).
 
     Parameters
     ----------
@@ -895,12 +896,8 @@ def critical_omega_pa(
 
     grid = np.linspace(0.0, CRITICAL_LOG10_SPAN, 11)
     for left, right in zip(grid, grid[1:]):
-        f_left, f_right = midpoint_energy(left), midpoint_energy(right)
-        if f_left == 0.0:
-            return 10.0**left
-        if (f_left > 0.0) != (f_right > 0.0):
-            root = bracket_root(
-                midpoint_energy, float(left), float(right), rel_tol=CRITICAL_ROOT_REL_TOL
-            )
+        root = bracket_root(midpoint_energy, float(left), float(right),
+                            rel_tol=CRITICAL_ROOT_REL_TOL)
+        if root is not None:
             return 10.0**root
     return None

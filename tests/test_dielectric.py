@@ -83,6 +83,13 @@ def test_static_limit_of_p_polarization():
     assert np.all(rp == 1.0)
     expected_rs = -(5.0**2) / (k + np.hypot(k, 5.0)) ** 2
     assert np.max(np.abs(rs - expected_rs)) <= 1e-15
+    # There omega_p**4 underflows in both the numerator and the squared
+    # denominator, whose 0/0 used to read as r_p = nan.
+    for omega_p in (1e-90, 1e-150):
+        with np.errstate(invalid="ignore"):
+            rs, rp = rs_rp(np.zeros(3), k, omega_p)
+        assert np.all(rp == 1.0), omega_p
+        assert np.max(np.abs(rs / rs_rp_ut(k, np.zeros(3), omega_p)[0] - 1.0)) <= 1e-15
 
 
 def test_polar_and_cartesian_coordinates_agree():

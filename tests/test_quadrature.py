@@ -493,3 +493,4 @@ def test_bracket_root_rejects_bad_input():
 
 def test_bracket_root_exact_endpoint_zero():
     assert bracket_root(lambda x: x, 0.0, 1.0) == 0.0
+    assert bracket_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0

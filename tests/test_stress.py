@@ -32,7 +32,7 @@ from casimir_stress import (
 )
 from casimir_stress import dielectric, quadrature
 from casimir_stress import stress as stress_mod
-from casimir_stress.quadrature import QuadratureError, SemiInfinite, UnitInterval
+from casimir_stress.quadrature import QuadratureError, QuadratureResult, SemiInfinite, UnitInterval
 
 QUICK = Tolerance(rel_tol=1e-7, abs_tol=1e-12)
 
@@ -871,6 +871,41 @@ def test_critical_root_search_reuses_the_scan_values():
         assert critical_omega_pa(thermal) == root
         assert stress_mod._placed.cache_info().misses == placed
         assert stress_mod._unplaced.cache_info().misses == unplaced
+
+
+def _stub_energy(monkeypatch, f):
+    """Make the root search read f(log10(omega_p)) as the midpoint energy;
+    returns the distinct log10(omega_p) it evaluates, in order.  The stub
+    has no memo, so each interval's left end is read again."""
+    points = {}
+
+    def energy(geom, model, thermal, tol=None):
+        x = math.log10(model.omega_p)
+        points[x] = None
+        return QuadratureResult(f(x), 0.0, 1, True)
+
+    monkeypatch.setattr(stress_mod, "energy_density", energy)
+    return points
+
+
+def test_critical_root_search_paths(monkeypatch):
+    scan = [math.log10(10.0**x) for x in np.linspace(0.0, stress_mod.CRITICAL_LOG10_SPAN, 11)]
+    # An exact zero at a scan point is the root, whichever side it is
+    # approached from: the interval it closes returns it.
+    for f, at in [(lambda x: x - 2.0, 4), (lambda x: 2.0 - x, 4),
+                  (lambda x: x, 0), (lambda x: -x, 0)]:
+        points = _stub_energy(monkeypatch, f)
+        assert critical_omega_pa() == 10.0 ** (at / 2)
+        assert list(points) == scan[:max(2, at + 1)]
+    # The first sign change is bisected and a later one never reached.
+    points = _stub_energy(monkeypatch, lambda x: (x - 2.2) * (x - 3.7))
+    root = math.log10(critical_omega_pa())
+    assert abs(root - 2.2) <= stress_mod.CRITICAL_ROOT_REL_TOL * stress_mod.CRITICAL_LOG10_SPAN
+    assert list(points)[:6] == scan[:6] and all(2.0 < x < 2.5 for x in list(points)[6:])
+    # One sign across the range: every scan point, and no root.
+    points = _stub_energy(monkeypatch, lambda x: 1.0 + x)
+    assert critical_omega_pa() is None
+    assert list(points) == scan
 
 
 def test_critical_root_search_refuses_unconverged_evaluations():
