@@ -54,8 +54,7 @@ from ._record import record
 from .dielectric import PlasmaModel
 from .quadrature import QuadratureError, Tolerance
 from .stress import (
-    CRITICAL_LOG10_SPAN,
-    CRITICAL_ROOT_REL_TOL,
+    CRITICAL_REL_WIDTH,
     CRITICAL_TOLERANCE,
     Geometry,
     ThermalState,
@@ -98,7 +97,7 @@ class RunSpec:
     Ranges are (low, high) tuples, single values plain floats;
     ``beta_over_a`` is None at zero temperature.  The spec is echoed
     into every output file, so two files with equal specs carry equal
-    data.  ``jobs`` is validated but has no effect.
+    data.
     """
 
     command: str
@@ -110,7 +109,6 @@ class RunSpec:
     output_path: str | None = None
     rel_tol: float = Tolerance.rel_tol
     abs_tol: float = Tolerance.abs_tol
-    jobs: int = 1
     si: bool = False
     separation_um: float | None = None
     kelvin: float | None = None
@@ -199,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="relative quadrature tolerance")
     parser.add_argument("--abs-tol", type=float, default=RunSpec.abs_tol,
                         help="absolute quadrature tolerance")
-    parser.add_argument("--jobs", type=int, default=RunSpec.jobs,
+    parser.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; no effect")
     parser.add_argument("--si", action="store_true",
                         help="report J/m**3 instead of 1/a**4 units")
@@ -347,7 +345,6 @@ def build_run_spec(argv: list[str]) -> RunSpec:
         output_path=args.output_path,
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
-        jobs=args.jobs,
         si=args.si,
         separation_um=separation_um,
         kelvin=kelvin,
@@ -454,11 +451,7 @@ def _cmd_critical(spec: RunSpec):
     if value is None:
         rows = [[beta_cell, "none", "none"]]
     else:
-        # The bisection stops once the log10 bracket is narrower than the
-        # root tolerance times the scan's log10 span; report that width as
-        # a relative uncertainty on the returned value.
-        rel_width = 10.0 ** (CRITICAL_ROOT_REL_TOL * CRITICAL_LOG10_SPAN) - 1.0
-        rows = [[beta_cell, value, rel_width]]
+        rows = [[beta_cell, value, CRITICAL_REL_WIDTH]]
     return ["beta_over_a", "critical_omega_pa", "bracket_rel_width"], rows, False, list(notes)
 
 

@@ -107,35 +107,25 @@ _HALF_PI2 = 1.0 / (2.0 * math.pi**2)
 
 @record
 class Geometry:
-    """Gap geometry: evaluation position ``z`` inside a gap of width ``a``.
+    """Evaluation position ``z`` in the gap, in units of the gap width.
 
     Parameters
     ----------
     z : float
-        Position measured from one wall, 0 < z < a, with z/a at least
-        1e-100: below that the position pass's decay scale a/(2z) puts
-        its nodes past the float range.
-    a : float, default 1.0
-        Gap width.  Nothing reads ``a`` except through the ratio z/a, and
-        densities come out in 1/a**4 units; the CLI converts them to
-        J/m**3 from its own ``--separation-um``.
+        Distance from one wall over the gap width ``a``, 0 < z < 1 and at
+        least 1e-100: below that the position pass's decay scale 1/(2z)
+        puts its nodes past the float range.  No result reads ``a``
+        itself: densities come out in 1/a**4 units, and the CLI converts
+        them to J/m**3 from its own ``--separation-um``.
     """
 
     z: float
-    a: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError("gap width a must be a positive finite number")
-        if not (math.isfinite(self.z) and 0.0 < self.z < self.a):
-            raise ValueError("position z must satisfy 0 < z < a")
-        if self.z / self.a < 1e-100:
-            raise ValueError("position z must be at least 1e-100*a")
-
-    @property
-    def z_over_a(self) -> float:
-        """Dimensionless position in (0, 1)."""
-        return self.z / self.a
+        if not (math.isfinite(self.z) and 0.0 < self.z < 1.0):
+            raise ValueError("position z must satisfy 0 < z < 1")
+        if self.z < 1e-100:
+            raise ValueError("position z must be at least 1e-100")
 
 
 @record
@@ -163,11 +153,6 @@ class ThermalState:
                 raise ValueError("beta must lie within [2**-255, 2**255] (about 1.7e-77 to 5.8e76)")
 
     @classmethod
-    def zero(cls) -> "ThermalState":
-        """The zero-temperature state."""
-        return cls(None)
-
-    @classmethod
     def finite(cls, beta: float) -> "ThermalState":
         """A finite-temperature state with inverse temperature ``beta``.
 
@@ -177,11 +162,6 @@ class ThermalState:
         if not math.isfinite(beta):
             raise ValueError("beta must be a positive finite number")
         return cls(float(beta))
-
-    @property
-    def is_zero(self) -> bool:
-        """True when this state is exactly zero temperature."""
-        return self.beta is None
 
 
 @record
@@ -609,7 +589,7 @@ def _quantity(name, geom, model, thermal=None, tol=None) -> QuadratureResult:
     tol = _DEFAULT_TOL if tol is None else tol
     beta = None if thermal is None else thermal.beta
     prefactor, blackbody, weights = _QUANTITIES[name]
-    z_over_a = geom.z_over_a if weights.keys() - set(_BOUND) else None
+    z_over_a = geom.z if weights.keys() - set(_BOUND) else None
     direct = beta is not None and (
         beta * math.log(1.0 / tol.rel_tol) * _dep_scale(z_over_a) / (2.0 * math.pi)
         <= _SPLIT_ABOVE)
@@ -799,7 +779,7 @@ def near_wall_asymptote(z: float, model: PlasmaModel) -> tuple[float, float]:
     ----------
     z : float
         Distance from the nearer wall, > 0, in units of a.  For points
-        near the far wall evaluate at a - z; the profile is symmetric.
+        near the far wall evaluate at 1 - z; the profile is symmetric.
     model : PlasmaModel
 
     Returns
@@ -851,6 +831,10 @@ def reference_limits() -> dict[str, float]:
 CRITICAL_TOLERANCE = Tolerance(rel_tol=1e-7, abs_tol=1e-10)
 CRITICAL_ROOT_REL_TOL = 3e-4
 CRITICAL_LOG10_SPAN = 5.0
+# The bisection stops once the log10 bracket is narrower than the root
+# tolerance times the largest |log10(omega_p*a)|, at most the scan's span;
+# as a relative uncertainty on the returned omega_p*a that is this width.
+CRITICAL_REL_WIDTH = 10.0 ** (CRITICAL_ROOT_REL_TOL * CRITICAL_LOG10_SPAN) - 1.0
 
 
 def critical_omega_pa(

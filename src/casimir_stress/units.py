@@ -148,8 +148,6 @@ def redimensionalize(
     """
     if not (separation > 0.0 and math.isfinite(separation)):
         raise ValueError("separation must be a positive finite length in meters")
-    if omega_p_a < 0.0 or math.isnan(omega_p_a):
-        raise ValueError("omega_p_a must be >= 0")
     if not (beta_over_a > 0.0):
         raise ValueError("beta_over_a must be positive (infinite for zero temperature)")
     plasma_frequency = omega_p_a * SPEED_OF_LIGHT / separation

@@ -380,6 +380,7 @@ EXTREME_INPUTS = [
     (["nec", "--omega-pa", "10", "--z", "-1e-3:0.5"], "--z"),
     (["profile", "--omega-pa", "-1e-3", "--z", "0.5"], "--omega-pa"),
     (["profile", "--omega-pa", "10", "--z", "0.5", "--rel-tol", "-1e-9"], "--rel-tol"),
+    (["limits", "--jobs", "0"], "--jobs"),
 ]
 
 

@@ -20,8 +20,7 @@ from casimir_stress.units import LabParameters
 RESULT = (1.5, 2e-10, 181, True)
 RESULT_REPR = "QuadratureResult(value=1.5, error_estimate=2e-10, evaluations=181, converged=True)"
 LAB = (1e-6, 300.0, 1e16)
-SPEC = ("profile", (1.0, 10.0), 0.5, None, 25, "csv", None, 1e-9, 1e-14, 1, False, None, None,
-        False)
+SPEC = ("profile", (1.0, 10.0), 0.5, None, 25, "csv", None, 1e-9, 1e-14, False, None, None, False)
 
 # (class, field values in order, repr, [(field overrides, __post_init__ message), ...])
 RECORDS = [
@@ -37,12 +36,10 @@ RECORDS = [
      [({"decay_scale": 0.0}, "decay_scale must be a positive finite number"),
       ({"decay_scale": math.inf}, "decay_scale must be a positive finite number")]),
     (UnitInterval, (), "UnitInterval()", []),
-    (Geometry, (0.25, 1.0), "Geometry(z=0.25, a=1.0)",
-     [({"a": 0.0}, "gap width a must be a positive finite number"),
-      ({"a": math.inf}, "gap width a must be a positive finite number"),
-      ({"z": 1.0}, "position z must satisfy 0 < z < a"),
-      ({"z": math.nan}, "position z must satisfy 0 < z < a"),
-      ({"z": 1e-101}, "position z must be at least 1e-100*a")]),
+    (Geometry, (0.25,), "Geometry(z=0.25)",
+     [({"z": 1.0}, "position z must satisfy 0 < z < 1"),
+      ({"z": math.nan}, "position z must satisfy 0 < z < 1"),
+      ({"z": 1e-101}, "position z must be at least 1e-100")]),
     (ThermalState, (5.0,), "ThermalState(beta=5.0)",
      [({"beta": -1.0}, "beta must be positive (or None for zero temperature)"),
       ({"beta": -math.inf}, "beta must be positive (or None for zero temperature)"),
@@ -65,7 +62,7 @@ RECORDS = [
       ({"plasma_frequency": math.nan}, "plasma_frequency must be >= 0 rad/s")]),
     (RunSpec, SPEC,
      "RunSpec(command='profile', omega_pa=(1.0, 10.0), z_over_a=0.5, beta_over_a=None, "
-     "grid=25, output_format='csv', output_path=None, rel_tol=1e-09, abs_tol=1e-14, jobs=1, "
+     "grid=25, output_format='csv', output_path=None, rel_tol=1e-09, abs_tol=1e-14, "
      "si=False, separation_um=None, kelvin=None, emit_plot_script=False)",
      []),
 ]
@@ -120,7 +117,7 @@ def test_defaults_are_read_on_the_class_and_infinite_beta_is_zero_temperature():
     assert Tolerance.rel_tol == 1e-9 and Tolerance.abs_tol == 1e-14
     assert RunSpec.rel_tol == Tolerance.rel_tol and RunSpec.abs_tol == Tolerance.abs_tol
     assert ThermalState(math.inf).beta is None
-    assert ThermalState(math.inf) == ThermalState() == ThermalState.zero()
+    assert ThermalState(math.inf) == ThermalState()
     assert hash(ThermalState(math.inf)) == hash(ThermalState(None))
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from _frozen import LOW_OMEGA_ORACLE, ORACLE, THERMAL_ORACLE
+from asymptotic_laws import SMALL_OMEGA_P_PRESSURE
 from casimir_stress import (
     Geometry,
     PlasmaModel,
@@ -71,6 +72,23 @@ def test_small_plasma_frequency_resolves_the_p_wave_layer():
     # At omega_p = 1e-6 the p-wave reflection is confined to t < omega_p/u;
     # a rule that never samples that layer loses pressure_zz entirely.
     check_zero_temperature_oracle(LOW_OMEGA_ORACLE, 1e-4)
+
+
+def test_small_plasma_frequency_pressure_follows_its_closed_form_law():
+    # tzz = -c*omega_p*(1 + O(omega_p**2)) (tests/asymptotic_laws.py).  For
+    # omega_p <= 1e-8 the relative remainder, about -1.8*omega_p**2, stays
+    # below 1e-14 even with a ln(omega_p) factor, and 1e-14 stays above the
+    # rounding of a 1e5-node sum, about 1e-15.  The estimates read 1e-12 to
+    # 4e-10 relative here, so the law checks far more digits than they do.
+    tol = Tolerance(abs_tol=0.0)
+    for omega_p in (1e-8, 1e-12, 1e-15):
+        law = -SMALL_OMEGA_P_PRESSURE * omega_p
+        for z in (1e-3, 0.1, 0.5):
+            stress_mod.clear_caches()
+            res = pressure_zz(Geometry(z), PlasmaModel(omega_p), tol=tol)
+            miss = abs(res.value - law)
+            assert res.converged, (omega_p, z)
+            assert miss <= 1e-14 * abs(law) and miss <= res.error_estimate, (omega_p, z, res)
 
 
 def test_energy_density_is_mean_of_field_squares():
@@ -753,7 +771,7 @@ def test_near_wall_corner_follows_the_leading_law():
     model = PlasmaModel(10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for thermal in (ThermalState.zero(), ThermalState.finite(5.0), ThermalState.finite(1000.0)):
+        for thermal in (ThermalState(), ThermalState.finite(5.0), ThermalState.finite(1000.0)):
             for z in (1e-6, 1e-20, 1e-60):
                 laws = near_wall_asymptote(z, model)
                 for op, law in zip((energy_density, pressure_xx), laws):
@@ -927,21 +945,14 @@ def test_geometry_and_thermal_state_validation():
         Geometry(0.0)
     with pytest.raises(ValueError):
         Geometry(1.0)
-    with pytest.raises(ValueError):
-        Geometry(0.5, a=0.0)
-    with pytest.raises(ValueError):
-        Geometry(2.0, a=1.5)
-    # z/a stops at 1e-100, past which the position pass leaves the float range.
-    assert Geometry(1e-100).z_over_a == 1e-100
-    for z, a in ((1e-110, 1.0), (1e-300, 1.0), (1e-95, 1e6)):
+    # z stops at 1e-100, past which the position pass leaves the float range.
+    assert Geometry(1e-100).z == 1e-100
+    for z in (1e-110, 1e-300):
         with pytest.raises(ValueError, match="1e-100"):
-            Geometry(z, a=a)
-    g = Geometry(0.75, a=1.5)
-    assert g.z_over_a == 0.5
-    assert ThermalState(None).is_zero
-    assert ThermalState(math.inf).is_zero
-    assert ThermalState.zero().is_zero
-    assert not ThermalState.finite(2.0).is_zero
+            Geometry(z)
+    assert ThermalState(None).beta is None
+    assert ThermalState(math.inf).beta is None
+    assert ThermalState.finite(2.0).beta == 2.0
     # An infinite beta is zero temperature to the constructor, but asked
     # for a finite temperature it is an overflow, and refused.
     for beta in (math.inf, math.nan):
@@ -956,7 +967,7 @@ def test_geometry_and_thermal_state_validation():
     for beta in (1e-100, 1e300):
         with pytest.raises(ValueError):
             ThermalState(beta)
-    assert not ThermalState(2.0**-255).is_zero and not ThermalState(2.0**255).is_zero
+    assert ThermalState(2.0**-255).beta == 2.0**-255 and ThermalState(2.0**255).beta == 2.0**255
 
 
 def test_reference_limits_are_consistent():
