@@ -118,30 +118,18 @@ class RunSpec:
         return Tolerance(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
     def metadata(self) -> dict:
-        """Spec fields as JSON-safe primitives, for output embedding."""
+        """Every field that shapes the data, for output embedding: all but
+        ``output_path`` and ``emit_plot_script``, ``output_format`` as
+        ``format``, ranges as lists, infinities and zero temperature as "inf"."""
 
-        def enc(value):
-            if value is None:
-                return None
-            if isinstance(value, tuple):
-                return [value[0], value[1]]
-            if isinstance(value, float) and math.isinf(value):
+        def enc(name, value):
+            if value == math.inf or (value is None and name == "beta_over_a"):
                 return "inf"
-            return value
+            return list(value) if isinstance(value, tuple) else value
 
-        return {
-            "command": self.command,
-            "omega_pa": enc(self.omega_pa),
-            "z_over_a": enc(self.z_over_a),
-            "beta_over_a": "inf" if self.beta_over_a is None else self.beta_over_a,
-            "grid": self.grid,
-            "format": self.output_format,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "si": self.si,
-            "separation_um": enc(self.separation_um),
-            "kelvin": enc(self.kelvin),
-        }
+        return {"format" if name == "output_format" else name: enc(name, value)
+                for name, value in vars(self).items()
+                if name not in ("output_path", "emit_plot_script")}
 
 
 def _parse_value_or_range(text: str | None, name: str, build=float):
@@ -447,11 +435,8 @@ def _cmd_limits(spec: RunSpec):
 
 def _cmd_critical(spec: RunSpec):
     value, notes = _noted(critical_omega_pa, ThermalState(spec.beta_over_a), tol=spec.tolerance())
-    beta_cell = "inf" if spec.beta_over_a is None else spec.beta_over_a
-    if value is None:
-        rows = [[beta_cell, "none", "none"]]
-    else:
-        rows = [[beta_cell, value, CRITICAL_REL_WIDTH]]
+    cells = ["none", "none"] if value is None else [value, CRITICAL_REL_WIDTH]
+    rows = [[spec.metadata()["beta_over_a"], *cells]]
     return ["beta_over_a", "critical_omega_pa", "bracket_rel_width"], rows, False, list(notes)
 
 

@@ -527,12 +527,16 @@ def bracket_root(
     """Locate a sign change of ``f`` on [lo, hi] by bisection.
 
     Returns the midpoint of the final bracket once its width is below
-    rel_tol relative to the endpoint magnitudes.  Returns None when
+    rel_tol relative to the endpoint magnitudes, or once its ends are
+    adjacent floats (rel_tol = 0 asks for that); a NaN or negative
+    rel_tol raises ValueError.  Returns None when
     f(lo) and f(hi) have the same sign (no bracketed root); that outcome
     is deliberately distinct from numerical failure, which raises.
     """
     if not (lo < hi):
         raise ValueError("need lo < hi")
+    if not (rel_tol >= 0.0):
+        raise ValueError("rel_tol must be non-negative")
     flo = float(f(lo))
     fhi = float(f(hi))
     if not (math.isfinite(flo) and math.isfinite(fhi)):

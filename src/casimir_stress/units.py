@@ -151,10 +151,9 @@ def redimensionalize(
     if not (beta_over_a > 0.0):
         raise ValueError("beta_over_a must be positive (infinite for zero temperature)")
     plasma_frequency = omega_p_a * SPEED_OF_LIGHT / separation
-    if math.isinf(beta_over_a):
-        temperature = 0.0
-    else:
-        temperature = HBAR * SPEED_OF_LIGHT / (BOLTZMANN * beta_over_a * separation)
+    # The map between thermal length and temperature is its own inverse.
+    temperature = (0.0 if math.isinf(beta_over_a)
+                   else beta_from_temperature(beta_over_a * separation))
     return LabParameters(
         separation=separation,
         temperature=temperature,

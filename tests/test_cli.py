@@ -85,6 +85,17 @@ def test_profile_json_matches_published_schema(tmp_path):
     mid = doc["rows"][1]
     t00 = mid[doc["columns"].index("t00")]
     assert abs(t00 - doc["references"]["pc_energy_density"]) <= 1e-9
+    # abs_tol = 0 is a valid tolerance, so its document is valid too.
+    code, text = run_to_file(
+        tmp_path,
+        "exact.json",
+        ["profile", "--omega-pa", "100", "--z", "0.5", "--abs-tol", "0", "--format", "json"],
+    )
+    assert code == 0
+    doc = json.loads(text)
+    if jsonschema is not None:
+        jsonschema.validate(doc, schema)
+    assert doc["spec"]["abs_tol"] == 0.0
 
 
 def test_nec_conductor_limit(capsys):

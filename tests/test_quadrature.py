@@ -467,6 +467,16 @@ def test_level_totals_keep_their_bits():
         assert np.array_equal(res.value, value) and np.array_equal(res.error_estimate, error)
 
 
+def test_matsubara_sum_returns_an_unconverged_result_at_its_term_cap():
+    # A summand of ones never decays: the sum stops after n = 100000 and
+    # its error estimate falls back on the last term.
+    res = matsubara_sum(lambda w: np.ones_like(w), 2.0)
+    assert not res.converged
+    assert res.evaluations == 100_001
+    assert res.value == (0.5 + 100_000) / 2.0
+    assert math.isfinite(res.error_estimate) and res.error_estimate >= 0.5
+
+
 def test_matsubara_sum_validation():
     with pytest.raises(ValueError):
         matsubara_sum(lambda z: 0.0, beta=0.0)
@@ -489,6 +499,29 @@ def test_bracket_root_rejects_bad_input():
         bracket_root(math.cos, 2.0, 1.0)
     with pytest.raises(QuadratureError):
         bracket_root(lambda x: math.nan, 0.0, 1.0)
+    for rel_tol in (math.nan, -1e-10):
+        with pytest.raises(ValueError):
+            bracket_root(math.cos, 1.0, 2.0, rel_tol=rel_tol)
+    # A non-finite value at a midpoint is a numerical failure too.
+    with pytest.raises(QuadratureError):
+        bracket_root(lambda x: math.nan if x == 0.5 else x - 0.25, 0.0, 1.0)
+
+
+def test_bracket_root_returns_an_exact_zero_at_a_midpoint():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.75
+
+    assert bracket_root(f, 0.0, 1.0) == 0.75
+    assert calls == [0.0, 1.0, 0.5, 0.75]
+
+
+def test_bracket_root_stops_on_adjacent_floats_at_zero_tolerance():
+    # x*x - 2 has no floating-point zero, so only the adjacent-float stop ends the loop.
+    root = bracket_root(lambda x: x * x - 2.0, 1.0, 2.0, rel_tol=0.0)
+    assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
 
 
 def test_bracket_root_exact_endpoint_zero():

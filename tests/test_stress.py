@@ -114,6 +114,20 @@ def test_perfect_conductor_limits():
     assert abs(energy_density(Geometry(0.2), pc).value - refs["pc_energy_density"]) <= 1e-10
 
 
+def test_conductor_field_squares_follow_the_ideal_mirror_law():
+    # <E**2>, <B**2> = +-(pi**2/16)(3/sin**4(pi z) - 2/sin**2(pi z)) - pi**2/720.
+    pc = PlasmaModel(math.inf)
+    for z in (1e-3, 0.1, 0.5, 0.77):
+        s2 = math.sin(math.pi * z) ** 2
+        wall = math.pi**2 / 16.0 * (3.0 / s2**2 - 2.0 / s2)
+        for op, sign in ((mean_sq_E, 1.0), (mean_sq_B, -1.0)):
+            res = op(Geometry(z), pc)
+            ref = sign * wall - math.pi**2 / 720.0
+            assert res.converged, (op.__name__, z)
+            assert abs(res.value - ref) <= res.error_estimate + 1e-14 * abs(ref), (
+                op.__name__, z, res.value, ref)
+
+
 def test_transparent_vacuum_is_exactly_zero():
     geom = Geometry(0.37)
     vac = PlasmaModel(0.0)
