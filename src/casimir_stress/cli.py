@@ -17,9 +17,10 @@ then 17-significant-digit data rows) or JSON (one object with ``spec``,
 resolved run specification so a file regenerates byte for byte from its
 own metadata; nothing in the output depends on wall-clock time or
 machine identity.  Exit status is 0 on success, 1 on a usage error, and
-2 when any requested point failed to converge (the rows are still
-written, flagged in the ``converged`` column) or on a numerical failure,
-which writes nothing.
+2 when the ``converged`` column holds a 0 (the rows are still written)
+or on a numerical failure, which writes nothing.  The warnings that a
+command's evaluations issue are printed after the table, each distinct
+text once, sorted, as ``note:`` lines.
 
 Options may also come from a JSON config file (``--config``).  Each
 entry is a flag, keyed by its argparse dest (``omega_pa``, ``z``,
@@ -70,12 +71,8 @@ from .units import beta_from_temperature, to_si_energy_density
 
 __all__ = ["RunSpec", "build_run_spec", "main", "run"]
 
-_QUANTITY_COLUMNS = {
-    "stress": ["t00", "txx", "tyy", "tzz", "nec_x", "nec_z"],
-    "nec": ["nec_x", "nec_z"],
-}
-
-# Reference line that belongs under each quantity column, for plots.
+# The stress columns in output order, each with the reference line that
+# belongs under it in a plot.
 _COLUMN_REFERENCE = {
     "t00": "pc_energy_density",
     "txx": "pc_pressure_xx",
@@ -341,35 +338,16 @@ def build_run_spec(argv: list[str]) -> RunSpec:
 
 
 # ----------------------------------------------------------------------
-# Point evaluation.
+# Notes and units.
 # ----------------------------------------------------------------------
 
 
-def _noted(evaluate, *args, **kwargs):
-    """evaluate(*args, **kwargs) and the sorted texts of the warnings it issued."""
+def _noted(evaluate, *args):
+    """evaluate(*args) and the sorted distinct texts of the warnings it issued."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = evaluate(*args, **kwargs)
+        result = evaluate(*args)
     return result, tuple(sorted({str(w.message) for w in caught}))
-
-
-def _evaluate_point(kind: str, omega_pa: float, z_over_a: float,
-                    thermal: ThermalState, tol: Tolerance):
-    """Evaluate one row: (flat [value, error, ...] pairs, converged flag, warning texts)."""
-    geom, model = Geometry(z=z_over_a), PlasmaModel(omega_p=omega_pa)
-
-    def at(op):
-        return op(geom, model, thermal, tol=tol)
-
-    def row():
-        if kind == "nec":
-            return [at(nec_transverse), at(nec_longitudinal)]
-        t00, txx = at(energy_density), at(pressure_xx)
-        return [t00, txx, txx, at(pressure_zz), at(nec_transverse), at(nec_longitudinal)]
-
-    results, notes = _noted(row)
-    flat = [x for r in results for x in (r.value, r.error_estimate)]
-    return flat, int(all(r.converged for r in results)), notes
 
 
 def _scale_rows(rows: list[list[float]], spec: RunSpec, axis: str, end: int = -1) -> None:
@@ -395,30 +373,35 @@ def _scale_rows(rows: list[list[float]], spec: RunSpec, axis: str, end: int = -1
 
 
 def _cmd_rows(spec: RunSpec):
-    """Rows along z (linear) for profile and nec, or omega_p (log) for sweep."""
-    kind = "nec" if spec.command == "nec" else "stress"
+    """Rows along z (linear) for profile and nec, or omega_p (log) for sweep.
+    A range's first and last rows are its ends as given."""
     sweep = spec.command == "sweep"
     axis = "omega_pa" if sweep else "z_over_a"
-    thermal = ThermalState(spec.beta_over_a)
-    tol = spec.tolerance()
+    thermal, tol = ThermalState(spec.beta_over_a), spec.tolerance()
     values = getattr(spec, axis)
     if isinstance(values, tuple):
         lo, hi = map(math.log10, values) if sweep else values
         step = (hi - lo) / (spec.grid - 1)
-        values = [10.0 ** (lo + i * step) if sweep else lo + i * step for i in range(spec.grid)]
+        inner = (lo + i * step for i in range(1, spec.grid - 1))
+        values = [values[0], *(10.0**x if sweep else x for x in inner), values[1]]
     else:
-        values = [float(values)]
-    rows, failed, notes = [], False, []
+        values = [values]
+    # The operations are looked up per call, so that a profiler may rebind
+    # them; pressure_xx gives both txx and tyy.
+    ops = [energy_density, pressure_xx, pressure_xx, pressure_zz, nec_transverse, nec_longitudinal]
+    names = [*_COLUMN_REFERENCE]
+    if spec.command == "nec":
+        ops, names = ops[4:], names[4:]
+    rows = []
     for value in values:
-        omega_pa, z_over_a = (value, spec.z_over_a) if sweep else (spec.omega_pa, value)
-        flat, converged, row_notes = _evaluate_point(kind, omega_pa, z_over_a, thermal, tol)
-        rows.append([value, *flat, converged])
-        failed = failed or not converged
-        notes.extend(note for note in row_notes if note not in notes)
+        geom = Geometry(z=spec.z_over_a if sweep else value)
+        model = PlasmaModel(omega_p=value if sweep else spec.omega_pa)
+        done = {op: op(geom, model, thermal, tol=tol) for op in dict.fromkeys(ops)}
+        results = [done[op] for op in ops]
+        rows.append([value, *(x for r in results for x in (r.value, r.error_estimate)),
+                     int(all(r.converged for r in results))])
     _scale_rows(rows, spec, axis)
-    quantities = [cell for name in _QUANTITY_COLUMNS[kind] for cell in (name, f"err_{name}")]
-    columns = [axis, *quantities, "converged"]
-    return columns, rows, failed, notes
+    return [axis, *(c for name in names for c in (name, f"err_{name}")), "converged"], rows
 
 
 def _cmd_limits(spec: RunSpec):
@@ -430,14 +413,14 @@ def _cmd_limits(spec: RunSpec):
             if name.startswith("blackbody_"):
                 rows.append([name.removesuffix("_coeff") + "_at_beta", value / beta4])
     _scale_rows(rows, spec, "name", end=0)
-    return ["name", "value"], rows, False, []
+    return ["name", "value"], rows
 
 
 def _cmd_critical(spec: RunSpec):
-    value, notes = _noted(critical_omega_pa, ThermalState(spec.beta_over_a), tol=spec.tolerance())
+    value = critical_omega_pa(ThermalState(spec.beta_over_a), tol=spec.tolerance())
     cells = ["none", "none"] if value is None else [value, CRITICAL_REL_WIDTH]
     rows = [[spec.metadata()["beta_over_a"], *cells]]
-    return ["beta_over_a", "critical_omega_pa", "bracket_rel_width"], rows, False, list(notes)
+    return ["beta_over_a", "critical_omega_pa", "bracket_rel_width"], rows
 
 
 _COMMANDS = {"profile": _cmd_rows, "sweep": _cmd_rows, "nec": _cmd_rows,
@@ -492,7 +475,6 @@ import matplotlib.pyplot as plt
 
 DATA = Path(__file__).resolve().parent / {data_name!r}
 FORMAT = {output_format!r}
-COLUMNS = {columns!r}
 LOG_X = {log_x!r}
 REFERENCE_FOR = {column_reference!r}
 
@@ -523,8 +505,8 @@ def load():
 
 def main():
     columns, rows, references = load()
-    x = [row[columns.index(COLUMNS[0])] for row in rows]
-    quantities = [c for c in COLUMNS[1:] if not c.startswith("err_") and c != "converged"]
+    x = [row[0] for row in rows]
+    quantities = [c for c in columns[1:] if not c.startswith("err_") and c != "converged"]
     fig, axes = plt.subplots(len(quantities), 1, sharex=True,
                              figsize=(6.0, 2.2 * len(quantities)))
     if len(quantities) == 1:
@@ -539,7 +521,7 @@ def main():
         ax.set_ylabel(name)
         if LOG_X:
             ax.set_xscale("log")
-    axes[-1].set_xlabel(COLUMNS[0])
+    axes[-1].set_xlabel(columns[0])
     fig.tight_layout()
     out = DATA.with_suffix(DATA.suffix + ".png")
     fig.savefig(out, dpi=150)
@@ -551,14 +533,13 @@ if __name__ == "__main__":
 '''
 
 
-def _write_plot_script(spec: RunSpec, columns) -> Path:
+def _write_plot_script(spec: RunSpec) -> Path:
     data_path = Path(spec.output_path)
     script_path = data_path.with_name(data_path.stem + "_plot.py")
     content = _PLOT_TEMPLATE.format(
         command=spec.command,
         data_name=data_path.name,
         output_format=spec.output_format,
-        columns=list(columns),
         log_x=spec.command == "sweep",
         column_reference=_COLUMN_REFERENCE,
     )
@@ -588,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        columns, rows, failed, notes = _COMMANDS[spec.command](spec)
+        (columns, rows), notes = _noted(_COMMANDS[spec.command], spec)
     except QuadratureError as exc:
         _diagnostic(f"numerical failure: {exc}")
         return 2
@@ -607,9 +588,9 @@ def main(argv: list[str] | None = None) -> int:
     for note in notes:
         _diagnostic(f"note: {note}")
     if spec.emit_plot_script:
-        script = _write_plot_script(spec, columns)
+        script = _write_plot_script(spec)
         _diagnostic(f"wrote plot script {script}")
-    if failed:
+    if columns[-1] == "converged" and any(row[-1] == 0 for row in rows):
         _diagnostic("one or more points did not converge; see the converged column")
         return 2
     return 0

@@ -430,7 +430,10 @@ def _frequency_integrals(zeta, matrix, omega_p, z_over_a, tol, names):
     allocator for the next one: a thermal run faults half as often as
     with whole blocks, at the same compute time.  Where omega_p**2
     underflows, the reflection kernels divide 0 by 0 at zeta = 0 and
-    read the NaN as their bound, so that warning is silenced.
+    read the NaN as their bound, so that warning is silenced.  Every x
+    node evaluates the kernel at each frequency, so the pass may take
+    ``tol.max_evaluations // zeta.size`` x nodes (15 at least): its budget
+    counts kernel points.
     """
 
     @np.errstate(invalid="ignore")
@@ -444,7 +447,8 @@ def _frequency_integrals(zeta, matrix, omega_p, z_over_a, tol, names):
                       out=out[:, i * x.size : (i + rows) * x.size])
         return out.reshape(-1, x.size).T
 
-    return integrate_semiinf(f, _dep_scale(z_over_a), tol)
+    budget = Tolerance(tol.rel_tol, tol.abs_tol, max(15, tol.max_evaluations // zeta.size))
+    return integrate_semiinf(f, _dep_scale(z_over_a), budget)
 
 
 def _thermal_direct(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:

@@ -17,6 +17,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from casimir_stress import cli
+from casimir_stress.quadrature import QuadratureResult
 from casimir_stress.stress import reference_limits
 from casimir_stress.units import BOLTZMANN, HBAR, SPEED_OF_LIGHT
 
@@ -322,6 +323,21 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
     assert cli.main(["limits", "--config", str(config)]) == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config file"),
+    ("{", "config file is not valid JSON"),
+    ("[1, 2]", "config file must hold a JSON object"),
+])
+def test_unreadable_config_files_are_usage_errors(text, message, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+    assert cli.main(["limits", "--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"casimir-stress: error: {message}") and err.count("\n") == 1, err
+
+
 def test_usage_errors_exit_with_one(capsys):
     assert cli.main(["profile"]) == 1  # --omega-pa and --z missing
     assert cli.main(["profile", "--omega-pa", "10", "--z", "1.5"]) == 1
@@ -333,6 +349,7 @@ def test_usage_errors_exit_with_one(capsys):
     # --grid is checked whether or not a range uses it.
     assert cli.main(["profile", "--omega-pa", "10", "--z", "0.5", "--grid", "-3"]) == 1
     assert cli.main(["limits", "--grid", "1"]) == 1
+    assert cli.main(["limits", "--z", "0.1:0.2"]) == 1
     capsys.readouterr()
 
 
@@ -342,17 +359,63 @@ def test_help_exits_zero():
     assert info.value.code == 0
 
 
-def test_unconverged_rows_exit_with_two(tmp_path, monkeypatch):
-    def fake_evaluate(kind, omega_pa, z_over_a, thermal, tol):
-        return [0.0, 1.0, 0.0, 1.0], 0, ()
+def test_unconverged_rows_exit_with_two(tmp_path, monkeypatch, capsys):
+    def unconverged(geom, model, thermal, tol):
+        return QuadratureResult(0.0, 1.0, 0, False)
 
-    monkeypatch.setattr(cli, "_evaluate_point", fake_evaluate)
+    monkeypatch.setattr(cli, "nec_transverse", unconverged)
+    monkeypatch.setattr(cli, "nec_longitudinal", unconverged)
     out = tmp_path / "bad.csv"
-    code = cli.main(["nec", "--omega-pa", "3", "--z", "0.5", "--out", str(out)])
+    code = cli.main(["nec", "--omega-pa", "3", "--z", "0.2:0.8", "--grid", "2", "--out", str(out)])
     assert code == 2
     # The data is still written so the partial result can be inspected.
     _, _, rows = parse_csv(out.read_text(encoding="utf-8"))
-    assert rows[0][-1] == "0"
+    assert rows == [["0.20000000000000001", "0", "1", "0", "1", "0"],
+                    ["0.80000000000000004", "0", "1", "0", "1", "0"]]
+    assert capsys.readouterr().err == (
+        "casimir-stress: one or more points did not converge; see the converged column\n")
+
+
+def test_an_unconverged_row_prints_its_note_after_the_table(capsys):
+    # The direct quadrature cannot meet rel_tol = 1e-300 without abs_tol.
+    argv = ["profile", "--omega-pa", "100", "--z", "0.5", "--abs-tol", "0", "--rel-tol", "1e-300"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    _, header, rows = parse_csv(out)
+    assert len(rows) == 1 and rows[0][header.index("converged")] == "0"
+    note, last = err.splitlines()
+    assert note.startswith("casimir-stress: note: integrate_2d did not meet its tolerance")
+    assert last == "casimir-stress: one or more points did not converge; see the converged column"
+
+
+def test_notes_are_the_sorted_distinct_warnings_of_the_whole_command(monkeypatch, capsys):
+    def warns(text):
+        def op(geom, model, thermal, tol):
+            warnings.warn(f"{text} at z = {geom.z}")
+            return QuadratureResult(1.0, 0.0, 1, True)
+        return op
+
+    monkeypatch.setattr(cli, "nec_transverse", warns("b"))
+    monkeypatch.setattr(cli, "nec_longitudinal", warns("a"))
+    assert cli.main(["nec", "--omega-pa", "3", "--z", "0.25:0.5", "--grid", "2"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"casimir-stress: note: {text} at z = {z}" for text in "ab" for z in (0.25, 0.5)]
+
+
+# A range's first and last rows are its ends as given.  Each of these
+# rounded its last row past the range: two were refused by the row's own
+# check, and the third printed 123.45599999999999.
+@pytest.mark.parametrize("argv, ends", [
+    (["profile", "--omega-pa", "10", "--z", "0.3:0.9999999999999999", "--grid", "3"],
+     ("0.29999999999999999", "0.99999999999999989")),
+    (["sweep", "--omega-pa", "1:1e100", "--z", "0.5", "--grid", "12"], ("1", "1e+100")),
+    (["sweep", "--omega-pa", "1:123.456", "--z", "0.5", "--grid", "2"], ("1", "123.456")),
+])
+def test_range_rows_end_on_the_given_ends(argv, ends, capsys):
+    assert cli.main([*argv, *FAST]) == 0
+    _, _, rows = parse_csv(capsys.readouterr().out)
+    assert (rows[0][0], rows[-1][0]) == ends
+    assert len(rows) == int(argv[-1])
 
 
 # Inputs at the ends of the float range, with the flag the diagnostic
@@ -392,6 +455,17 @@ EXTREME_INPUTS = [
     (["profile", "--omega-pa", "-1e-3", "--z", "0.5"], "--omega-pa"),
     (["profile", "--omega-pa", "10", "--z", "0.5", "--rel-tol", "-1e-9"], "--rel-tol"),
     (["limits", "--jobs", "0"], "--jobs"),
+    # Values and ranges that do not parse, and options a command does not take.
+    (["profile", "--omega-pa", "10", "--z", "abc"], "--z"),
+    (["profile", "--omega-pa", "10", "--z", "0.1:x"], "--z"),
+    (["profile", "--omega-pa", "10", "--z", "0.8:0.2"], "--z"),
+    (["profile", "--omega-pa", "10", "--z", "0.1:0.2:0.3"], "--z"),
+    (["limits", "--beta-over-a", "1:2"], "--beta-over-a"),
+    (["limits", "--si", "--separation-um", "1", "--kelvin", "-1"], "--kelvin"),
+    (["profile", "--omega-pa", "1:10", "--z", "0.5"], "--omega-pa"),
+    (["profile", "--omega-pa", "10"], "--z"),
+    (["sweep", "--z", "0.5"], "--omega-pa"),
+    (["sweep", "--omega-pa", "1:10", "--z", "0.1:0.2"], "--z"),
 ]
 
 

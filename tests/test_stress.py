@@ -412,6 +412,35 @@ def test_cold_thermal_row_has_bounded_cost(monkeypatch):
     assert calls["matsubara_sum"] == 0
 
 
+def test_thermal_x_passes_count_kernel_points_against_their_budget(monkeypatch):
+    # Each x node of a direct thermal pass evaluates the kernel at every
+    # frequency of its block, so the budget counts those points.  While
+    # it counted x nodes, these three passes (8, 16 and 32 frequencies)
+    # evaluated 1,474,568, 2,949,136 and 5,898,272 points, and the same
+    # row at the default budget took half a minute to report the miss.
+    points = []
+
+    def kernel(kappa, t, weight, omega_p, z_over_a, names):
+        points[-1] += np.broadcast(kappa, t).size
+        return original_kernel(kappa, t, weight, omega_p, z_over_a, names)
+
+    def counted(f, decay_scale, tol=None):
+        points.append(0)
+        return quadrature.integrate_semiinf(f, decay_scale, tol)
+
+    original_kernel = stress_mod._kernel
+    monkeypatch.setattr(stress_mod, "_kernel", kernel)
+    monkeypatch.setattr(stress_mod, "integrate_semiinf", counted)
+    stress_mod.clear_caches()
+    tol = Tolerance(rel_tol=2.3e-16, abs_tol=0.0, max_evaluations=200_000)
+    with pytest.warns(UserWarning, match="integrate_semiinf did not meet its tolerance"):
+        result = energy_density(Geometry(0.5), PlasmaModel(100.0), ThermalState.finite(5.0),
+                                tol=tol)
+    stress_mod.clear_caches()
+    assert len(points) >= 3 and max(points) <= 200_000, points
+    assert not result.converged
+
+
 def test_kernel_calls_stay_within_a_block(monkeypatch):
     # No kernel call takes more than quadrature._BLOCK nodes, counting the
     # frequency axis of a direct Matsubara block: at zero temperature, in
