@@ -16,11 +16,12 @@ then 17-significant-digit data rows) or JSON (one object with ``spec``,
 ``columns``, ``rows``, and ``references`` keys).  Both carry the fully
 resolved run specification so a file regenerates byte for byte from its
 own metadata; nothing in the output depends on wall-clock time or
-machine identity.  Exit status is 0 on success, 1 on a usage error, and
-2 when the ``converged`` column holds a 0 (the rows are still written)
-or on a numerical failure, which writes nothing.  The warnings that a
-command's evaluations issue are printed after the table, each distinct
-text once, sorted, as ``note:`` lines.
+machine identity.  Exit status is 0 on success, 1 on a usage error or
+an output file that cannot be written, and 2 when the ``converged``
+column holds a 0 (the rows are still written) or on a numerical
+failure, which writes nothing.  The warnings that a command's
+evaluations issue are printed after the table, each distinct text once,
+sorted, as ``note:`` lines.
 
 Options may also come from a JSON config file (``--config``).  Each
 entry is a flag, keyed by its argparse dest (``omega_pa``, ``z``,
@@ -32,9 +33,10 @@ uses it (``PlasmaModel``, ``Geometry``, ``ThermalState``, ``Tolerance``)
 whatever the command.  ``--jobs`` (and its config key) is still accepted
 but has no effect: rows are evaluated in order in one process, since a
 row takes milliseconds and a worker process longer to start.  ``--si``
-with ``--separation-um`` (and optionally ``--kelvin``) converts
-densities to J/m**3 through the units module.  Diagnostics go to stderr
-and honor the NO_COLOR convention.  Only the process entry ``run``
+with ``--separation-um`` (and optionally ``--kelvin``) converts the
+densities and the reference constants, by one factor, to J/m**3 through
+the units module.  Diagnostics go to stderr and honor the NO_COLOR
+convention.  Only the process entry ``run``
 (``python -m`` and the ``casimir-stress`` script) freezes the heap after
 ``main`` so that exit skips collecting it; ``main`` itself never does.
 """
@@ -67,7 +69,7 @@ from .stress import (
     energy_density,
     reference_limits,
 )
-from .units import beta_from_temperature, to_si_energy_density
+from .units import LabParameters, nondimensionalize, to_si_energy_density
 
 __all__ = ["RunSpec", "build_run_spec", "main", "run"]
 
@@ -269,15 +271,12 @@ def build_run_spec(argv: list[str]) -> RunSpec:
     if separation_um is not None and not (1e-60 <= separation_um <= 1e60):
         raise UsageError("--separation-um must lie within [1e-60, 1e60]")
     if kelvin is not None:
-        if kelvin < 0.0:
-            raise UsageError("--kelvin must be >= 0")
         if beta is not None:
             raise UsageError("give either --kelvin or --beta-over-a, not both")
-        if kelvin != 0.0:
-            try:
-                beta = beta_from_temperature(kelvin) / (separation_um * 1e-6)
-            except ValueError:
-                raise UsageError("--kelvin must be a finite temperature") from None
+        try:
+            _, beta = nondimensionalize(LabParameters(separation_um * 1e-6, kelvin, 0.0))
+        except ValueError as exc:
+            raise UsageError(f"--kelvin {kelvin!r}: {exc}") from None
     try:
         beta = (ThermalState.finite if kelvin else ThermalState)(beta).beta
     except ValueError as exc:
@@ -298,27 +297,16 @@ def build_run_spec(argv: list[str]) -> RunSpec:
     if args.grid < 2:
         raise UsageError("--grid must be >= 2")
     command = args.command
-    if command in ("profile", "nec"):
-        if omega is None:
-            raise UsageError(f"{command} needs --omega-pa")
-        if isinstance(omega, tuple):
-            raise UsageError(f"{command} takes a single --omega-pa; use sweep for ranges")
-        if z_over_a is None:
-            raise UsageError(f"{command} needs --z (value or range)")
-    elif command == "sweep":
-        if omega is None:
-            raise UsageError("sweep needs --omega-pa as an 'A:B' range")
-        if not isinstance(omega, tuple):
-            raise UsageError("sweep needs an --omega-pa range 'A:B'")
-        if not (0.0 < omega[0] and omega[1] < math.inf):
-            raise UsageError("sweep needs an --omega-pa range inside (0, inf) (log spacing)")
-        if z_over_a is None or isinstance(z_over_a, tuple):
-            raise UsageError("sweep needs a single --z value")
-    else:
-        if isinstance(omega, tuple) or isinstance(z_over_a, tuple):
-            raise UsageError(f"{command} does not take ranges")
-        if args.emit_plot_script:
-            raise UsageError(f"--emit-plot-script plots rows along an axis; {command} has none")
+    for flag, value, reads in zip(("omega-pa", "z"), (omega, z_over_a), _READS[command]):
+        kind = "range" if isinstance(value, tuple) else "value"
+        if reads and (value is None or kind not in reads):
+            raise UsageError(f"{command} needs --{flag} as {reads}")
+        if not reads and kind == "range":
+            raise UsageError(f"{command} takes no --{flag} range")
+    if command == "sweep" and not (0.0 < omega[0] and omega[1] < math.inf):
+        raise UsageError("sweep needs an --omega-pa range inside (0, inf) (log spacing)")
+    if args.emit_plot_script and not any(_READS[command]):
+        raise UsageError(f"--emit-plot-script plots rows along an axis; {command} has none")
 
     return RunSpec(
         command=command,
@@ -350,21 +338,22 @@ def _noted(evaluate, *args):
     return result, tuple(sorted({str(w.message) for w in caught}))
 
 
-def _scale_rows(rows: list[list[float]], spec: RunSpec, axis: str, end: int = -1) -> None:
-    """In SI mode, take every value and error cell to J/m**3: all but the
-    first, and the last ``-end`` (the converged column by default).  A
-    row finite in 1/a**4 units can still overflow in J/m**3, which is a
+def _to_si(spec: RunSpec, columns: list[str], rows: list[list]) -> dict:
+    """Take every density cell (a stress column, its estimate, a limit's
+    value) to J/m**3, and return the references scaled by the same factor.
+    A cell finite in 1/a**4 units can still overflow in J/m**3, which is a
     numerical failure like any other non-finite result."""
-    if not spec.si:
-        return
     scale = to_si_energy_density(1.0, spec.separation_um * 1e-6)
+    cells = [i for i, name in enumerate(columns)
+             if name == "value" or name.removeprefix("err_") in _COLUMN_REFERENCE]
     for row in rows:
-        for i in range(1, len(row) + end):
+        for i in cells:
             value = row[i] * scale
             if not math.isfinite(value):
-                raise QuadratureError(f"{row[i]!r} in 1/a**4 units at {axis} = {row[0]!r} "
+                raise QuadratureError(f"{row[i]!r} in 1/a**4 units at {columns[0]} = {row[0]!r} "
                                       f"overflows in J/m**3 (times {scale!r})")
             row[i] = value
+    return {name: value * scale for name, value in reference_limits().items()}
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +389,6 @@ def _cmd_rows(spec: RunSpec):
         results = [done[op] for op in ops]
         rows.append([value, *(x for r in results for x in (r.value, r.error_estimate)),
                      int(all(r.converged for r in results))])
-    _scale_rows(rows, spec, axis)
     return [axis, *(c for name in names for c in (name, f"err_{name}")), "converged"], rows
 
 
@@ -412,7 +400,6 @@ def _cmd_limits(spec: RunSpec):
         for name, value in limits.items():
             if name.startswith("blackbody_"):
                 rows.append([name.removesuffix("_coeff") + "_at_beta", value / beta4])
-    _scale_rows(rows, spec, "name", end=0)
     return ["name", "value"], rows
 
 
@@ -425,6 +412,12 @@ def _cmd_critical(spec: RunSpec):
 
 _COMMANDS = {"profile": _cmd_rows, "sweep": _cmd_rows, "nec": _cmd_rows,
              "limits": _cmd_limits, "critical": _cmd_critical}
+# What each command reads of --omega-pa and --z, as its usage error words
+# it: the check looks for "value" and "range" in the text.  A command that
+# reads nothing ("") still refuses a range.
+_READS = {"profile": ("a value", "a value or an 'A:B' range"),
+          "nec": ("a value", "a value or an 'A:B' range"),
+          "sweep": ("an 'A:B' range", "a value"), "limits": ("", ""), "critical": ("", "")}
 
 
 # ----------------------------------------------------------------------
@@ -483,24 +476,11 @@ def load():
     if FORMAT == "json":
         doc = json.loads(DATA.read_text(encoding="utf-8"))
         return doc["columns"], doc["rows"], doc.get("references", {{}})
-    references = {{}}
-    rows = []
-    header = None
-    with DATA.open(encoding="utf-8", newline="") as handle:
-        for line in handle:
-            line = line.rstrip("\\n")
-            if line.startswith("# ref."):
-                key, _, value = line[6:].partition("=")
-                references[key] = float(value)
-                continue
-            if line.startswith("#") or not line:
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-                continue
-            rows.append([float(c) for c in cells])
-    return header, rows, references
+    lines = DATA.read_text(encoding="utf-8").splitlines()
+    references = {{key: float(value) for key, value in
+                  (line[6:].split("=") for line in lines if line.startswith("# ref."))}}
+    header, *rows = [line.split(",") for line in lines if line and not line.startswith("#")]
+    return header, [[float(c) for c in row] for row in rows], references
 
 
 def main():
@@ -533,9 +513,9 @@ if __name__ == "__main__":
 '''
 
 
-def _write_plot_script(spec: RunSpec) -> Path:
+def _plot_script(spec: RunSpec) -> tuple[Path, str]:
+    """The plot script's path, next to the data file, and its source."""
     data_path = Path(spec.output_path)
-    script_path = data_path.with_name(data_path.stem + "_plot.py")
     content = _PLOT_TEMPLATE.format(
         command=spec.command,
         data_name=data_path.name,
@@ -543,8 +523,16 @@ def _write_plot_script(spec: RunSpec) -> Path:
         log_x=spec.command == "sweep",
         column_reference=_COLUMN_REFERENCE,
     )
-    script_path.write_text(content, encoding="utf-8")
-    return script_path
+    return data_path.with_name(data_path.stem + "_plot.py"), content
+
+
+def _write(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path`` and return it; a usage error if that fails."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -564,32 +552,24 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         spec = build_run_spec(argv)
+        (columns, rows), notes = _noted(_COMMANDS[spec.command], spec)
+        references = _to_si(spec, columns, rows) if spec.si else reference_limits()
+        render = _render_json if spec.output_format == "json" else _render_csv
+        payload = render(spec, columns, rows, references)
+        if spec.output_path is None:
+            sys.stdout.write(payload)
+        else:
+            _write(Path(spec.output_path), payload)
+        for note in notes:
+            _diagnostic(f"note: {note}")
+        if spec.emit_plot_script:
+            _diagnostic(f"wrote plot script {_write(*_plot_script(spec))}")
     except UsageError as exc:
         _diagnostic(f"error: {exc}")
         return 1
-
-    try:
-        (columns, rows), notes = _noted(_COMMANDS[spec.command], spec)
     except QuadratureError as exc:
         _diagnostic(f"numerical failure: {exc}")
         return 2
-    except ValueError as exc:
-        _diagnostic(f"error: {exc}")
-        return 1
-
-    render = _render_json if spec.output_format == "json" else _render_csv
-    payload = render(spec, columns, rows, reference_limits())
-
-    if spec.output_path is not None:
-        Path(spec.output_path).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
-
-    for note in notes:
-        _diagnostic(f"note: {note}")
-    if spec.emit_plot_script:
-        script = _write_plot_script(spec)
-        _diagnostic(f"wrote plot script {script}")
     if columns[-1] == "converged" and any(row[-1] == 0 for row in rows):
         _diagnostic("one or more points did not converge; see the converged column")
         return 2

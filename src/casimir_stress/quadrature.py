@@ -106,7 +106,11 @@ class QuadratureResult:
 
 @record
 class SemiInfinite:
-    """Domain marker: [0, inf) with the given exponential decay scale."""
+    """Domain marker: [0, inf) with the given exponential decay scale.
+
+    The scale sets how far the nodes reach: to 7e6*decay_scale in
+    integrate_semiinf, only to 100*decay_scale on an axis of integrate_2d.
+    """
 
     decay_scale: float
 
@@ -438,7 +442,10 @@ def integrate_2d(
         (r, n, m) view of component-major (m, r, n) storage, such as
         ``np.stack(columns).transpose(1, 2, 0)``, is summed without a copy.
     outer : SemiInfinite
-        Decay scale for the x integration.
+        Decay scale L for the x integration.  A half-line axis here ends
+        at 100*L (integrate_semiinf reaches 7e6*L) and whatever lies
+        beyond is left out, so L must not fall far below the integrand's
+        own decay scale.
     inner : SemiInfinite or UnitInterval
         Domain of the y integration.
     tol : Tolerance, optional

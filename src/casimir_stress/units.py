@@ -13,6 +13,7 @@ that SI output is reproducible digit for digit across machines.
 from __future__ import annotations
 
 import math
+import sys
 
 from ._record import record
 
@@ -85,13 +86,16 @@ def beta_from_temperature(temperature: float) -> float:
     ------
     ValueError
         If temperature <= 0; exactly zero temperature has no finite
-        thermal length, use the zero-temperature state directly.
+        thermal length, use the zero-temperature state directly.  Also
+        below about 1.8e-301 K, where k_B*T underflows to zero.
     """
     if not (temperature > 0.0 and math.isfinite(temperature)):
         raise ValueError(
             "temperature must be > 0 K; zero temperature has no finite thermal "
             "length (use the zero-temperature state)"
         )
+    if BOLTZMANN * temperature == 0.0:
+        raise ValueError("temperature is so small that k_B*T underflows to zero")
     return HBAR * SPEED_OF_LIGHT / (BOLTZMANN * temperature)
 
 
@@ -103,16 +107,24 @@ def to_si_energy_density(value: float, separation: float) -> float:
     value : float
         Energy density (or pressure) in units of 1/a**4.
     separation : float
-        Gap width ``a`` in meters, > 0.
+        Gap width ``a`` in meters, where ``a**4`` and ``hbar*c/a**4`` are
+        both normal floats: from about 1.2e-77 m to 3.5e70 m.
 
     Returns
     -------
     float
         value * hbar * c / a**4.
+
+    Raises
+    ------
+    ValueError
+        For a separation outside that range, nan included.
     """
-    if not (separation > 0.0):
-        raise ValueError("separation must be positive")
-    return value * HBAR * SPEED_OF_LIGHT / separation**4
+    a4 = separation**4 if 0.0 < separation < 1e77 else math.nan
+    if not (sys.float_info.min <= a4 and sys.float_info.min <= HBAR * SPEED_OF_LIGHT / a4):
+        raise ValueError("separation must lie within about [1.2e-77, 3.5e70] m, "
+                         "where a**4 and hbar*c/a**4 are normal floats")
+    return value * HBAR * SPEED_OF_LIGHT / a4
 
 
 def nondimensionalize(lab: LabParameters) -> tuple[float, float]:

@@ -107,10 +107,13 @@ def _render(entries: list[dict], references: dict) -> str:
 def main() -> int:
     entries, moved = [], 0
     for old in GOLDEN:
-        new, references = _entry(old["argv"])
-        if references != REFERENCES:
-            print(f"{old['argv']}: references {REFERENCES} -> {references}")
-            moved += 1
+        new, printed = _entry(old["argv"])
+        # --si prints them in J/m**3; tests/test_golden.py checks those.
+        if "--si" not in old["argv"]:
+            references = printed
+            if references != REFERENCES:
+                print(f"{old['argv']}: references {REFERENCES} -> {references}")
+                moved += 1
         lines = _moves(old, new)
         if lines:
             print(old["argv"], *lines, sep="\n")

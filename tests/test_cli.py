@@ -445,6 +445,8 @@ EXTREME_INPUTS = [
     (["limits", "--si", "--separation-um", "1", "--kelvin", "nan"], "--kelvin"),
     # beta/a overflows to inf here, which used to read as zero temperature.
     (["limits", "--si", "--separation-um", "1e-60", "--kelvin", "1e-300"], "--kelvin"),
+    # k_B*T underflows to zero here, which ended in a ZeroDivisionError.
+    (["limits", "--si", "--separation-um", "1", "--kelvin", "1e-310"], "--kelvin"),
     # Options a command does not read are still checked by their types.
     (["critical", "--z", "7", "--omega-pa", "-5"], "--omega-pa"),
     (["limits", "--rel-tol", "-1"], "--rel-tol"),
@@ -583,6 +585,23 @@ def test_si_mode_scales_by_the_fourth_power_of_separation(tmp_path):
     t00 = doc["rows"][0][doc["columns"].index("t00")]
     expected = -math.pi**2 / 720.0 * HBAR * SPEED_OF_LIGHT / (1e-6) ** 4
     assert abs(t00 - expected) <= 1e-6 * abs(expected)
+
+
+def test_si_references_are_in_the_units_of_the_rows(capsys):
+    # The rows of limits are the references themselves.  With --si the
+    # rows were scaled and the references stayed in 1/a**4 units, about
+    # 32 times larger for a 1 micrometer gap.
+    argv = ["limits", "--si", "--separation-um", "1"]
+    assert cli.main(argv) == 0
+    preamble, _, rows = parse_csv(capsys.readouterr().out)
+    references = dict(line[len("# ref."):].split("=") for line in preamble
+                      if line.startswith("# ref."))
+    assert {name: float(value) for name, value in rows} == {
+        name: float(value) for name, value in references.items()}
+    assert cli.main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert dict(doc["rows"]) == doc["references"]
+    assert doc["references"]["pc_energy_density"] == -0.0004333752574825846
 
 
 def test_kelvin_flag_sets_the_thermal_length(tmp_path):
@@ -735,6 +754,23 @@ def test_plot_script_requires_an_output_file(capsys):
     code = cli.main(["nec", "--omega-pa", "1", "--z", "0.5", "--emit-plot-script"])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["limits", "--out", "{tmp}/missing/run.csv"], "{tmp}/missing/run.csv"),
+    (["limits", "--out", "{tmp}"], "{tmp}"),
+    # The data file is written; the plot script's path is a directory.
+    (["nec", "--omega-pa", "10", "--z", "0.3:0.7", "--grid", "2", "--emit-plot-script",
+      "--out", "{tmp}/run.csv", *FAST], "{tmp}/run_plot.py"),
+])
+def test_unwritable_outputs_are_one_line_errors(argv, target, tmp_path, capsys):
+    # Each ended in a FileNotFoundError or IsADirectoryError traceback.
+    (tmp_path / "run_plot.py").mkdir()
+    assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"casimir-stress: error: cannot write {target.format(tmp=tmp_path)}: ")
+    assert err.count("\n") == 1, err
 
 
 def test_stdout_and_file_output_agree(tmp_path, capsys):

@@ -331,6 +331,20 @@ def test_two_dimensional_budget_caps_the_whole_call():
     assert res.evaluations <= 2000
 
 
+def test_two_dimensional_half_line_reaches_a_hundred_decay_scales():
+    # A 2-D half-line axis ends at 100*decay_scale, where integrate_semiinf
+    # reaches 7e6*decay_scale: a scale 200 times too small leaves most of
+    # the integral (200) past the last node.  The 1-D pass takes it in
+    # 361 nodes; the 2-D pass must not call its truncated total converged.
+    f = lambda x, y: np.exp(-x / 200.0) + 0.0 * y  # noqa: E731
+    assert integrate_semiinf(lambda x: np.exp(-x / 200.0), 1.0).converged
+    with pytest.warns(UserWarning, match="integrate_2d did not meet its tolerance"):
+        res = integrate_2d(f, SemiInfinite(1.0), UnitInterval(),
+                           Tolerance(max_evaluations=200_000))
+    assert not res.converged
+    assert res.value < 100.0 and res.evaluations <= 200_000
+
+
 def test_two_dimensional_rule_refines_each_axis_on_its_own():
     # cos(3*x) needs a finer x rule than exp(-y) needs in y, and the
     # mirror case the other way round.  Each pass ends on a grid whose

@@ -45,6 +45,9 @@ def test_thermal_length_domain():
         beta_from_temperature(-5.0)
     with pytest.raises(ValueError):
         beta_from_temperature(math.inf)
+    # k_B*T underflows to zero here; it was a ZeroDivisionError.
+    with pytest.raises(ValueError, match="underflows"):
+        beta_from_temperature(1e-310)
 
 
 def test_si_energy_density_conversion():
@@ -54,8 +57,17 @@ def test_si_energy_density_conversion():
     big = to_si_energy_density(1.0, 1e-7)
     small = to_si_energy_density(1.0, 1e-6)
     assert abs(big / small - 1e4) <= 1e-10 * 1e4
-    with pytest.raises(ValueError):
-        to_si_energy_density(1.0, 0.0)
+    # Past the range where a**4 and hbar*c/a**4 are normal floats: a**4
+    # underflowed to zero (ZeroDivisionError) at 1e-90 m and overflowed
+    # (OverflowError) at 1e80 m.
+    for separation in (0.0, 1e-90, 1e-78, 1e71, 1e80, math.inf, math.nan, -1e-6):
+        with pytest.raises(ValueError, match="normal floats"):
+            to_si_energy_density(1.0, separation)
+    # Across the CLI's --separation-um range, [1e-60, 1e60] micrometers,
+    # the scale is finite and positive.
+    for exponent in range(-66, 55):
+        scale = to_si_energy_density(1.0, 10.0**exponent)
+        assert 0.0 < scale < math.inf, exponent
 
 
 def test_micron_gap_at_room_temperature_is_mildly_thermal():
