@@ -369,6 +369,7 @@ def _position(u, omega_p, z_over_a, names):
 # for the field squares, which are evaluated at zero temperature only)
 # and its weights on the columns.  A zero-temperature position pass forms
 # D alone, or the field squares' D_E and D_B, which only it forms.
+# tests/test_derivation.py checks the table's identities exactly.
 _QUANTITIES = {
     "t00": (_HALF_PI2, math.pi**2 / 15.0, {"B2": -1.0, "D": 1.0}),
     "txx": (_QUARTER_PI2, math.pi**2 / 45.0, {"B0": 1.0, "B2": -1.0, "D": 1.0}),
@@ -552,9 +553,7 @@ def _sums(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
 # The memos, each sized by the kinds of entry it holds.  The sums that
 # read no position: the bound columns (at zero temperature or split) and
 # tzz's direct sum.  The last position's: a row's own sums and the field
-# squares' columns.  They are the only evaluation caches: with one kind
-# per point, each of critical_omega_pa's scan intervals finds its left
-# end, the previous interval's right end, in them.
+# squares' columns.  They are the only evaluation caches.
 _unplaced = lru_cache(maxsize=2)(_sums)
 _placed = lru_cache(maxsize=2)(_sums)
 
@@ -827,18 +826,13 @@ def reference_limits() -> dict[str, float]:
     }
 
 
-# critical_omega_pa's default tolerance, its bisection's relative width
-# in log10(omega_p*a) and its scan span.  Root location needs sign
-# stability, not many digits, so the tolerance is relaxed relative to the
-# package default; the scan runs over log10(omega_p*a) in
-# [0, CRITICAL_LOG10_SPAN].
+# critical_omega_pa's default tolerance and its bisection's relative width
+# in x = 1/(omega_p*a), which bounds the relative uncertainty of the
+# returned omega_p*a too.  Root location needs sign stability, not many
+# digits, so the tolerance is relaxed relative to the package default.
+# The CLI prints the width, 0.35%, as bracket_rel_width.
 CRITICAL_TOLERANCE = Tolerance(rel_tol=1e-7, abs_tol=1e-10)
-CRITICAL_ROOT_REL_TOL = 3e-4
-CRITICAL_LOG10_SPAN = 5.0
-# The bisection stops once the log10 bracket is narrower than the root
-# tolerance times the largest |log10(omega_p*a)|, at most the scan's span;
-# as a relative uncertainty on the returned omega_p*a that is this width.
-CRITICAL_REL_WIDTH = 10.0 ** (CRITICAL_ROOT_REL_TOL * CRITICAL_LOG10_SPAN) - 1.0
+CRITICAL_REL_WIDTH = 10.0**0.0015 - 1.0
 
 
 def critical_omega_pa(
@@ -848,14 +842,14 @@ def critical_omega_pa(
 ) -> float | None:
     """Plasma frequency at which the midpoint energy density turns negative.
 
-    Scans omega_p*a over [1, 1e5] on a log grid of ten intervals, each
-    one ``bracket_root`` call in log10(omega_p*a) on energy_density(z =
-    a/2), and returns the first root it finds, bisected to
-    CRITICAL_ROOT_REL_TOL.  An interval's left end is the previous one's
-    right end, which the memos still hold, so every point is evaluated
-    once.  Returns None when the energy density keeps one sign across
-    the whole range, which is the expected outcome at high temperature
-    (beta below roughly 2.6*a).
+    One ``bracket_root`` call on energy_density(z = a/2) over
+    x = 1/(omega_p*a) in [0, 1], bisected to CRITICAL_REL_WIDTH: its ends
+    are omega_p*a = 1 and the perfect conductor, which PlasmaModel(inf)
+    evaluates exactly.  Between them the midpoint energy density changes
+    sign at most once, so a root exists exactly when the two ends differ
+    in sign.  Returns None when they do not, which is the outcome at high
+    temperature: the conductor's energy density is positive for beta
+    below beta* = 3.0402*a, where the root diverges like 1/(beta - beta*).
 
     Parameters
     ----------
@@ -867,25 +861,24 @@ def critical_omega_pa(
     Returns
     -------
     float or None
+        omega_p*a, infinite if the conductor's energy density is exactly 0.
 
     Raises
     ------
     QuadratureError
-        When an evaluation of the scan or the bisection did not
-        converge, since a sign read from it can put the root anywhere.
+        When an evaluation did not converge, since a sign read from it can
+        put the root anywhere.
     """
     tol = CRITICAL_TOLERANCE if tol is None else tol
 
-    def midpoint_energy(log10_wp: float) -> float:
-        res = energy_density(Geometry(z=0.5), PlasmaModel(10.0**log10_wp), thermal, tol=tol)
+    def omega_pa(x: float) -> float:
+        return 1.0 / x if x else math.inf
+
+    def midpoint_energy(x: float) -> float:
+        res = energy_density(Geometry(z=0.5), PlasmaModel(omega_pa(x)), thermal, tol=tol)
         if not res.converged:
-            raise QuadratureError(f"energy_density did not converge at omega_p*a = 10**{log10_wp:g}")
+            raise QuadratureError(f"energy_density did not converge at omega_p*a = {omega_pa(x):g}")
         return res.value
 
-    grid = np.linspace(0.0, CRITICAL_LOG10_SPAN, 11)
-    for left, right in zip(grid, grid[1:]):
-        root = bracket_root(midpoint_energy, float(left), float(right),
-                            rel_tol=CRITICAL_ROOT_REL_TOL)
-        if root is not None:
-            return 10.0**root
-    return None
+    x = bracket_root(midpoint_energy, 0.0, 1.0, rel_tol=CRITICAL_REL_WIDTH)
+    return None if x is None else omega_pa(x)

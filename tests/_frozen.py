@@ -128,3 +128,20 @@ LOW_OMEGA_ORACLE = {
         "nec_longitudinal": +1.066832942784297e-07,
     },
 }
+
+
+# The perfect conductor's components at beta = 1000, where the closed form
+# of ``tests/conductor_thermal.py`` sums 5,499 Matsubara terms of mpmath
+# polylogarithms at 30 digits, about a second, which tier-1 does not
+# repeat.  Printed by ``python3 tests/conductor_thermal.py``; each value
+# is the float nearest the 30-digit one.
+#
+# Keys are beta / a; values are in 1/a**4 and the same at every position.
+CONDUCTOR_THERMAL = {
+    1000.0: {
+        "t00": -0.013707783507775292,
+        "txx": 0.013707784081715186,
+        "tzz": -0.04112335167120566,
+        "nec_z": -0.05483113517898095,
+    },
+}

@@ -18,7 +18,7 @@ except ImportError:  # pragma: no cover
 
 from casimir_stress import cli
 from casimir_stress.quadrature import QuadratureResult
-from casimir_stress.stress import reference_limits
+from casimir_stress.stress import CRITICAL_REL_WIDTH, reference_limits
 from casimir_stress.units import BOLTZMANN, HBAR, SPEED_OF_LIGHT
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "output-schema.json"
@@ -254,6 +254,17 @@ def test_critical_command_reports_none_when_hot(capsys):
     assert header == ["beta_over_a", "critical_omega_pa", "bracket_rel_width"]
     assert rows[0][0] == "2.5"
     assert rows[0][1] == "none"
+
+
+def test_critical_command_reads_the_conductor_end(capsys):
+    # beta* = 3.0402 separates none from a root; just above it the root
+    # lies beyond omega_p*a = 1e5.
+    assert cli.main(["critical", "--beta-over-a", "3.0"]) == 0
+    assert parse_csv(capsys.readouterr().out)[2][0][1] == "none"
+    assert cli.main(["critical", "--beta-over-a", "3.0405"]) == 0
+    row = parse_csv(capsys.readouterr().out)[2][0]
+    assert 1e5 < float(row[1]) < 1e6
+    assert float(row[2]) == CRITICAL_REL_WIDTH
 
 
 def test_config_file_defaults_and_cli_override(tmp_path):

@@ -917,31 +917,32 @@ def test_results_are_reproducible_after_cache_reset():
     assert first_hot.error_estimate == second_hot.error_estimate
 
 
-def test_critical_root_search_reuses_the_scan_values():
-    # The scan stops at its first sign change, and the bisection's 10
-    # steps find the scan's bracket ends in the memos: 6 scan points at
-    # beta = 5 (sign change between omega_p = 100 and 316), 5 at zero
-    # temperature (between 31.6 and 100).  At beta = 5 each point is one
-    # direct sum at the midpoint; at zero temperature one bound pass and
-    # one position pass.
-    for thermal, root, placed, unplaced in [
-        (ThermalState.finite(5.0), 126.41733787754889, 16, 0),
-        (None, 96.62898593048274, 15, 15),
+def test_critical_root_search_evaluates_each_point_once():
+    # One bracket over x = 1/omega_p on [0, 1]: the conductor, omega_p = 1,
+    # then the bisection's midpoints, each evaluated once.  At beta = 5
+    # each point is one direct sum at the midpoint; at zero temperature
+    # one bound pass and one position pass.  Below beta* both ends are
+    # positive and no midpoint is read.
+    for thermal, root, points in [
+        (ThermalState.finite(5.0), 126.3953712632594, 18),
+        (None, 96.51840942562592, 17),
+        (ThermalState.finite(2.5), None, 2),
+        (ThermalState.finite(3.0), None, 2),
     ]:
         stress_mod.clear_caches()
         assert critical_omega_pa(thermal) == root
-        assert stress_mod._placed.cache_info().misses == placed
-        assert stress_mod._unplaced.cache_info().misses == unplaced
+        assert stress_mod._placed.cache_info().misses == points
+        assert stress_mod._placed.cache_info().hits == 0
+        assert stress_mod._unplaced.cache_info().misses == (points if thermal is None else 0)
 
 
 def _stub_energy(monkeypatch, f):
-    """Make the root search read f(log10(omega_p)) as the midpoint energy;
-    returns the distinct log10(omega_p) it evaluates, in order.  The stub
-    has no memo, so each interval's left end is read again."""
+    """Make the root search read f(1/omega_p) as the midpoint energy;
+    returns the distinct 1/omega_p it evaluates, in order."""
     points = {}
 
     def energy(geom, model, thermal, tol=None):
-        x = math.log10(model.omega_p)
+        x = 1.0 / model.omega_p
         points[x] = None
         return QuadratureResult(f(x), 0.0, 1, True)
 
@@ -950,37 +951,58 @@ def _stub_energy(monkeypatch, f):
 
 
 def test_critical_root_search_paths(monkeypatch):
-    scan = [math.log10(10.0**x) for x in np.linspace(0.0, stress_mod.CRITICAL_LOG10_SPAN, 11)]
-    # An exact zero at a scan point is the root, whichever side it is
-    # approached from: the interval it closes returns it.
-    for f, at in [(lambda x: x - 2.0, 4), (lambda x: 2.0 - x, 4),
-                  (lambda x: x, 0), (lambda x: -x, 0)]:
+    # An exact zero at an end is the root: the conductor's reads as an
+    # infinite omega_p.  One at a midpoint ends the bisection there.
+    for f, root, read in [(lambda x: x, math.inf, [0.0, 1.0]),
+                          (lambda x: x - 1.0, 1.0, [0.0, 1.0]),
+                          (lambda x: 0.25 - x, 4.0, [0.0, 1.0, 0.5, 0.25])]:
         points = _stub_energy(monkeypatch, f)
-        assert critical_omega_pa() == 10.0 ** (at / 2)
-        assert list(points) == scan[:max(2, at + 1)]
-    # The first sign change is bisected and a later one never reached.
-    points = _stub_energy(monkeypatch, lambda x: (x - 2.2) * (x - 3.7))
-    root = math.log10(critical_omega_pa())
-    assert abs(root - 2.2) <= stress_mod.CRITICAL_ROOT_REL_TOL * stress_mod.CRITICAL_LOG10_SPAN
-    assert list(points)[:6] == scan[:6] and all(2.0 < x < 2.5 for x in list(points)[6:])
-    # One sign across the range: every scan point, and no root.
+        assert critical_omega_pa() == root
+        assert list(points) == read
+    # A sign change is bisected to the relative width in x.
+    points = _stub_energy(monkeypatch, lambda x: x - 0.0123)
+    root = critical_omega_pa()
+    assert abs(1.0 / root - 0.0123) <= stress_mod.CRITICAL_REL_WIDTH * 0.0123
+    assert list(points)[:3] == [0.0, 1.0, 0.5]
+    # The same sign at both ends: no root, and no midpoint read.
     points = _stub_energy(monkeypatch, lambda x: 1.0 + x)
     assert critical_omega_pa() is None
-    assert list(points) == scan
+    assert list(points) == [0.0, 1.0]
 
 
 def test_critical_root_search_refuses_unconverged_evaluations():
     # A sign read from a value that missed its tolerance can put the root
     # anywhere, so the search raises instead of bisecting it.  With a
-    # budget of 15 nodes both passes of the first point stop at level 0.
+    # budget of 15 nodes both passes of the first point, the conductor,
+    # stop at level 0.
     stress_mod.clear_caches()
     with pytest.warns(UserWarning, match="did not meet its tolerance"):
-        with pytest.raises(QuadratureError, match=r"did not converge at omega_p\*a = 10\*\*0$"):
+        with pytest.raises(QuadratureError, match=r"did not converge at omega_p\*a = inf$"):
             critical_omega_pa(tol=Tolerance(max_evaluations=15))
 
 
 def test_no_sign_change_when_hot():
     assert critical_omega_pa(ThermalState.finite(2.5)) is None
+
+
+def test_critical_root_just_above_beta_star():
+    # Just above beta* the root lies beyond omega_p*a = 1e5: a search
+    # over a finite span of omega_p misses it, one that ends at the
+    # conductor does not.
+    assert 1e5 < critical_omega_pa(ThermalState.finite(3.0405)) < 1e6
+
+
+def test_midpoint_energy_changes_sign_at_most_once():
+    # The rule by which critical_omega_pa reads a root from its two ends:
+    # between omega_p*a = 1 and the conductor the midpoint energy density
+    # changes sign at most once, below beta*, just above it and well above.
+    for beta in (2.5, 3.0405, 5.0):
+        thermal = ThermalState.finite(beta)
+        signs = [energy_density(Geometry(0.5), PlasmaModel(omega_p), thermal,
+                                tol=stress_mod.CRITICAL_TOLERANCE).value > 0.0
+                 for omega_p in [*np.logspace(0.0, 8.0, 33), math.inf]]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) <= 1, beta
+        assert signs[0]  # positive at omega_p*a = 1
 
 
 def test_geometry_and_thermal_state_validation():
