@@ -19,7 +19,13 @@ own metadata; nothing in the output depends on wall-clock time or
 machine identity.  Exit status is 0 on success, 1 on a usage error or
 an output file that cannot be written, and 2 when the ``converged``
 column holds a 0 (the rows are still written) or on a numerical
-failure, which writes nothing.  The warnings that a command's
+failure, which writes nothing.  A row's ``converged`` is 1 when every
+integration pass and sum behind each of its quantities met the
+tolerance in each of its columns within its budget.  It is no more
+than that: a quantity whose columns cancel may carry a larger relative
+estimate than ``--rel-tol`` (t00 cancels about 50x at omega_p*a = 100,
+z = 0.5), and a split column's Poisson bound enters its error column,
+not the flag.  The warnings that a command's
 evaluations issue are printed after the table, each distinct text once,
 sorted, as ``note:`` lines.
 

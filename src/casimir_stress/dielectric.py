@@ -123,7 +123,9 @@ def rs_rp_ut(u, t, omega_p: float):
     r_s depends on u alone; r_p = (A - B*t**2)/(A + C*t**2) with u-only
     A = omega_p**2*(u + Q), B = omega_p**2*u, C = u*(u + Q)**2 and
     Q = sqrt(u**2 + omega_p**2).  A - B = omega_p**2*Q, so cancellation
-    costs at most a factor (2*u + Q)/Q <= 3.
+    costs at most a factor (2*u + Q)/Q <= 3.  Both are the Fresnel
+    coefficients at imaginary frequency, as
+    test_polar_reflection_is_fresnel_at_imaginary_frequency checks.
     """
     if omega_p == 0.0:
         zero = np.zeros(np.broadcast(u, t).shape)
@@ -153,7 +155,9 @@ def rp_plus_rs_ut(u, t, omega_p: float):
 
         r_p + r_s = 2*omega_p**2*u*(1 - t**2) /
             (omega_p**2*(u + Q) + u*(2*u*(u + Q) + omega_p**2)*t**2),
-        Q = sqrt(u**2 + omega_p**2).
+        Q = sqrt(u**2 + omega_p**2),
+
+    as test_polar_reflection_is_fresnel_at_imaginary_frequency checks.
     """
     if omega_p == 0.0 or math.isinf(omega_p):
         return np.zeros(np.broadcast(u, t).shape)

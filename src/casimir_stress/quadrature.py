@@ -67,7 +67,16 @@ class Tolerance:
     its final grid together; when it would be exceeded the result is
     returned with ``converged=False`` rather than raising.  It must
     admit the first grid of a one-dimensional pass.  matsubara_sum has
-    its own cap on the number of terms.
+    its own cap on the number of terms, and stops once its geometric tail
+    is within rel_tol*|sum| + abs_tol.
+
+    A stress quantity combines several passes, and its ``converged``
+    means that every one of them met its tolerance in each of its
+    columns, within its budget.  It says nothing more of the quantity:
+    where the columns cancel, its relative estimate may exceed rel_tol
+    (t00 = H*(D - B2) cancels about 50x at omega_p = 100, z = 0.5), and a
+    split column's Poisson bound enters its error estimate but not its
+    flag.
     """
 
     rel_tol: float = 1e-9

@@ -276,6 +276,8 @@ def _kernel(kappa, t, weight, omega_p, z_over_a, names):
 # and den_s = 1 - r_s**2*E is the product of the last two.  The moments
 # take 1/sqrt(lam), which is about omega_p/(sqrt(2)*u) at large u: lam
 # itself would overflow there for omega_p below about 1e-150.
+# tests/test_derivation.py checks these identities in
+# test_position_pass_factors_without_poles.
 # ----------------------------------------------------------------------
 
 def _clenshaw_curtis(n):
@@ -302,7 +304,8 @@ def _t_moments(q):
 
     Clenshaw-Curtis up to lam = 1.  Above, V_0 = arctan(sqrt(lam))/sqrt(lam)
     and V_k = (1/(2k - 1) - V_(k-1))/lam, which loses at most a factor 15;
-    in terms of q, which stays finite where lam would overflow.
+    in terms of q, which stays finite where lam would overflow.  Both
+    forms: test_t_moments_closed_form_and_recurrence.
     """
     moments = np.empty((3, *q.shape))
     small = q >= 1.0
@@ -360,9 +363,11 @@ def _position(u, omega_p, z_over_a, names):
 # of sums, plus its blackbody term at finite temperature.  A sum is a
 # zero-temperature integral of columns, a split column (that
 # integral plus a windowed Matsubara correction) or a direct Matsubara
-# sum of a quantity's combined column.  Two memos keep the sums: those
-# that read no position, which a profile's rows share, and the last
-# position's, which the operations of one row share.
+# sum of a quantity's combined column.  _joined builds every combined
+# result by one rule: evaluations add, and it is converged only if every
+# part is.  Two memos keep the sums: those that read no position, which
+# a profile's rows share, and the last position's, which the operations
+# of one row share.
 # ----------------------------------------------------------------------
 
 # Each quantity: its prefactor, its blackbody part times beta**4 (None
@@ -400,6 +405,13 @@ def _matrix(weights):
     """The columns that a list of weights reads, and the weights as rows on them."""
     columns = tuple(dict.fromkeys(c for w in weights for c in w))
     return columns, np.array([[w.get(c, 0.0) for c in columns] for w in weights])
+
+
+def _joined(value, error, *parts) -> QuadratureResult:
+    """A result combined from ``parts``: their evaluations add, and it is
+    converged only if every part is.  Every combined result is built here."""
+    return QuadratureResult(value, error, sum(p.evaluations for p in parts),
+                            all(p.converged for p in parts))
 
 
 def _zero_t_pass(omega_p, z_over_a, tol, names) -> QuadratureResult:
@@ -470,12 +482,9 @@ def _thermal_direct(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
     summed = matsubara_sum(summand, beta, tol)
     inner = np.vstack([p.error_estimate.reshape(len(names), -1).T for p in parts])
     inner = inner[: summed.evaluations]
-    return QuadratureResult(
-        summed.value,
-        summed.error_estimate + (np.sum(inner, axis=0) - 0.5 * inner[0]) / beta,
-        summed.evaluations + sum(p.evaluations for p in parts),
-        summed.converged and all(p.converged for p in parts),
-    )
+    return _joined(summed.value,
+                   summed.error_estimate + (np.sum(inner, axis=0) - 0.5 * inner[0]) / beta,
+                   summed, *parts)
 
 
 # The split.  With h = 2*pi/beta and a window w = erfc((zeta - Z)/sigma)/2,
@@ -502,52 +511,40 @@ _SPLIT_WEIGHTS = np.where(_SPLIT_N, 2.0, 1.0) * math.pi * _window(2.0 * math.pi 
 _WINDOW_MISS = 4.0 * math.exp(-0.25 * _WINDOW[1] ** 2)
 
 
-def _correction(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
-    """h*sum'(g*w) - int(g*w) of the named columns (B0 and B2, or D)."""
-    decay = _dep_scale(z_over_a)
+def _split(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
+    """The named columns (B0, B2 and N, or D) split: each one's
+    zero-temperature integral plus h*sum'(g*w) - int(g*w) of it, N's
+    being that of B0 - 3*B2.  The errors add, the aliasing bound with
+    them; it does not enter the flag.
+    """
+    columns, matrix = _matrix([_summed({c: 1.0}) for c in names])
     top = _WINDOW[2] / beta
     zeta = (2.0 * math.pi * _SPLIT_N / beta)[:, None]
 
     def windowed(x, s):
         kappa = x + top * s
         weight = kappa**2 * (top * _window(_WINDOW[2] * s))
-        return _kernel(kappa, top * s / kappa, weight, omega_p, z_over_a, names).transpose(1, 2, 0)
+        return _kernel(kappa, top * s / kappa, weight, omega_p, z_over_a, columns).transpose(1, 2, 0)
 
-    terms = _frequency_integrals(zeta, np.eye(len(names)), omega_p, z_over_a, tol, names)
-    area = integrate_2d(windowed, SemiInfinite(decay), UnitInterval(), tol)
-    g = terms.value.reshape(len(names), -1)
+    zero = _zero_t_pass(omega_p, z_over_a, tol, names)
+    terms = _frequency_integrals(zeta, np.eye(len(columns)), omega_p, z_over_a, tol, columns)
+    area = integrate_2d(windowed, SemiInfinite(_dep_scale(z_over_a)), UnitInterval(), tol)
+    g = terms.value.reshape(len(columns), -1)
     weights = _SPLIT_WEIGHTS / beta
-    error = (
-        terms.error_estimate.reshape(len(names), -1) @ weights
-        + area.error_estimate
-        + _WINDOW_MISS / beta * np.max(np.abs(g), axis=1)
-    )
-    return QuadratureResult(
-        g @ weights - area.value, error,
-        terms.evaluations + area.evaluations, terms.converged and area.converged,
-    )
+    error = (terms.error_estimate.reshape(len(columns), -1) @ weights + area.error_estimate
+             + _WINDOW_MISS / beta * np.max(np.abs(g), axis=1))
+    return _joined(zero.value + matrix @ (g @ weights - area.value),
+                   zero.error_estimate + np.abs(matrix) @ error, zero, terms, area)
 
 
 def _sums(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
     """The named columns at zero temperature or split, or the named
-    quantities' direct Matsubara sums; values and errors run over names.
-
-    A split column is its zero-temperature integral plus its windowed
-    correction, N's being that of B0 - 3*B2, and the two errors add.
-    """
-    if beta is not None and names[0] in _QUANTITIES:
-        return _thermal_direct(omega_p, z_over_a, beta, tol, names)
-    zero = _zero_t_pass(omega_p, z_over_a, tol, names)
+    quantities' direct Matsubara sums; values and errors run over names."""
     if beta is None:
-        return zero
-    windowed, matrix = _matrix([_summed({c: 1.0}) for c in names])
-    correction = _correction(omega_p, z_over_a, beta, tol, windowed)
-    return QuadratureResult(
-        zero.value + matrix @ correction.value,
-        zero.error_estimate + np.abs(matrix) @ correction.error_estimate,
-        zero.evaluations + correction.evaluations,
-        zero.converged and correction.converged,
-    )
+        return _zero_t_pass(omega_p, z_over_a, tol, names)
+    if names[0] in _QUANTITIES:
+        return _thermal_direct(omega_p, z_over_a, beta, tol, names)
+    return _split(omega_p, z_over_a, beta, tol, names)
 
 
 # The memos, each sized by the kinds of entry it holds.  The sums that
@@ -609,11 +606,8 @@ def _quantity(name, geom, model, thermal=None, tol=None) -> QuadratureResult:
     value = prefactor * sum(w * columns[c][0] for c, w in weights.items())
     if beta is not None:
         value += blackbody / beta**4
-    return QuadratureResult(
-        float(value),
-        float(prefactor * math.hypot(*(w * columns[c][1] for c, w in weights.items()))),
-        sum(p.evaluations for _, p in parts), all(p.converged for _, p in parts),
-    )
+    error = prefactor * math.hypot(*(w * columns[c][1] for c, w in weights.items()))
+    return _joined(float(value), float(error), *(p for _, p in parts))
 
 
 # ----------------------------------------------------------------------
@@ -810,7 +804,8 @@ def reference_limits() -> dict[str, float]:
         null-energy combinations, and the blackbody coefficients: the
         energy density pi**2/15, the isotropic pressure pi**2/45, and
         their transverse null-energy sum 4*pi**2/45, each to be divided
-        by beta**4.
+        by beta**4.  test_conductor_constants_follow_from_zeta_4 derives
+        the conductor values from zeta(4).
     """
     pc_energy = -math.pi**2 / 720.0
     return {

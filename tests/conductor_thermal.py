@@ -25,7 +25,13 @@ package's Matsubara sums, the split at large ``beta`` included.
 The sums run at 30 digits until ``e**(-2*zeta_n)`` falls below
 ``1e-30``, so each value returned is the float nearest the exact one, to
 within half an ulp: ``own_error``.  The number of terms grows like
-``beta``: 29 at ``beta = 5``, 5,499 at ``beta = 1000``.  Run as a script,
+``beta``: 29 at ``beta = 5``, 5,499 at ``beta = 1000``.
+
+``F = f - pi**2/(45*beta**4)`` obeys the temperature-inversion symmetry
+``F(4/beta) = (beta/2)**4*F(beta)``.  Since ``t00 = F + beta*F'`` and
+``tzz = 3*F + beta*F'``, ``nec_z = 4*F + 2*beta*F'``; differentiating
+the symmetry at its self-dual point ``beta = 2`` gives ``F'(2) = -F(2)``,
+so ``nec_z`` vanishes at exactly ``beta = 2a``.  Run as a script,
 it prints the conductor's components at ``beta = 1000``, which
 ``tests/_frozen.py`` stores::
 
@@ -64,6 +70,17 @@ def conductor_stress(beta: float) -> dict[str, float]:
         tzz = 2 * f + g + blackbody / 3
         return {"t00": float(t00), "txx": float((t00 - tzz) / 2),
                 "tzz": float(tzz), "nec_z": float(t00 + tzz)}
+
+
+def symmetric_free_energy(beta):
+    """(F, F') at ``beta``: F = f - pi**2/(45*beta**4), the conductor's
+    free energy plus the gap's blackbody free energy, which has the
+    temperature-inversion symmetry, and its analytic derivative
+    F' = (g' - f)/beta + 4*pi**2/(45*beta**5).  Call it within
+    ``mpmath.workdps(DIGITS)`` to keep the digits."""
+    f, g = _free_energy_terms(beta)
+    body = mpmath.pi**2 / (45 * mpmath.mpf(beta) ** 4)
+    return f - body, (g - f) / beta + 4 * body / beta
 
 
 def own_error(value: float) -> float:

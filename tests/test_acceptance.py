@@ -114,7 +114,9 @@ def test_criterion_01_perfect_conductor_convergence(capsys):
     and -pi**2/180 gives the relative coefficients -512/5, 216/5, -16/3
     and -148/5; nec_x keeps the absolute 91*pi**2/450.  The tzz law is
     the textbook 1 - (16/3)*c/(omega_p*a) of Bordag, Mohideen and
-    Mostepanenko, Phys. Rep. 353 (2001) 1.
+    Mostepanenko, Phys. Rep. 353 (2001) 1.  test_derivation.py's
+    test_conductor_constants_follow_from_zeta_4 redoes this derivation
+    in sympy and checks PC_FIRST_ORDER and reference_limits against it.
     """
     omega_pa = 1e4
     geom = Geometry(0.5)

@@ -15,7 +15,7 @@ from casimir_stress import (
     pressure_xx,
     pressure_zz,
 )
-from conductor_thermal import conductor_stress, own_error
+from conductor_thermal import DIGITS, conductor_stress, own_error, symmetric_free_energy
 
 OPS = {"t00": energy_density, "txx": pressure_xx, "tzz": pressure_zz,
        "nec_z": nec_longitudinal}
@@ -57,3 +57,23 @@ def test_conductor_nec_z_vanishes_at_beta_two():
     assert abs(conductor_stress(2.0)["nec_z"]) <= 1e-28
     res = nec_longitudinal(Geometry(0.5), CONDUCTOR, ThermalState.finite(2.0))
     assert abs(res.value) <= res.error_estimate + 4.0 * math.ulp(0.04)
+
+
+def test_conductor_free_energy_is_symmetric_under_beta_to_4_over_beta():
+    # F(4/beta) = (beta/2)**4*F(beta) (Ravndal & Tollefsen, Phys. Rev. D 40
+    # (1989) 4191), to 25 digits.
+    with mpmath.workdps(DIGITS):
+        for beta in map(mpmath.mpf, ("1", "1.5", "3", "5")):
+            inverted = symmetric_free_energy(4 / beta)[0]
+            scaled = (beta / 2) ** 4 * symmetric_free_energy(beta)[0]
+            assert abs(inverted - scaled) <= 1e-25 * abs(scaled), beta
+
+
+def test_conductor_nec_z_edge_follows_from_the_symmetry():
+    # Differentiating F(4/beta) = (beta/2)**4*F(beta) at beta = 2 gives
+    # -F'(2) = 2*F(2) + F'(2), so F'(2) = -F(2) and nec_z = 4*F + 2*beta*F'
+    # vanishes there; the helper's analytic F' reads it to 30 digits.
+    with mpmath.workdps(DIGITS):
+        value, slope = symmetric_free_energy(2)
+        assert abs(slope + value) <= 1e-28 * abs(value)
+        assert abs(4 * value + 4 * slope) <= 1e-28 * abs(value)

@@ -299,7 +299,7 @@ def test_thermal_error_estimates_bound_the_actual_error(monkeypatch):
     # split's windowed correction and the direct sum.
     oracle = _thermal_oracle()
     routes = []
-    for name in ("_correction", "_thermal_direct"):
+    for name in ("_split", "_thermal_direct"):
         def taken(*args, _route=getattr(stress_mod, name), _name=name):
             routes.append(_name)
             return _route(*args)
@@ -319,7 +319,7 @@ def test_thermal_error_estimates_bound_the_actual_error(monkeypatch):
                 assert miss <= res.error_estimate + 1e-10 * abs(ref[name]), (
                     name, z, beta, res.value, ref[name], res.error_estimate)
                 assert res.error_estimate <= 10.0 * Tolerance().rel_tol * abs(ref[name])
-    assert set(routes) == {"_correction", "_thermal_direct"}
+    assert set(routes) == {"_split", "_thermal_direct"}
 
 
 def test_split_and_direct_sums_agree(monkeypatch):
@@ -487,7 +487,7 @@ def test_one_kernel_serves_every_reduction(monkeypatch):
     for thermal, expected in ((None, {"_zero_t_pass"}),
                               (ThermalState.finite(5.0), {"_frequency_integrals"}),
                               (ThermalState.finite(1000.0),
-                               {"_zero_t_pass", "_frequency_integrals", "_correction"})):
+                               {"_zero_t_pass", "_frequency_integrals", "_split"})):
         stress_mod.clear_caches()
         callers.clear()
         for op in CLI_COLUMNS.values():
@@ -552,7 +552,7 @@ def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
             assert sums == [] and decays.count(0.5) == 1 and len(decays) == 1 + 2 * 3, decays
         else:
             assert sums.count(("tzz",)) == 1 and len(sums) == 4, sums
-            assert sorted(bound_passes) == ["_correction", "_zero_t_pass"], bound_passes
+            assert sorted(bound_passes) == ["_split", "_zero_t_pass"], bound_passes
 
 
 def test_clear_caches_empties_every_memo():
