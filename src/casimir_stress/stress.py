@@ -47,11 +47,18 @@ like ``beta**-3``, and its terms decay like
 ``exp(-4*pi*n*min(z, a-z)/beta)``.  The same kernel runs at
 ``kappa = zeta_n + x`` with weight ``kappa**2``, and each quantity is a
 single integrand over ``x``: its weights times the columns at every
-node.  Up to about 400 predicted terms the sum is direct, blocks of
-frequencies sharing one ``x`` grid, until a geometric tail bound meets
-the tolerance.  Beyond that (large ``beta`` or near a wall) it is split:
-each column's zero-temperature integral plus 21 windowed Matsubara terms
-of it minus their windowed integral, whatever ``beta`` and ``z`` are.
+node.  A sum is predicted to need as many terms as it takes one to fall
+below ``rel_tol``.  While the midpoint row needs at most 200 of them,
+fewer where ``zeta_n`` passes ``omega_p`` and the reflection
+coefficients fall off too, and the sum's own position at most 400 by
+the mirror factor alone, the sum is direct: blocks of frequencies share
+one ``x`` grid until a geometric tail bound meets the tolerance.  Near
+a wall the walls reflect grazing modes at any ``zeta_n``, so the
+position count leaves the reflection out.  ``tzz`` counts at the
+midpoint, so it takes the midpoint row's route at every position.
+Beyond that (large ``beta`` or near a wall) a sum is split: each
+column's zero-temperature integral plus 21 windowed Matsubara terms of
+it minus their windowed integral, whatever ``beta`` and ``z`` are.
 Every route ends in the same assembly: a quantity is its prefactor times
 its weights on the sums, their errors combined in quadrature, plus its
 blackbody term.
@@ -276,8 +283,10 @@ def _kernel(kappa, t, weight, omega_p, z_over_a, names):
 # and den_s = 1 - r_s**2*E is the product of the last two.  The moments
 # take 1/sqrt(lam), which is about omega_p/(sqrt(2)*u) at large u: lam
 # itself would overflow there for omega_p below about 1e-150.
-# tests/test_derivation.py checks these identities in
-# test_position_pass_factors_without_poles.
+# _position forms D, D_E and D_B from these, and (D_E + D_B)/2 = D, so
+# that t00 = (<E**2> + <B**2>)/2.  tests/test_derivation.py checks these
+# identities in test_position_pass_factors_without_poles and
+# test_field_squares_average_to_the_interference_column.
 # ----------------------------------------------------------------------
 
 def _clenshaw_curtis(n):
@@ -562,14 +571,58 @@ def clear_caches() -> None:
 
 
 _DEFAULT_TOL = Tolerance()
-# Above this many predicted terms a sum is split.  The split costs as
-# much as a direct sum of somewhat fewer: a cold row of the five CLI
-# quantities at omega_p = 100 costs 1.25 times as much split as direct
-# at 165 predicted terms (beta = 50, z = 0.5), but the same at 330
-# (beta = 20, z = 0.1) or 0.7 times as much (beta = 100, z = 0.5).  The
-# bound stays above that crossover, because moving it would move the
-# values of the rows that change route.
-_SPLIT_ABOVE = 400
+# A thermal sum is direct while the midpoint row is predicted to need at
+# most this many terms, and its own position at most twice as many
+# (_direct).  The factor 2 puts the position limit at 400 terms,
+# calibrated at omega_p = 100 only: there a split row near a wall whose
+# midpoint stays direct also sums tzz directly and pays for the bound
+# columns' split, and it meets the direct row near 400 terms (s+tzz).  At
+# omega_p = 1e4 the row (1e4, 0.1, 24) stays direct at 396 terms, though
+# split with tzz direct it took 0.95 of the time in the run below and
+# 0.74 in a more loaded one.  Cold rows of the five CLI quantities, with every
+# sum direct, every sum split, or the position sums split and tzz direct
+# (tests/route_table.py, medians of 9, milliseconds; terms predicted at
+# the row's position by the mirror factor, mid at the midpoint):
+#
+#     omega_p     z  beta    terms  mid  direct  split  s+tzz
+#        1e-3   0.5   100      330   51     3.0    9.5
+#           1   0.5   100      330  224     8.1    8.0
+#         100   0.5    60      198  195     7.8    8.0
+#         100   0.5    75      247  243     9.0    8.0
+#         100   0.5   100      330  324    10.4    7.7
+#         1e4   0.5    75      247  248    12.2   12.1
+#         100   0.1    20      330   65     7.6    8.3    9.2
+#         100  0.25    60      396  195    10.0    8.4   10.1
+#         1e4   0.1    24      396   80    10.1    8.3    9.7
+#        0.01  1e-6    10    1.6e7   11    2198   10.6   10.2
+#
+# The direct row at (0.01, 1e-6, 10) stops unconverged at the term cap.
+_SPLIT_ABOVE = 200
+
+
+def _falloff(n, omega_p, beta) -> float:
+    """ln of a midpoint sum's first term over its n-th: zeta_n from the
+    mirror factor, plus -ln|r_s| = 2*asinh(zeta_n/omega_p) at normal
+    incidence, which grows once zeta_n passes omega_p and the walls stop
+    reflecting (infinite at omega_p = 0, where every term vanishes)."""
+    zeta = 2.0 * math.pi * n / beta
+    reflection = 2.0 * math.asinh(zeta / omega_p) if omega_p else math.inf
+    return zeta + reflection
+
+
+def _direct(omega_p, z_over_a, beta, tol) -> bool:
+    """Whether a thermal sum at z_over_a is taken directly: the midpoint's
+    term _SPLIT_ABOVE is predicted to fall below rel_tol, and the position
+    needs at most 2*_SPLIT_ABOVE terms by the mirror factor alone,
+    beta*ln(1/rel_tol)*_dep_scale/(2*pi).  The reflection counts only at
+    the midpoint: near a wall the terms are set by grazing modes, which
+    the walls reflect at any zeta_n, so that they fall like 1/n**2.  A sum
+    that reads no position (z_over_a None) counts at the midpoint alone,
+    so that it takes the midpoint row's route whatever the position."""
+    log_tol = math.log(1.0 / tol.rel_tol)
+    return _falloff(_SPLIT_ABOVE, omega_p, beta) >= log_tol and (
+        z_over_a is None
+        or beta * log_tol * _dep_scale(z_over_a) / (2.0 * math.pi) <= 2 * _SPLIT_ABOVE)
 
 
 def _quantity(name, geom, model, thermal=None, tol=None) -> QuadratureResult:
@@ -581,18 +634,18 @@ def _quantity(name, geom, model, thermal=None, tol=None) -> QuadratureResult:
     Zero temperature and the split read the bound columns and the
     position columns that the weights name.  A direct Matsubara sum
     reads the quantity's own combined column with weight 1, summed at a
-    position together with the rest of _ROW.  It needs about
-    beta*ln(1/rel_tol)*_dep_scale/(2*pi) terms (tzz, which reads no
-    position, decays like exp(-2*zeta_n)); above _SPLIT_ABOVE of them
-    the split is cheaper.
+    position together with the rest of _ROW.  _direct picks the route from
+    the predicted terms, beta*ln(1/rel_tol)*_dep_scale/(2*pi) by the
+    mirror factor and fewer at the midpoint where the walls stop
+    reflecting.  A row is direct up to _SPLIT_ABOVE of them at the
+    midpoint and twice that at its position; tzz counts at the midpoint
+    and takes the midpoint row's route.
     """
     tol = _DEFAULT_TOL if tol is None else tol
     beta = None if thermal is None else thermal.beta
     prefactor, blackbody, weights = _QUANTITIES[name]
     z_over_a = geom.z if weights.keys() - set(_BOUND) else None
-    direct = beta is not None and (
-        beta * math.log(1.0 / tol.rel_tol) * _dep_scale(z_over_a) / (2.0 * math.pi)
-        <= _SPLIT_ABOVE)
+    direct = beta is not None and _direct(model.omega_p, z_over_a, beta, tol)
     if direct:
         wanted = [(z_over_a, (name,) if z_over_a is None else _ROW)]
         prefactor, weights = 2.0 * math.pi * prefactor, {name: 1.0}

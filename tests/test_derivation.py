@@ -207,3 +207,37 @@ def test_conductor_constants_follow_from_zeta_4():
                        "nec_x": 91 * sp.pi**2 / 450}
     for name, value in PC_FIRST_ORDER.items():
         assert math.isclose(value, float(derived[name]), rel_tol=4e-16), name
+
+
+def test_field_squares_average_to_the_interference_column():
+    # stress, the block above _clenshaw_curtis: _position's closed forms
+    # give (D_E + D_B)/2 = D, with V_1 and V_2 from _t_moments' recurrence
+    # and V_0 left free at each of the two poles, so that
+    # t00 = (<E**2> + <B**2>)/2 by the _QUANTITIES weights.  The code's
+    # columns agree to rounding at every omega_p, where D is small beside
+    # D_E and D_B.  With h = u/(u + Q), g2 = 1 - 2*h
+    # (test_position_pass_factors_without_poles) and r**2 = g2/h**2, every
+    # factor is rational in h and s.
+    h = sp.symbols("h", positive=True)
+    g2 = 1 - 2 * h
+    r2 = g2 / h**2
+    den = (1 - S, 1 + S)
+    rs_plus, rs_minus = den[0] + 2 * h * S, 1 + g2 * S
+    inverse_lam = ((1 - S) * r2 / (2 + h * (1 + S) * r2), (1 + S) * r2 / (2 + h * (1 - S) * r2))
+    moments = []
+    for v0, q2 in zip(sp.symbols("v0_1 v0_2"), inverse_lam):
+        v1 = q2 * (1 - v0)
+        moments.append((v0, v1, q2 * (sp.Rational(1, 3) - v1)))
+    (a1, b1, c1), (a2, b2, c2) = moments
+    d = U * h * ((a1 - 2 * b1 + c1) / (den[0] * rs_plus) + (a2 - 2 * b2 + c2) / (den[1] * rs_minus))
+    bound_s = g2 / (rs_plus * rs_minus)
+    d_e = U * (sum(((2 * a - b) - h * (2 * b - c)) / q for (a, b, c), q in zip(moments, den)) / 2
+               + bound_s / 3)
+    d_b = -U * (sum((b - h * c) / q for (a, b, c), q in zip(moments, den)) / 2
+                + sp.Rational(5, 3) * bound_s)
+    assert _identical((d_e + d_b) / 2, d)
+    u = np.array([0.01, 0.3, 1.0, 5.0, 30.0])
+    for omega_p in (1e-3, 1.0, 100.0, 1e4):
+        (column,) = stress._position(u, omega_p, 0.3, ("D",)).T
+        e, b = stress._position(u, omega_p, 0.3, ("D_E", "D_B")).T
+        assert np.all(np.abs((e + b) / 2 - column) <= 1e-15 * np.maximum(abs(e), abs(b))), omega_p

@@ -291,13 +291,8 @@ def _thermal_oracle():
     return module
 
 
-def test_thermal_error_estimates_bound_the_actual_error(monkeypatch):
-    # Seeded points on both sides of the split threshold; every column
-    # lies within its error estimate of the independent thermal oracle,
-    # plus that oracle's own 1e-10, and the estimate is within ten times
-    # the tolerance the row claims to meet.  Both routes are taken: the
-    # split's windowed correction and the direct sum.
-    oracle = _thermal_oracle()
+def _record_routes(monkeypatch):
+    """Record the route functions that the sums call, by name."""
     routes = []
     for name in ("_split", "_thermal_direct"):
         def taken(*args, _route=getattr(stress_mod, name), _name=name):
@@ -305,6 +300,17 @@ def test_thermal_error_estimates_bound_the_actual_error(monkeypatch):
             return _route(*args)
 
         monkeypatch.setattr(stress_mod, name, taken)
+    return routes
+
+
+def test_thermal_error_estimates_bound_the_actual_error(monkeypatch):
+    # Seeded points on both sides of the split threshold; every column
+    # lies within its error estimate of the independent thermal oracle,
+    # plus that oracle's own 1e-10, and the estimate is within ten times
+    # the tolerance the row claims to meet.  Both routes are taken: the
+    # split's windowed correction and the direct sum.
+    oracle = _thermal_oracle()
+    routes = _record_routes(monkeypatch)
     rng = np.random.default_rng(7)
     model = PlasmaModel(100.0)
     with np.errstate(over="ignore", under="ignore"):
@@ -324,10 +330,12 @@ def test_thermal_error_estimates_bound_the_actual_error(monkeypatch):
 
 def test_split_and_direct_sums_agree(monkeypatch):
     # Both routes, each forced through the public operations, at points
-    # below the threshold (where the direct sum is taken), above it, and
-    # for the position-independent tzz.
+    # below the threshold (where the direct sum is taken), above it, in
+    # the band of predicted terms between the old threshold and the
+    # present one, and for the position-independent tzz.
     points = ((100.0, 0.5, 20.0), (10.0, 0.3, 50.0), (100.0, 0.3, 100.0),
-              (1e4, 0.5, 300.0), (100.0, None, 30.0), (100.0, None, 1000.0))
+              (1e4, 0.5, 300.0), (100.0, None, 30.0), (100.0, None, 1000.0),
+              (1.0, 0.5, 100.0), (1e4, 0.5, 100.0), (100.0, None, 100.0))
     routes = []
     for split_above in (0, math.inf):
         monkeypatch.setattr(stress_mod, "_SPLIT_ABOVE", split_above)
@@ -343,6 +351,74 @@ def test_split_and_direct_sums_agree(monkeypatch):
         b = direct[key]
         assert a.converged and b.converged, key
         assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, (key, a, b)
+
+
+def test_tzz_takes_the_midpoint_rows_route(monkeypatch):
+    # tzz reads no position and counts its terms at the midpoint, so it
+    # takes the midpoint row's route on both sides of the threshold.  The
+    # midpoint predicts 195 terms at beta = 60 and 243 at 75 for
+    # omega_p = 100, and, where the walls reflect less, 168 at beta = 75
+    # and 224 at 100 for omega_p = 1.
+    routes = _record_routes(monkeypatch)
+    seen = set()
+    for omega_p, beta in ((100.0, 60.0), (100.0, 75.0), (1.0, 75.0), (1.0, 100.0),
+                          (1e4, 60.0), (1e4, 75.0)):
+        taken = []
+        for op in (pressure_zz, energy_density):
+            stress_mod.clear_caches()
+            routes.clear()
+            assert op(Geometry(0.5), PlasmaModel(omega_p), ThermalState.finite(beta)).converged
+            taken.append(set(routes))
+        assert taken[0] == taken[1] and len(taken[0]) == 1, (omega_p, beta, taken)
+        seen |= taken[0]
+    stress_mod.clear_caches()
+    assert seen == {"_split", "_thermal_direct"}
+
+
+def test_near_wall_rows_split_where_the_walls_reflect_grazing_modes(monkeypatch):
+    # Next to a wall the direct terms are set by grazing modes, which the
+    # walls reflect at any zeta_n, so they fall only like 1/n**2.  Forced
+    # direct, the row at (0.01, 1e-6, beta = 10) stops unconverged at the
+    # term cap, and t00 at (1e-3, 1e-4, beta = 5) misses the oracle by
+    # 1.8 times its error estimate, so neither point can join
+    # test_split_and_direct_sums_agree.  The position counts its terms by
+    # the mirror factor alone, so the position sums split, while tzz takes
+    # the midpoint's direct sum, whose few terms the reflection does cut.
+    # The oracle values are perfbench/thermal_oracle.py's thermal_point at
+    # h = 0.005; they move by 2e-14 at h = 0.01.
+    oracle = {"t00": 3.9788777211220274e9, "txx": 1.9894388605656202e9,
+              "tzz": -9.21474563581172e-3}
+    routes = _record_routes(monkeypatch)
+    for omega_p, z, beta in ((0.01, 1e-6, 10.0), (1e-3, 1e-4, 5.0)):
+        model, thermal = PlasmaModel(omega_p), ThermalState.finite(beta)
+        for name, route in (("t00", "_split"), ("txx", "_split"), ("tzz", "_thermal_direct")):
+            stress_mod.clear_caches()
+            routes.clear()
+            res = CLI_COLUMNS[name](Geometry(z), model, thermal)
+            assert res.converged and set(routes) == {route}, (name, omega_p, z, beta, routes)
+            if omega_p == 1e-3:
+                assert abs(res.value - oracle[name]) <= (
+                    res.error_estimate + 1e-10 * abs(oracle[name])), (name, res)
+    stress_mod.clear_caches()
+
+
+def test_tzz_is_bitwise_the_same_in_every_row_of_a_mixed_profile(monkeypatch):
+    # At beta = 20 the rows next to the walls split and the rest take the
+    # direct sum; tzz, evaluated afresh in each row, reads the same sums
+    # in every one.
+    routes = _record_routes(monkeypatch)
+    model, thermal = PlasmaModel(100.0), ThermalState.finite(20.0)
+    tzz, row_routes = set(), set()
+    for z in (0.05 + i * (0.9 / 18) for i in range(19)):
+        stress_mod.clear_caches()
+        routes.clear()
+        assert energy_density(Geometry(z), model, thermal).converged
+        row_routes.add(tuple(routes))
+        stress_mod.clear_caches()
+        tzz.add(pressure_zz(Geometry(z), model, thermal))
+    stress_mod.clear_caches()
+    assert row_routes == {("_split", "_split"), ("_thermal_direct",)}, row_routes
+    assert len(tzz) == 1, tzz
 
 
 def _count_thermal_work(monkeypatch):
@@ -381,14 +457,16 @@ def _matsubara_terms(calls, beta):
 
 
 def test_cold_thermal_row_sums_frequencies_in_blocks(monkeypatch):
-    # A row that takes the direct sum at beta = 100 sums hundreds of
-    # Matsubara frequencies; the reflection kernel must see them in
+    # A direct row with about the most terms the route rule allows: at
+    # z = 0.25, beta = 60 its position predicts 396 terms and the midpoint
+    # 195, just below their thresholds of 400 and 200.  It sums hundreds
+    # of Matsubara frequencies; the reflection kernel must see them in
     # blocks, not one call apiece.
     calls = _count_thermal_work(monkeypatch)
     stress_mod.clear_caches()
     for op in CLI_COLUMNS.values():
-        assert op(Geometry(0.5), PlasmaModel(100.0), ThermalState.finite(100.0)).converged
-    terms = len(_matsubara_terms(calls, 100.0))
+        assert op(Geometry(0.25), PlasmaModel(100.0), ThermalState.finite(60.0)).converged
+    terms = len(_matsubara_terms(calls, 60.0))
     assert calls["integrate_2d"] == 0
     assert terms > 400
     assert calls["reflection"] < terms
@@ -511,11 +589,11 @@ def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
     # beta = 1000 (split) the bound correction's 21 frequencies, the one
     # x-integral of decay scale 0.5, are integrated once; each row adds
     # its zero-temperature position pass over u and its position
-    # correction's 21 frequencies.  At beta = 100 the 19 rows of z in
-    # 0.05:0.95 mix the routes: the edge rows split, while the middle
-    # three rows and tzz take the direct sum.  The bound pass and the
-    # bound correction's double integral still run once each, and tzz is
-    # summed once.
+    # correction's 21 frequencies.  At beta = 20 the 19 rows of z in
+    # 0.05:0.95 mix the routes: the edge rows z = 0.05 and 0.95 split,
+    # while the other 17 rows and tzz take the direct sum.  The bound pass
+    # and the bound correction's double integral still run once each, and
+    # tzz is summed once.
     sums, decays, bound_passes = [], [], []
 
     def direct(omega_p, z_over_a, beta, tol, names):
@@ -538,7 +616,7 @@ def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
     monkeypatch.setattr(stress_mod, "integrate_2d", double)
     three = (0.25, 0.5, 0.75)
     nineteen = [0.05 + i * (0.9 / 18) for i in range(19)]
-    for beta, rows in ((5.0, three), (1000.0, three), (100.0, nineteen)):
+    for beta, rows in ((5.0, three), (1000.0, three), (20.0, nineteen)):
         stress_mod.clear_caches()
         sums.clear()
         decays.clear()
@@ -551,7 +629,7 @@ def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
         elif beta == 1000.0:
             assert sums == [] and decays.count(0.5) == 1 and len(decays) == 1 + 2 * 3, decays
         else:
-            assert sums.count(("tzz",)) == 1 and len(sums) == 4, sums
+            assert sums.count(("tzz",)) == 1 and len(sums) == 18, sums
             assert sorted(bound_passes) == ["_split", "_zero_t_pass"], bound_passes
 
 
