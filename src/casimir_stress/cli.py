@@ -25,7 +25,8 @@ tolerance in each of its columns within its budget.  It is no more
 than that: a quantity whose columns cancel may carry a larger relative
 estimate than ``--rel-tol`` (t00 cancels about 50x at omega_p*a = 100,
 z = 0.5), and a split column's Poisson bound enters its error column,
-not the flag.  The warnings that a command's
+not the flag, while its windowed integral's change from the coarser
+zeta rule enters both.  The warnings that a command's
 evaluations issue are printed after the table, each distinct text once,
 sorted, as ``note:`` lines.
 

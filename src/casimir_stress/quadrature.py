@@ -74,9 +74,11 @@ class Tolerance:
     means that every one of them met its tolerance in each of its
     columns, within its budget.  It says nothing more of the quantity:
     where the columns cancel, its relative estimate may exceed rel_tol
-    (t00 = H*(D - B2) cancels about 50x at omega_p = 100, z = 0.5), and a
-    split column's Poisson bound enters its error estimate but not its
-    flag.
+    (t00 = H*(D - B2) cancels about 50x at omega_p = 100, z = 0.5).  A
+    split column's windowed integral lies on a fixed rule in zeta, whose
+    change from its coarser level enters the column's error estimate and
+    must meet the column's tolerance, like a pass's change; the column's
+    Poisson bound enters its error estimate but not its flag.
     """
 
     rel_tol: float = 1e-9

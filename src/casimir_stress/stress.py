@@ -58,7 +58,9 @@ position count leaves the reflection out.  ``tzz`` counts at the
 midpoint, so it takes the midpoint row's route at every position.
 Beyond that (large ``beta`` or near a wall) a sum is split: each
 column's zero-temperature integral plus 21 windowed Matsubara terms of
-it minus their windowed integral, whatever ``beta`` and ``z`` are.
+it minus their windowed integral, whatever ``beta`` and ``z`` are.  One
+pass over ``x`` gives both: the terms, and the integral on a fixed
+tanh-sinh rule in ``zeta`` whose weights carry the window.
 Every route ends in the same assembly: a quantity is its prefactor times
 its weights on the sums, their errors combined in quadrature, plus its
 blackbody term.
@@ -203,9 +205,7 @@ def _dep_scale(z_over_a: float | None) -> float:
 
 
 def _mirror(kappa, z_over_a):
-    return 0.5 * (
-        np.exp(-2.0 * kappa * z_over_a) + np.exp(-2.0 * kappa * (1.0 - z_over_a))
-    )
+    return 0.5 * (np.exp(-2.0 * kappa * z_over_a) + np.exp(-2.0 * kappa * (1.0 - z_over_a)))
 
 
 _BOUND = ("B0", "B2", "N")
@@ -416,11 +416,12 @@ def _matrix(weights):
     return columns, np.array([[w.get(c, 0.0) for c in columns] for w in weights])
 
 
-def _joined(value, error, *parts) -> QuadratureResult:
+def _joined(value, error, *parts, met=True) -> QuadratureResult:
     """A result combined from ``parts``: their evaluations add, and it is
-    converged only if every part is.  Every combined result is built here."""
+    converged only if every part is and ``met`` holds.  Every combined
+    result is built here."""
     return QuadratureResult(value, error, sum(p.evaluations for p in parts),
-                            all(p.converged for p in parts))
+                            met and all(p.converged for p in parts))
 
 
 def _zero_t_pass(omega_p, z_over_a, tol, names) -> QuadratureResult:
@@ -429,48 +430,53 @@ def _zero_t_pass(omega_p, z_over_a, tol, names) -> QuadratureResult:
     if z_over_a is not None:
         return integrate_semiinf(lambda u: _position(u, omega_p, z_over_a, names),
                                  _dep_scale(z_over_a), tol)
-    return integrate_2d(
-        lambda u, t: _kernel(u, t, u**3, omega_p, None, names).transpose(1, 2, 0),
-        SemiInfinite(_dep_scale(None)),
-        UnitInterval(),
-        tol,
-    )
+    return integrate_2d(lambda u, t: _kernel(u, t, u**3, omega_p, None, names).transpose(1, 2, 0),
+                        SemiInfinite(_dep_scale(None)), UnitInterval(), tol)
 
 
-def _frequency_integrals(zeta, matrix, omega_p, z_over_a, tol, names):
-    """One x-integral per row of ``matrix`` and frequency of ``zeta`` (n, 1).
+def _frequency_integrals(zeta, matrix, omega_p, z_over_a, tol, names, weights=None):
+    """One x-integral per row of ``matrix`` and frequency of ``zeta`` (n, 1);
+    with ``weights`` (n, k), one per row of ``matrix`` and column of
+    ``weights``, of the frequencies' integrands summed with that column.
 
     With kappa = zeta + x, k**2 = x*(x + 2*zeta) and k dk = kappa dx
     every inner k-integral becomes one over x on [0, inf), and the kernel
     with weight kappa**2 gives B0 = kappa**2*b, B2 = zeta**2*b and
     D = k**2*I*M.  ``matrix`` combines the named columns; values and
-    errors run over its rows, then over zeta.  The kernel takes whole
-    rows of frequencies, as many as fit in half of quadrature._BLOCK
-    nodes and one at least; x has at most _BLOCK nodes, so no call
-    exceeds a block.  All the kernel's arrays have the full node shape
-    here, and with half a block the memory a call frees stays with the
+    errors run over its rows, then over zeta or the columns of
+    ``weights``.  The kernel takes whole rows of frequencies, as many as
+    fit in half of quadrature._BLOCK nodes and one at least; x has at
+    most _BLOCK nodes, so no call exceeds a block.  With ``weights`` each
+    block is contracted as it is formed, so that no array spans every
+    frequency.  All the kernel's arrays have the full node shape here,
+    and with half a block the memory a call frees stays with the
     allocator for the next one: a thermal run faults half as often as
     with whole blocks, at the same compute time.  Where omega_p**2
     underflows, the reflection kernels divide 0 by 0 at zeta = 0 and
     read the NaN as their bound, so that warning is silenced.  Every x
     node evaluates the kernel at each frequency, so the pass may take
-    ``tol.max_evaluations // zeta.size`` x nodes (15 at least): its budget
-    counts kernel points.
+    ``tol.max_evaluations // zeta.size`` x nodes (15 at least), and its
+    ``evaluations`` count those kernel points.
     """
+    width = zeta.size if weights is None else weights.shape[1]
 
     @np.errstate(invalid="ignore")
     def f(x):
-        out = np.empty((len(matrix), zeta.size * x.size))
+        out = (np.empty if weights is None else np.zeros)((len(matrix), width * x.size))
         rows = max(1, quadrature._BLOCK // (2 * x.size))
         for i in range(0, zeta.size, rows):
             kappa = zeta[i : i + rows] + x
             values = _kernel(kappa, zeta[i : i + rows] / kappa, kappa**2, omega_p, z_over_a, names)
-            np.matmul(matrix, values.reshape(len(names), -1),
-                      out=out[:, i * x.size : (i + rows) * x.size])
+            if weights is None:
+                np.matmul(matrix, values.reshape(len(names), -1),
+                          out=out[:, i * x.size : (i + rows) * x.size])
+            else:
+                out += matrix @ (weights[i : i + rows].T @ values).reshape(len(names), -1)
         return out.reshape(-1, x.size).T
 
     budget = Tolerance(tol.rel_tol, tol.abs_tol, max(15, tol.max_evaluations // zeta.size))
-    return integrate_semiinf(f, _dep_scale(z_over_a), budget)
+    r = integrate_semiinf(f, _dep_scale(z_over_a), budget)
+    return QuadratureResult(r.value, r.error_estimate, r.evaluations * zeta.size, r.converged)
 
 
 def _thermal_direct(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
@@ -493,23 +499,26 @@ def _thermal_direct(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
     inner = inner[: summed.evaluations]
     return _joined(summed.value,
                    summed.error_estimate + (np.sum(inner, axis=0) - 0.5 * inner[0]) / beta,
-                   summed, *parts)
+                   *parts, met=summed.converged)
 
 
 # The split.  With h = 2*pi/beta and a window w = erfc((zeta - Z)/sigma)/2,
 # a kernel column g sums to
 #     h*sum'(g) = int(g) + [h*sum'(g*w) - int(g*w)] + h*sum'(g*(1-w)) - int(g*(1-w)).
 # int(g) is the zero-T column; the bracket takes the 21 frequencies below
-# Z + 7*sigma and one double integral.  By Poisson summation the last
+# Z + 7*sigma and the windowed integral, on the level-5 tanh-sinh rule of
+# s = zeta/(Z + 7*sigma) with w in its weights.  Of its 382 nodes the 231
+# whose windowed weight exceeds 1e-20 of the largest are kept: erfc has
+# killed the window at the others.  The level-4 sum of the same nodes
+# (every other one) gives the rule's error.  By Poisson summation the last
 # difference is about 4*exp(-(beta*sigma)**2/4)*max|g|/beta, since g*(1-w)
 # is flat at zeta = 0 (1 - w(0) = 1e-17).  _WINDOW holds beta times Z,
 # sigma and Z + 7*sigma.
 _WINDOW = (60.0, 10.0, 130.0)
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _window(zeta_beta):
-    return 0.5 * _erfc((zeta_beta - _WINDOW[0]) / _WINDOW[1]).astype(float)
+    return np.array([0.5 * math.erfc((v - _WINDOW[0]) / _WINDOW[1]) for v in zeta_beta])
 
 
 # beta*h*w(zeta_n) of the 21 frequencies, half weight at n = 0.
@@ -520,30 +529,46 @@ _SPLIT_WEIGHTS = np.where(_SPLIT_N, 2.0, 1.0) * math.pi * _window(2.0 * math.pi 
 _WINDOW_MISS = 4.0 * math.exp(-0.25 * _WINDOW[1] ** 2)
 
 
+def _split_rule(floor):
+    """The split's frequencies times beta, shape (n, 1), and its
+    contraction (n, 23): the 21 zeta_n, each its own column, then the
+    rule's nodes whose windowed weight exceeds ``floor`` times the
+    largest, with beta times their level-5 and level-4 weights."""
+    s, by_level = quadrature._axis(None, 5, None, False)
+    levels = by_level @ np.array([[1.0, 2.0]] * 5 + [[1.0, 0.0]])
+    rule = levels * (_WINDOW[2] * quadrature._DE_STEP / 2**5 * _window(_WINDOW[2] * s))[:, None]
+    keep = rule[:, 0] > floor * rule[:, 0].max()
+    contraction = np.eye(_SPLIT_N.size + keep.sum(), _SPLIT_N.size + 2)
+    contraction[_SPLIT_N.size :, -2:] = rule[keep]
+    return np.concatenate([2.0 * math.pi * _SPLIT_N, _WINDOW[2] * s[keep]])[:, None], contraction
+
+
+_SPLIT_ZETA, _SPLIT_RULE = _split_rule(1e-20)
+
+
 def _split(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
     """The named columns (B0, B2 and N, or D) split: each one's
     zero-temperature integral plus h*sum'(g*w) - int(g*w) of it, N's
-    being that of B0 - 3*B2.  The errors add, the aliasing bound with
-    them; it does not enter the flag.
+    being that of B0 - 3*B2.  One x-pass gives each column's 21 terms
+    and its windowed integral at levels 5 and 4, all over beta.  The
+    errors add: the zero-T pass's, the x-pass's, the rule's change
+    |S5 - S4| and the aliasing bound.  The rule's change must meet the
+    column's tolerance for the flag, not the windowed integral's: where
+    omega_p*beta is small the rule resolves that integral only to about
+    1e-6 of itself, yet to 1e-12 of the column, which its zero-temperature
+    integral dominates.  The aliasing bound does not enter the flag.
     """
     columns, matrix = _matrix([_summed({c: 1.0}) for c in names])
-    top = _WINDOW[2] / beta
-    zeta = (2.0 * math.pi * _SPLIT_N / beta)[:, None]
-
-    def windowed(x, s):
-        kappa = x + top * s
-        weight = kappa**2 * (top * _window(_WINDOW[2] * s))
-        return _kernel(kappa, top * s / kappa, weight, omega_p, z_over_a, columns).transpose(1, 2, 0)
-
     zero = _zero_t_pass(omega_p, z_over_a, tol, names)
-    terms = _frequency_integrals(zeta, np.eye(len(columns)), omega_p, z_over_a, tol, columns)
-    area = integrate_2d(windowed, SemiInfinite(_dep_scale(z_over_a)), UnitInterval(), tol)
-    g = terms.value.reshape(len(columns), -1)
-    weights = _SPLIT_WEIGHTS / beta
-    error = (terms.error_estimate.reshape(len(columns), -1) @ weights + area.error_estimate
-             + _WINDOW_MISS / beta * np.max(np.abs(g), axis=1))
-    return _joined(zero.value + matrix @ (g @ weights - area.value),
-                   zero.error_estimate + np.abs(matrix) @ error, zero, terms, area)
+    sums = _frequency_integrals(_SPLIT_ZETA / beta, matrix / beta, omega_p, z_over_a, tol,
+                                columns, _SPLIT_RULE)
+    value, error = (a.reshape(len(names), -1) for a in (sums.value, sums.error_estimate))
+    g, fine, rule = value[:, :-2], value[:, -2], np.abs(value[:, -2] - value[:, -1])
+    error = (error[:, :-2] @ _SPLIT_WEIGHTS + error[:, -2] + rule
+             + _WINDOW_MISS * np.max(np.abs(g), axis=1))
+    value = zero.value + g @ _SPLIT_WEIGHTS - fine
+    return _joined(value, zero.error_estimate + error, zero, sums,
+                   met=bool(np.all(rule <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(value)))))
 
 
 def _sums(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
@@ -570,7 +595,6 @@ def clear_caches() -> None:
     _placed.cache_clear()
 
 
-_DEFAULT_TOL = Tolerance()
 # A thermal sum is direct while the midpoint row is predicted to need at
 # most this many terms, and its own position at most twice as many
 # (_direct).  The factor 2 puts the position limit at 400 terms,
@@ -597,6 +621,9 @@ _DEFAULT_TOL = Tolerance()
 #        0.01  1e-6    10    1.6e7   11    2198   10.6   10.2
 #
 # The direct row at (0.01, 1e-6, 10) stops unconverged at the term cap.
+# The split was timed while its windowed integral was a double integral.
+# On the x-pass a split row costs about a sixth less, so the crossovers
+# now lie lower, but the limits have not been retuned.
 _SPLIT_ABOVE = 200
 
 
@@ -606,8 +633,7 @@ def _falloff(n, omega_p, beta) -> float:
     incidence, which grows once zeta_n passes omega_p and the walls stop
     reflecting (infinite at omega_p = 0, where every term vanishes)."""
     zeta = 2.0 * math.pi * n / beta
-    reflection = 2.0 * math.asinh(zeta / omega_p) if omega_p else math.inf
-    return zeta + reflection
+    return zeta + (2.0 * math.asinh(zeta / omega_p) if omega_p else math.inf)
 
 
 def _direct(omega_p, z_over_a, beta, tol) -> bool:
@@ -641,7 +667,7 @@ def _quantity(name, geom, model, thermal=None, tol=None) -> QuadratureResult:
     midpoint and twice that at its position; tzz counts at the midpoint
     and takes the midpoint row's route.
     """
-    tol = _DEFAULT_TOL if tol is None else tol
+    tol = tol or Tolerance()
     beta = None if thermal is None else thermal.beta
     prefactor, blackbody, weights = _QUANTITIES[name]
     z_over_a = geom.z if weights.keys() - set(_BOUND) else None

@@ -17,8 +17,11 @@ It prints::
 * ``route``: the route ``stress`` takes for the row's position sums and
   for ``tzz`` (``d`` direct, ``s`` split);
 * ``direct``, ``split``, ``s+tzz``, ``routed``: median milliseconds of
-  the five quantities over REPEATS rounds (default 9); ``s+tzz`` is the
-  route of a row near a wall whose midpoint is summed directly;
+  the five quantities over REPEATS rounds (default 9), and beside each
+  the row's kernel points in thousands: the ``evaluations`` of the
+  distinct sums it reads, so the closed-form position passes' nodes
+  (181 each) count too; ``s+tzz`` is the route of a row near a wall
+  whose midpoint is summed directly;
 * ``unconv``: the forced routes whose row did not converge;
 * ``dev``: where ``perfbench/thermal_oracle.py`` has the point, each
   forced route's worst relative deviation from it over the five
@@ -100,6 +103,25 @@ def row(omega_p: float, z: float, beta: float, thresholds: tuple) -> tuple[float
         stress.clear_caches()
 
 
+def kernel_points(omega_p: float, z: float, beta: float, thresholds: tuple) -> int:
+    """The evaluations of the distinct sums that a cold row reads, each
+    taken once from the memo that holds it."""
+    sums = {}
+    saved = stress._unplaced, stress._placed
+    try:
+        for name, memo in zip(("_unplaced", "_placed"), saved):
+            def read(*key, _memo=memo):
+                sums[key] = _memo(*key)
+                return sums[key]
+
+            read.cache_clear = memo.cache_clear
+            setattr(stress, name, read)
+        row(omega_p, z, beta, thresholds)
+    finally:
+        stress._unplaced, stress._placed = saved
+    return sum(result.evaluations for result in sums.values())
+
+
 def bound_overrun(omega_p: float, beta: float, tol: Tolerance) -> float | None:
     """N's error over its tolerance in the split bound columns, where they
     report converged above it; None otherwise."""
@@ -120,7 +142,7 @@ def main(argv: list[str]) -> None:
     print(f"threshold {stress._SPLIT_ABOVE} predicted terms; medians of {repeats} "
           "alternated rounds, milliseconds")
     print(f"{'omega_p':>7} {'z':>6} {'beta':>6} {'terms':>10} {'mid':>5} {'route':>5}",
-          *(f"{name:>7}" for name in routes),
+          *(f"{name:>7} {'kpts':>6}" for name in routes),
           f"{'unconv':>12} {'dev direct':>10} {'dev split':>10} {'N over':>7}")
     np.seterr(over="ignore", under="ignore")
     points = [(omega_p, z, scaled * 2.0 * min(z, 1.0 - z))
@@ -145,7 +167,9 @@ def main(argv: list[str]) -> None:
         over = bound_overrun(omega_p, beta, tol)
         print(f"{omega_p:7g} {z:6g} {beta:6g} {position_terms(z, beta, tol):10.1f} "
               f"{midpoint_terms(omega_p, beta, tol):5d} {route:>5}",
-              *(f"{1e3 * statistics.median(t):7.2f}" for t in times.values()),
+              *(f"{1e3 * statistics.median(t):7.2f} "
+                f"{kernel_points(omega_p, z, beta, routes[name]) / 1e3:6.1f}"
+                for name, t in times.items()),
               f"{','.join(sorted(unconverged)) or '-':>12} {dev[0]:>10} {dev[1]:>10} "
               f"{'-' if over is None else f'{over:.1f}x':>7}",
               flush=True)

@@ -474,10 +474,13 @@ def test_cold_thermal_row_sums_frequencies_in_blocks(monkeypatch):
 
 def test_cold_thermal_row_has_bounded_cost(monkeypatch):
     # At beta = 1000 and 1e4 a direct sum would need thousands of terms;
-    # the split needs 21 frequencies and three double integrals (the
-    # zero-temperature bound pass and the two windowed corrections; the
-    # zero-temperature position pass is one-dimensional), at the midpoint
-    # and next to a wall alike.
+    # the split needs 21 frequencies and one double integral, the
+    # zero-temperature bound pass: each windowed correction is an x-pass
+    # over the 21 terms and the window's rule, and the zero-temperature
+    # position pass is one-dimensional.  A cold row of the five CLI
+    # quantities evaluates 105,528 kernel points, at the midpoint and next
+    # to a wall alike (135,742 with the windowed integral as a double
+    # integral of 56,918 nodes per column set).
     calls = _count_thermal_work(monkeypatch)
     for beta in (1000.0, 1e4):
         for z in (0.5, 1e-3):
@@ -486,8 +489,89 @@ def test_cold_thermal_row_has_bounded_cost(monkeypatch):
             for op in CLI_COLUMNS.values():
                 assert op(Geometry(z), PlasmaModel(100.0), ThermalState.finite(beta)).converged
             assert len(_matsubara_terms(calls, beta)) <= 32
-            assert calls["integrate_2d"] == 3
+            assert calls["integrate_2d"] == 1
+            assert sum(zeta.size for zeta in calls["zeta"]) <= 106_000
     assert calls["matsubara_sum"] == 0
+
+
+def test_split_rows_count_kernel_points(monkeypatch):
+    # A thermal x-pass reports the kernel points it evaluated, x nodes
+    # times frequencies, as its budget counts them.  So a split row's
+    # evaluations are the points the kernel sees plus the nodes of the
+    # closed-form position pass, and a direct row's are the points alone.
+    points, nodes = [0], [0]
+
+    def kernel(kappa, t, *args):
+        points[0] += np.broadcast(kappa, t).size
+        return original_kernel(kappa, t, *args)
+
+    def single(f, decay_scale, tol=None):
+        result = original_single(f, decay_scale, tol)
+        if f.__qualname__.startswith("_zero_t_pass"):
+            nodes[0] += result.evaluations
+        return result
+
+    original_kernel, original_single = stress_mod._kernel, stress_mod.integrate_semiinf
+    monkeypatch.setattr(stress_mod, "_kernel", kernel)
+    monkeypatch.setattr(stress_mod, "integrate_semiinf", single)
+    for z, beta, closed_form in ((0.5, 1000.0, 181), (1e-3, 100.0, 181), (0.5, 5.0, 0)):
+        for op in CLI_COLUMNS.values():
+            stress_mod.clear_caches()
+            points[0] = nodes[0] = 0
+            result = op(Geometry(z), PlasmaModel(100.0), ThermalState.finite(beta))
+            assert result.converged
+            assert result.evaluations == points[0] + nodes[0], (op.__name__, z, beta)
+            assert nodes[0] in (0, closed_form), (op.__name__, z, beta, nodes[0])
+    stress_mod.clear_caches()
+
+
+def test_split_bound_columns_meet_their_tolerance():
+    # N's split correction is its own x-integral of B0 - 3*B2, with its
+    # own rule error and aliasing bound, not B0's error plus three times
+    # B2's.  Where the latter overran N's tolerance by 1.4x, 28x, 1.9x and
+    # 60x, every column's estimate now lies within it.
+    tol = Tolerance()
+    for omega_p, beta in ((100.0, 9.0), (100.0, 12.0), (1e4, 9.0), (1e4, 12.0)):
+        split = stress_mod._split(omega_p, None, beta, tol, stress_mod._BOUND)
+        assert split.converged
+        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(split.value))
+        assert np.all(split.error_estimate <= bound), (omega_p, beta, split.error_estimate / bound)
+
+
+def test_split_rows_converge_where_the_reflection_falls_within_the_window():
+    # Where omega_p*beta is small, r_p falls from 1 within the window's
+    # first frequencies, and the fixed rule resolves the windowed integral
+    # only to about 1e-6 of itself.  The zero-temperature integral
+    # dominates the column, so that change lies far below the column's
+    # tolerance, which the rule is held to: these rows converge, as they
+    # did on an adaptive zeta axis, with estimates within their tolerance.
+    for omega_p, z, beta in ((1e-6, 1e-3, 5.0), (1e-3, 1e-5, 0.5), (1e-8, 1e-3, 20.0)):
+        for name, op in CLI_COLUMNS.items():
+            stress_mod.clear_caches()
+            res = op(Geometry(z), PlasmaModel(omega_p), ThermalState.finite(beta))
+            assert res.converged, (name, omega_p, z, beta)
+            assert res.error_estimate <= Tolerance().rel_tol * abs(res.value), (name, res)
+    stress_mod.clear_caches()
+
+
+def test_trimmed_window_rule_agrees_with_the_full_rule(monkeypatch):
+    # The split keeps 231 of the level-5 rule's 382 nodes: at the others
+    # the windowed weight is below 1e-20 of the largest.  At three points
+    # of the independent thermal oracle, split whatever their route, the
+    # columns of the full rule agree with the trimmed ones to rounding.
+    trimmed = stress_mod._SPLIT_ZETA.size - stress_mod._SPLIT_N.size
+    full = stress_mod._split_rule(0.0)
+    assert trimmed == 231 and full[0].size - stress_mod._SPLIT_N.size == 382
+    for z, beta in ((0.25, 5.0), (0.5, 100.0), (0.5, 1000.0)):
+        for at, names in ((None, stress_mod._BOUND), (z, ("D",))):
+            short = stress_mod._split(100.0, at, beta, Tolerance(), names)
+            with monkeypatch.context() as patch:
+                patch.setattr(stress_mod, "_SPLIT_ZETA", full[0])
+                patch.setattr(stress_mod, "_SPLIT_RULE", full[1])
+                long = stress_mod._split(100.0, at, beta, Tolerance(), names)
+            assert short.converged and long.converged
+            assert np.all(np.abs(long.value - short.value) <= 1e-15 * np.abs(short.value)), (
+                z, beta, names, long.value - short.value)
 
 
 def test_thermal_x_passes_count_kernel_points_against_their_budget(monkeypatch):
@@ -551,7 +635,8 @@ def test_one_kernel_serves_every_reduction(monkeypatch):
     # The zero-T bound pass, the direct Matsubara sum and the split's
     # correction all read their columns from _kernel, the one function of
     # stress that reaches the reflection coefficients.  The Matsubara
-    # terms of the direct sum and of the split come from one integrand.
+    # terms of the direct sum and of the split, and the split's windowed
+    # integral, come from one integrand: the split calls no kernel itself.
     # The zero-T position pass integrates over t in closed form and calls
     # no kernel.
     callers = set()
@@ -565,7 +650,7 @@ def test_one_kernel_serves_every_reduction(monkeypatch):
     for thermal, expected in ((None, {"_zero_t_pass"}),
                               (ThermalState.finite(5.0), {"_frequency_integrals"}),
                               (ThermalState.finite(1000.0),
-                               {"_zero_t_pass", "_frequency_integrals", "_split"})):
+                               {"_zero_t_pass", "_frequency_integrals"})):
         stress_mod.clear_caches()
         callers.clear()
         for op in CLI_COLUMNS.values():
@@ -586,15 +671,14 @@ def test_one_kernel_serves_every_reduction(monkeypatch):
 
 def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
     # Rows in CLI order: at beta = 5 (direct) tzz is summed once, at
-    # beta = 1000 (split) the bound correction's 21 frequencies, the one
-    # x-integral of decay scale 0.5, are integrated once; each row adds
-    # its zero-temperature position pass over u and its position
-    # correction's 21 frequencies.  At beta = 20 the 19 rows of z in
-    # 0.05:0.95 mix the routes: the edge rows z = 0.05 and 0.95 split,
-    # while the other 17 rows and tzz take the direct sum.  The bound pass
-    # and the bound correction's double integral still run once each, and
-    # tzz is summed once.
-    sums, decays, bound_passes = [], [], []
+    # beta = 1000 (split) the bound correction, one x-pass of decay scale
+    # 0.5 over the 21 frequencies and the window's rule, runs once; each
+    # row adds its zero-temperature position pass over u and its position
+    # correction's x-pass.  At beta = 20 the 19 rows of z in 0.05:0.95 mix
+    # the routes: the edge rows z = 0.05 and 0.95 split, while the other
+    # 17 rows and tzz take the direct sum.  The bound pass and the bound
+    # correction's x-pass still run once each, and tzz is summed once.
+    sums, decays, corrections, doubles = [], [], [], []
 
     def direct(omega_p, z_over_a, beta, tol, names):
         sums.append(names)
@@ -604,23 +688,27 @@ def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
         decays.append(decay)
         return original_semi(f, decay, tol)
 
+    def frequencies(zeta, matrix, omega_p, z_over_a, tol, names, weights=None):
+        if weights is not None:
+            corrections.append(stress_mod._dep_scale(z_over_a))
+        return original_frequencies(zeta, matrix, omega_p, z_over_a, tol, names, weights)
+
     def double(f, outer, inner, tol=None):
-        if outer.decay_scale == 0.5:
-            bound_passes.append(f.__qualname__.split(".")[0])
+        doubles.append((f.__qualname__.split(".")[0], outer.decay_scale))
         return original_double(f, outer, inner, tol)
 
     original_direct, original_semi = stress_mod._thermal_direct, stress_mod.integrate_semiinf
-    original_double = stress_mod.integrate_2d
+    original_frequencies, original_double = stress_mod._frequency_integrals, stress_mod.integrate_2d
     monkeypatch.setattr(stress_mod, "_thermal_direct", direct)
     monkeypatch.setattr(stress_mod, "integrate_semiinf", semi)
+    monkeypatch.setattr(stress_mod, "_frequency_integrals", frequencies)
     monkeypatch.setattr(stress_mod, "integrate_2d", double)
     three = (0.25, 0.5, 0.75)
     nineteen = [0.05 + i * (0.9 / 18) for i in range(19)]
     for beta, rows in ((5.0, three), (1000.0, three), (20.0, nineteen)):
         stress_mod.clear_caches()
-        sums.clear()
-        decays.clear()
-        bound_passes.clear()
+        for seen in (sums, decays, corrections, doubles):
+            seen.clear()
         for z in rows:
             for op in CLI_COLUMNS.values():
                 assert op(Geometry(z), PlasmaModel(100.0), ThermalState.finite(beta)).converged
@@ -628,9 +716,11 @@ def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
             assert sums.count(("tzz",)) == 1 and len(sums) == 4, sums
         elif beta == 1000.0:
             assert sums == [] and decays.count(0.5) == 1 and len(decays) == 1 + 2 * 3, decays
+            assert corrections.count(0.5) == 1 and len(corrections) == 1 + 3, corrections
         else:
             assert sums.count(("tzz",)) == 1 and len(sums) == 18, sums
-            assert sorted(bound_passes) == ["_split", "_zero_t_pass"], bound_passes
+            assert corrections.count(0.5) == 1 and len(corrections) == 1 + 2, corrections
+        assert doubles == ([] if beta == 5.0 else [("_zero_t_pass", 0.5)]), doubles
 
 
 def test_clear_caches_empties_every_memo():
