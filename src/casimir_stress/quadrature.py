@@ -67,8 +67,9 @@ class Tolerance:
     its final grid together; when it would be exceeded the result is
     returned with ``converged=False`` rather than raising.  It must
     admit the first grid of a one-dimensional pass.  matsubara_sum has
-    its own cap on the number of terms, and stops once its geometric tail
-    is within rel_tol*|sum| + abs_tol.
+    its own cap on the number of terms, sums every frequency it
+    evaluates, and stops after the first block of frequencies at whose
+    end its geometric tail is within rel_tol*|sum| + abs_tol.
 
     A stress quantity combines several passes, and its ``converged``
     means that every one of them met its tolerance in each of its
@@ -488,19 +489,20 @@ def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureRes
     """Weighted thermal sum (1/beta) * [g(0)/2 + sum_{n>=1} g(2*pi*n/beta)].
 
     ``g`` gets arrays of consecutive frequencies, 8 of them first, then
-    16, 32 and from then on 64 at a time, so that a short sum evaluates
-    few terms past its last, and returns one value, or one row of m
-    components, per frequency (scalar fallback applies).  The n = 0 term
-    carries half weight.  Each running sum adds one term after another,
-    whatever the blocks.  Summation stops at the first n where every
-    component's geometric tail is within
+    16, 32 and from then on 64 at a time, and returns one value, or one
+    row of m components, per frequency (scalar fallback applies).  The
+    n = 0 term carries half weight.  Every evaluated frequency is summed,
+    each running sum adding one term after another, whatever the blocks.
+    The tail is tested at each block's end: summation stops after the
+    first block where every component's geometric tail is within
     rel_tol*|sum| + abs_tol (unscaled); the decay ratio is the larger of
-    the last two term ratios and the tail is summed from the larger of the
-    last two terms, so a term that is small only by a sign change cannot
-    end the sum.  A hard cap of 1e5 terms returns ``converged=False``.
-    The error estimate is that tail plus abs_tol, over beta; values and
-    errors have shape (m,) for m components.  ``evaluations`` counts the
-    terms summed; a sum or error that is not finite raises QuadratureError.
+    the block's last two term ratios and the tail is summed from the
+    larger of its last two terms, so a term that is small only by a sign
+    change cannot end the sum.  A hard cap of 1e5 terms returns
+    ``converged=False``.  The error estimate is that tail plus abs_tol,
+    over beta; values and errors have shape (m,) for m components.
+    ``evaluations`` counts the terms summed, which are all the terms
+    evaluated; a sum or error that is not finite raises QuadratureError.
     """
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError("beta must be a positive finite number")
@@ -513,24 +515,18 @@ def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureRes
         block = gs(2.0 * math.pi * np.arange(n, min(n + count, cap + 1), dtype=float) / beta)
         count = min(2 * count, 64)
         if n == 0:
-            total, recent, block, n = 0.5 * block[0], block[:0], block[1:], 1
-        # Running sums in term order, and the tail after each term that
-        # has two predecessors with n >= 1.
+            total, block, n = 0.5 * block[0], block[1:], 1
+        n += len(block)
         with np.errstate(invalid="ignore", over="ignore"):
-            sums = np.cumsum(np.vstack([total, block]), axis=0)[1:]
-        mags = np.vstack([recent, np.abs(block)])
-        a, b, c = mags[:-2], mags[1:-1], mags[2:]
+            total = np.cumsum(np.vstack([total, block]), axis=0)[-1]
+        # The tail after the block's last term, from its last three.
+        a, b, c = np.abs(block[-3:])
         ratio = np.maximum(_ratio(c, b), _ratio(b, a))
-        tails = np.divide(np.maximum(b, c) * ratio, 1.0 - ratio,
-                          out=np.full_like(ratio, np.inf), where=ratio < 1.0)
-        first = 2 - len(recent)
-        met = np.all(tails <= tol.rel_tol * np.abs(sums[first:]) + tol.abs_tol, axis=1)
-        stop = int(np.argmax(met)) if met.any() else len(tails) - 1
-        converged = bool(met[stop])
-        total, tail, recent = sums[first + stop], tails[stop], mags[-2:]
-        n += first + stop + 1
+        tail = np.divide(np.maximum(b, c) * ratio, 1.0 - ratio,
+                         out=np.full_like(ratio, np.inf), where=ratio < 1.0)
+        converged = bool(np.all(tail <= tol.rel_tol * np.abs(total) + tol.abs_tol))
     if not converged:
-        tail = np.where(np.isfinite(tail), tail, np.max(recent, axis=0))
+        tail = np.where(np.isfinite(tail), tail, np.maximum(b, c))
     with np.errstate(over="ignore"):
         value, error = total / beta, (tail + tol.abs_tol) / beta
     _finite("matsubara_sum", value, error)

@@ -52,9 +52,10 @@ below ``rel_tol``.  While the midpoint row needs at most 200 of them,
 fewer where ``zeta_n`` passes ``omega_p`` and the reflection
 coefficients fall off too, and the sum's own position at most 400 by
 the mirror factor alone, the sum is direct: blocks of frequencies share
-one ``x`` grid until a geometric tail bound meets the tolerance.  Near
-a wall the walls reflect grazing modes at any ``zeta_n``, so the
-position count leaves the reflection out.  ``tzz`` counts at the
+one ``x`` grid, every evaluated frequency is summed, and the tail is
+tested at each block's end until a geometric tail bound meets the
+tolerance.  Near a wall the walls reflect grazing modes at any
+``zeta_n``, so the position count leaves the reflection out.  ``tzz`` counts at the
 midpoint, so it takes the midpoint row's route at every position.
 Beyond that (large ``beta`` or near a wall) a sum is split: each
 column's zero-temperature integral plus 21 windowed Matsubara terms of
@@ -484,8 +485,9 @@ def _thermal_direct(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
 
     Each quantity is one integrand, its weights times the kernel's
     columns at every node, so that each meets the tolerance on its own.
-    Each term's inner-quadrature error joins the tail estimate with the
-    term's weight (half for the zero frequency).
+    Every evaluated frequency is summed; the tail is tested at each
+    block's end.  Each term's inner-quadrature error joins the tail
+    estimate with the term's weight (half for the zero frequency).
     """
     columns, matrix = _matrix([_summed(_QUANTITIES[name][2]) for name in names])
     parts = []
@@ -496,7 +498,6 @@ def _thermal_direct(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
 
     summed = matsubara_sum(summand, beta, tol)
     inner = np.vstack([p.error_estimate.reshape(len(names), -1).T for p in parts])
-    inner = inner[: summed.evaluations]
     return _joined(summed.value,
                    summed.error_estimate + (np.sum(inner, axis=0) - 0.5 * inner[0]) / beta,
                    *parts, met=summed.converged)

@@ -214,6 +214,18 @@ def test_process_entry_freezes_the_heap_and_main_does_not(capsys):
     capsys.readouterr()
 
 
+def test_process_entry_in_process_prints_what_main_prints(capsys):
+    # cli.run freezes the heap of this process too; unfreeze it after.
+    assert cli.main(["limits"]) == 0
+    expected = capsys.readouterr()
+    try:
+        assert cli.run(["limits"]) == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr() == expected
+
+
 def test_console_script_is_the_process_entry():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"

@@ -415,11 +415,11 @@ def test_matsubara_sum_meets_its_tolerance_on_slowly_decaying_sums():
 
 
 def test_matsubara_sum_grows_its_blocks_and_sums_term_by_term():
-    # The summand sees 8, 16 and 32 frequencies, then 64 at a time, so a
-    # short sum evaluates few terms past its last: one that stops by term
-    # 12 evaluates at most 24.  Whatever the blocks, each running sum adds
-    # one term after another, so the value is bitwise that of np.cumsum
-    # over the terms used, with half weight at n = 0.
+    # The summand sees 8, 16 and 32 frequencies, then 64 at a time, and
+    # the tail is tested at each block's end, so every evaluated term is
+    # summed.  Whatever the blocks, each running sum adds one term after
+    # another, so the value is bitwise that of np.cumsum over every
+    # evaluated term, with half weight at n = 0.
     def vector(z):
         return np.stack([np.exp(-z), z * np.exp(-0.5 * z)], axis=-1)
 
@@ -436,12 +436,25 @@ def test_matsubara_sum_grows_its_blocks_and_sums_term_by_term():
         assert res.converged
         assert sizes[: len(blocks)] == blocks
         assert set(sizes[3:]) <= {64}
-        assert sum(sizes[:-1]) < res.evaluations <= sum(sizes)
+        assert res.evaluations == sum(sizes)
         if beta == 3.0:
-            assert res.evaluations <= 12 and sum(sizes) <= 24
+            assert sizes == blocks
         terms = np.asarray(g(2.0 * math.pi * np.arange(res.evaluations, dtype=float) / beta))
         terms[0] *= 0.5
         assert np.array_equal(res.value, np.cumsum(terms, axis=0)[-1] / beta)
+
+
+def test_matsubara_sum_keeps_every_term_it_evaluates():
+    # At beta = 3 the terms exp(-2*pi*n/3) meet the tail rule by term 12,
+    # but the sum stops only at the end of its second block, and all 24
+    # terms reach the value: (0.5 + q/(1 - q))/beta with q = exp(-2*pi/3),
+    # to a few ulp.  A sum that stopped at term 12 would miss it by 2e-11.
+    beta = 3.0
+    q = math.exp(-2.0 * math.pi / beta)
+    exact = (0.5 + q / (1.0 - q)) / beta
+    res = matsubara_sum(lambda z: np.exp(-z), beta)
+    assert res.converged and res.evaluations == 24
+    assert abs(res.value - exact) <= 4.0 * math.ulp(exact)
 
 
 def test_level_totals_keep_their_bits():

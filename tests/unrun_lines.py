@@ -10,8 +10,9 @@ functions, methods, lambdas and generator expressions hold (by
 
 Module and class bodies are left out: importing a module runs them.  A
 subprocess that a test starts is not traced, so code that only such a
-process reaches (the process entry ``cli.run``) is listed.  Tracing
-about doubles the suite's time.  The exit status is pytest's.
+process reaches is listed (the process entry ``cli.run`` is also called
+in process).  Tracing about doubles the suite's time.  The exit status
+is pytest's.
 """
 
 from __future__ import annotations
