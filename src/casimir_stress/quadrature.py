@@ -7,7 +7,7 @@ either alone or together with a second variable on [0, inf) or [0, 1].
 Every integral, in one dimension or two, runs through one driver on
 the double-exponential rules: exp-sinh on a half-line, tanh-sinh on
 [0, 1].  The first integrand call takes levels 0 to 4 of a single
-integral, levels 0 and 1 of both axes of a double one, and each axis
+integral, levels 0 to 3 of both axes of a double one, and each axis
 starts at the deepest level that call evaluated.  While an axis's change
 from its previous level misses the tolerance, its step is halved, with
 every earlier node reused.  The value is the total at the levels
@@ -226,8 +226,11 @@ _BLOCK = 4096
 # coarser total: most passes end there, and for a small integrand such as
 # the zero-temperature position pass's one call on all of them costs far
 # less than four calls level by level.  A double integral refines each
-# axis on its own, so it starts from levels 0 and 1.
-_FIRST_LEVEL = {1: 4, 2: 1}
+# axis on its own from level 3 of both (75 by 96 nodes for the bound
+# pass): every zero-temperature bound pass reaches that grid, so no round
+# is spent below it.  Only an integrand that is zero everywhere pays more,
+# 7,200 nodes where levels 0 and 1 would stop at 456.
+_FIRST_LEVEL = {1: 4, 2: 3}
 
 
 @lru_cache(maxsize=128)
@@ -305,7 +308,7 @@ def _integrate(name, f, axes, tol):
     keeps sums by the levels at which their nodes first appear, so the
     value with any axis one level coarser costs no evaluation, and
     ``totals`` keeps each total once reduced.  The first integrand call
-    evaluates every level through _FIRST_LEVEL (4 in one dimension, 1 in
+    evaluates every level through _FIRST_LEVEL (4 in one dimension, 3 in
     two), or as deep as the budget admits, level 0 at least, and every
     axis starts there.  Each round refines every axis whose change from
     its coarser level misses the tolerance in some component, and the
@@ -538,14 +541,27 @@ def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureRes
 def bracket_root(
     f: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-10
 ):
-    """Locate a sign change of ``f`` on [lo, hi] by bisection.
+    """Locate a sign change of ``f`` on [lo, hi] by safeguarded regula falsi.
+
+    Each step evaluates f once, at the regula falsi point of the bracket
+    with the Illinois modification (Dowell & Jarratt 1971: the value at
+    an end kept twice in a row is halved, so that both ends close in),
+    or at the midpoint where that point is not strictly inside.  As in
+    the ITP method (Oliveira & Takahashi 2021) the point is then moved
+    0.2*width**2/(initial width) toward the midpoint, so that a root
+    approached from one side is passed, and into the interval about the
+    midpoint that leaves a bracket no wider than twice bisection's after
+    as many steps.  So f is evaluated at most once more than bisection
+    would, and far less often near a simple root.
 
     Returns the midpoint of the final bracket once its width is below
     rel_tol relative to the endpoint magnitudes, or once its ends are
     adjacent floats (rel_tol = 0 asks for that); a NaN or negative
-    rel_tol raises ValueError.  Returns None when
-    f(lo) and f(hi) have the same sign (no bracketed root); that outcome
-    is deliberately distinct from numerical failure, which raises.
+    rel_tol raises ValueError.  An exact zero of f ends the search at
+    its point.  Returns None when f(lo) and f(hi) have the same sign (no
+    bracketed root); that outcome is deliberately distinct from
+    numerical failure, which raises QuadratureError on a non-finite
+    value of f.
     """
     if not (lo < hi):
         raise ValueError("need lo < hi")
@@ -561,17 +577,30 @@ def bracket_root(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         return None
+    span = reach = hi - lo
+    kept = 0
     while (hi - lo) > rel_tol * max(abs(lo), abs(hi), 1e-300):
-        mid = 0.5 * (lo + hi)
+        mid, width = 0.5 * (lo + hi), hi - lo
         if not (lo < mid < hi):
             break
-        fm = float(f(mid))
-        if not math.isfinite(fm):
-            raise QuadratureError(f"non-finite value in bracket_root at {mid!r}")
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
+        x = hi - fhi * (width / (fhi - flo))
+        if not (lo < x < hi):
+            x = mid
+        shift = 0.2 * width * width / span
+        x = x + math.copysign(shift, mid - x) if shift <= abs(mid - x) else mid
+        radius = max(reach - 0.5 * width, 0.0)
+        x, reach = min(max(x, mid - radius), mid + radius), 0.5 * reach
+        fx = float(f(x))
+        if not math.isfinite(fx):
+            raise QuadratureError(f"non-finite value in bracket_root at {x!r}")
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
+            fhi *= 0.5 if kept == 1 else 1.0
+            kept = 1
         else:
-            hi = mid
+            hi, fhi = x, fx
+            flo *= 0.5 if kept == -1 else 1.0
+            kept = -1
     return 0.5 * (lo + hi)

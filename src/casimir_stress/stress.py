@@ -601,30 +601,10 @@ def clear_caches() -> None:
 # (_direct).  The factor 2 puts the position limit at 400 terms,
 # calibrated at omega_p = 100 only: there a split row near a wall whose
 # midpoint stays direct also sums tzz directly and pays for the bound
-# columns' split, and it meets the direct row near 400 terms (s+tzz).  At
-# omega_p = 1e4 the row (1e4, 0.1, 24) stays direct at 396 terms, though
-# split with tzz direct it took 0.95 of the time in the run below and
-# 0.74 in a more loaded one.  Cold rows of the five CLI quantities, with every
-# sum direct, every sum split, or the position sums split and tzz direct
-# (tests/route_table.py, medians of 9, milliseconds; terms predicted at
-# the row's position by the mirror factor, mid at the midpoint):
-#
-#     omega_p     z  beta    terms  mid  direct  split  s+tzz
-#        1e-3   0.5   100      330   51     3.0    9.5
-#           1   0.5   100      330  224     8.1    8.0
-#         100   0.5    60      198  195     7.8    8.0
-#         100   0.5    75      247  243     9.0    8.0
-#         100   0.5   100      330  324    10.4    7.7
-#         1e4   0.5    75      247  248    12.2   12.1
-#         100   0.1    20      330   65     7.6    8.3    9.2
-#         100  0.25    60      396  195    10.0    8.4   10.1
-#         1e4   0.1    24      396   80    10.1    8.3    9.7
-#        0.01  1e-6    10    1.6e7   11    2198   10.6   10.2
-#
-# The direct row at (0.01, 1e-6, 10) stops unconverged at the term cap.
-# The split was timed while its windowed integral was a double integral.
-# On the x-pass a split row costs about a sixth less, so the crossovers
-# now lie lower, but the limits have not been retuned.
+# columns' split, and it met the direct row near 400 terms.  The limits
+# were timed before the split's windowed integral became an x-pass, and
+# now lie above the crossover: tests/route_table.py times each route of
+# a row for a retune (ROADMAP item 19 step 3, a count of kernel points).
 _SPLIT_ABOVE = 200
 
 
@@ -901,9 +881,9 @@ def reference_limits() -> dict[str, float]:
     }
 
 
-# critical_omega_pa's default tolerance and its bisection's relative width
-# in x = 1/(omega_p*a), which bounds the relative uncertainty of the
-# returned omega_p*a too.  Root location needs sign stability, not many
+# critical_omega_pa's default tolerance and its root search's relative
+# width in x = 1/(omega_p*a), which bounds the relative uncertainty of
+# the returned omega_p*a too.  Root location needs sign stability, not many
 # digits, so the tolerance is relaxed relative to the package default.
 # The CLI prints the width, 0.35%, as bracket_rel_width.
 CRITICAL_TOLERANCE = Tolerance(rel_tol=1e-7, abs_tol=1e-10)
@@ -918,13 +898,15 @@ def critical_omega_pa(
     """Plasma frequency at which the midpoint energy density turns negative.
 
     One ``bracket_root`` call on energy_density(z = a/2) over
-    x = 1/(omega_p*a) in [0, 1], bisected to CRITICAL_REL_WIDTH: its ends
-    are omega_p*a = 1 and the perfect conductor, which PlasmaModel(inf)
-    evaluates exactly.  Between them the midpoint energy density changes
-    sign at most once, so a root exists exactly when the two ends differ
-    in sign.  Returns None when they do not, which is the outcome at high
-    temperature: the conductor's energy density is positive for beta
-    below beta* = 3.0402*a, where the root diverges like 1/(beta - beta*).
+    x = 1/(omega_p*a) in [0, 1], narrowed to CRITICAL_REL_WIDTH by
+    safeguarded regula falsi (8 evaluations at zero temperature, at
+    beta = 5*a and just above beta*): its ends are omega_p*a = 1 and the
+    perfect conductor, which PlasmaModel(inf) evaluates exactly.  Between
+    them the midpoint energy density changes sign at most once, so a root
+    exists exactly when the two ends differ in sign.  Returns None when
+    they do not, which is the outcome at high temperature: the
+    conductor's energy density is positive for beta below
+    beta* = 3.0402*a, where the root diverges like 1/(beta - beta*).
 
     Parameters
     ----------

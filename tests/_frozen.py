@@ -52,6 +52,21 @@ ORACLE = {
 }
 
 
+# Thirty-digit values from ``python3 tests/mp_oracle.py``: mpmath at 34
+# working digits over the Cartesian (zeta, k) coordinates, nested
+# tanh-sinh quadratures with two sets of breakpoints that agree to 4e-33
+# relative.  ORACLE's energy density at (100, 0.5), where t00 = H*(D - B2)
+# cancels about 50x, lies 6.8e-11 relative from this value; the package
+# lies 4.6e-15 from it.  ORACLE is kept as it is: perfbench reads it.
+#
+# Keys are (omega_p * a, z / a) at zero temperature; values in 1/a**4.
+MPMATH_ORACLE = {
+    (100.0, 0.5): {
+        "energy_density": -4.39021425508592997095998474559e-04,
+    },
+}
+
+
 # Finite-temperature reference values from the independent oracle in
 # ``perfbench/thermal_oracle.py`` (copied from its ``FROZEN`` table).  That
 # oracle shares no code with the package: textbook reflection

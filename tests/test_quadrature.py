@@ -529,20 +529,70 @@ def test_bracket_root_rejects_bad_input():
     for rel_tol in (math.nan, -1e-10):
         with pytest.raises(ValueError):
             bracket_root(math.cos, 1.0, 2.0, rel_tol=rel_tol)
-    # A non-finite value at a midpoint is a numerical failure too.
-    with pytest.raises(QuadratureError):
-        bracket_root(lambda x: math.nan if x == 0.5 else x - 0.25, 0.0, 1.0)
+    # A non-finite value inside the bracket is a numerical failure too,
+    # wherever the search steps first.
+    with pytest.raises(QuadratureError, match="non-finite value in bracket_root at"):
+        bracket_root(lambda x: x - 0.25 if x in (0.0, 1.0) else math.nan, 0.0, 1.0)
 
 
 def test_bracket_root_returns_an_exact_zero_at_a_midpoint():
-    calls = []
+    # The first regula falsi point of (x - 0.5)**3 on [0, 1] is the
+    # midpoint, an exact zero: the search ends there.  So it does at any
+    # point, here the first to fall in a band where f is exactly 0.
+    for f, band, most in [(lambda x: (x - 0.5) ** 3, (0.5, 0.5), 3),
+                          (lambda x: max(x - 0.3, 0.0) - max(0.29 - x, 0.0), (0.29, 0.3), 9)]:
+        calls = []
 
-    def f(x):
-        calls.append(x)
-        return x - 0.75
+        def g(x):
+            calls.append(x)
+            return f(x)
 
-    assert bracket_root(f, 0.0, 1.0) == 0.75
-    assert calls == [0.0, 1.0, 0.5, 0.75]
+        root = bracket_root(g, 0.0, 1.0)
+        assert band[0] <= root <= band[1] and calls[-1] == root and f(root) == 0.0
+        assert len(calls) <= most
+
+
+def _bisection_points(f, lo, hi, rel_tol):
+    """The points at which bisection to bracket_root's width rule evaluates f."""
+    points = [lo, hi]
+    flo = f(lo)
+    while hi - lo > rel_tol * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        points.append(mid)
+        if (f(mid) > 0.0) == (flo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return points
+
+
+def test_bracket_root_evaluates_at_most_once_more_than_bisection():
+    # Regula falsi alone crawls toward a flat high-order root from one
+    # side, and toward the root of a step from both; next to an end
+    # whose value is 1e-300 its point is that end, and the midpoint is
+    # taken instead.  The projection
+    # toward the midpoint keeps each search within one evaluation of
+    # bisection's (36 to 39 points here), where regula falsi with a
+    # midpoint after two steps that failed to halve the bracket took
+    # 76 on (x - 0.3)**9.  A smooth root takes far fewer points than
+    # bisection: 10 against 35 for sqrt(2).
+    for f, lo, hi, root in [(lambda x: (x - 0.3) ** 9, 0.0, 1.0, 0.3),
+                            (lambda x: (x - 0.3) ** 3, 0.0, 1.0, 0.3),
+                            (lambda x: x**9 - 1e-9, 0.0, 1.0, 0.1),
+                            (lambda x: -1.0 if x < 0.7 else 1.0, 0.0, 1.0, 0.7),
+                            (lambda x: math.exp(x) - 1e5, 0.0, 20.0, math.log(1e5)),
+                            (lambda x: x - 0.5 - 1e-300, 0.5, 1.0, 0.5),
+                            (lambda x: x * x - 2.0, 1.0, 2.0, math.sqrt(2.0))]:
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+
+        found = bracket_root(g, lo, hi, rel_tol=1e-10)
+        assert abs(found - root) <= 1e-10 * hi
+        assert len(calls) <= len(_bisection_points(f, lo, hi, 1e-10)) + 1
+    assert len(calls) <= 10
 
 
 def test_bracket_root_stops_on_adjacent_floats_at_zero_tolerance():

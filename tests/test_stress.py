@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from _frozen import LOW_OMEGA_ORACLE, ORACLE, THERMAL_ORACLE
+from _frozen import LOW_OMEGA_ORACLE, MPMATH_ORACLE, ORACLE, THERMAL_ORACLE
 from asymptotic_laws import SMALL_OMEGA_P_PRESSURE
 from casimir_stress import (
     Geometry,
@@ -66,6 +66,13 @@ def test_zero_temperature_values_match_frozen_oracle():
     # component over (zeta, k), not (u, t), so this also carries the
     # cross-route check that criterion 9 made before both routes merged.
     check_zero_temperature_oracle(ORACLE, 1e-10)
+
+
+def test_zero_temperature_values_match_the_mpmath_oracle():
+    # A 30-digit value of the cancelling midpoint energy density at
+    # (100, 0.5): the package lies 4.6e-15 relative from it, inside its
+    # estimate (3.9e-10 relative), and ORACLE's entry 6.8e-11.
+    check_zero_temperature_oracle(MPMATH_ORACLE, 1e-12)
 
 
 def test_small_plasma_frequency_resolves_the_p_wave_layer():
@@ -824,6 +831,28 @@ def test_zero_temperature_row_refines_only_the_axis_that_needs_it(monkeypatch):
     assert position == ("u", 181) and calls.count("u") == 1
 
 
+def test_zero_temperature_bound_pass_starts_at_level_3(monkeypatch):
+    # The bound pass's first integrand calls take every node through level
+    # 3 on both axes, which every bound pass reaches: at (100, 0.5) the
+    # pass then refines u once, to its 149 by 96 nodes, in 4 integrand
+    # calls.  Starting from levels 0 and 1 it took 7 calls for the same
+    # nodes.
+    calls = []
+
+    def record(kind, f, scale, run):
+        def g(*args):
+            calls.append(kind)
+            return f(*args)
+
+        return run(g)
+
+    _record_zero_t_passes(monkeypatch, record)
+    stress_mod.clear_caches()
+    res = stress_mod._zero_t_pass(100.0, None, Tolerance(), stress_mod._BOUND)
+    assert res.converged and res.evaluations == 14_304
+    assert calls == ["2d"] * 4
+
+
 def _level5_reference(omega_p, names):
     """The bound pass's columns from the same rule at level 5 on both axes.
 
@@ -1087,21 +1116,26 @@ def test_results_are_reproducible_after_cache_reset():
 
 def test_critical_root_search_evaluates_each_point_once():
     # One bracket over x = 1/omega_p on [0, 1]: the conductor, omega_p = 1,
-    # then the bisection's midpoints, each evaluated once.  At beta = 5
-    # each point is one direct sum at the midpoint; at zero temperature
-    # one bound pass and one position pass.  Below beta* both ends are
-    # positive and no midpoint is read.
-    for thermal, root, points in [
-        (ThermalState.finite(5.0), 126.3953712632594, 18),
-        (None, 96.51840942562592, 17),
-        (ThermalState.finite(2.5), None, 2),
-        (ThermalState.finite(3.0), None, 2),
-    ]:
+    # then the regula falsi points, each evaluated once, at most 9 in all
+    # (bisection read 17 and 18).  At beta = 5 each point is one direct
+    # sum at the midpoint; at zero temperature one bound pass and one
+    # position pass.  Each root lies within CRITICAL_REL_WIDTH of a
+    # bracket of the same function narrowed to 1e-12.  Below beta* both
+    # ends are positive and no other point is read.
+    for thermal, points in [(ThermalState.finite(5.0), 9), (None, 9),
+                            (ThermalState.finite(2.5), 2), (ThermalState.finite(3.0), 2)]:
         stress_mod.clear_caches()
-        assert critical_omega_pa(thermal) == root
-        assert stress_mod._placed.cache_info().misses == points
+        root = critical_omega_pa(thermal)
+        read = stress_mod._placed.cache_info().misses
+        assert read <= points and (read == 2) == (root is None)
         assert stress_mod._placed.cache_info().hits == 0
-        assert stress_mod._unplaced.cache_info().misses == (points if thermal is None else 0)
+        assert stress_mod._unplaced.cache_info().misses == (read if thermal is None else 0)
+        if root is not None:
+            x = quadrature.bracket_root(
+                lambda y: energy_density(Geometry(0.5), PlasmaModel(1.0 / y if y else math.inf),
+                                         thermal, tol=stress_mod.CRITICAL_TOLERANCE).value,
+                0.0, 1.0, rel_tol=1e-12)
+            assert abs(1.0 / root - x) <= stress_mod.CRITICAL_REL_WIDTH * x
 
 
 def _stub_energy(monkeypatch, f):
@@ -1120,19 +1154,22 @@ def _stub_energy(monkeypatch, f):
 
 def test_critical_root_search_paths(monkeypatch):
     # An exact zero at an end is the root: the conductor's reads as an
-    # infinite omega_p.  One at a midpoint ends the bisection there.
+    # infinite omega_p.  One at an inner point ends the search there: here
+    # at the midpoint, where the first regula falsi point of (x - 0.5)**3
+    # falls.
     for f, root, read in [(lambda x: x, math.inf, [0.0, 1.0]),
                           (lambda x: x - 1.0, 1.0, [0.0, 1.0]),
-                          (lambda x: 0.25 - x, 4.0, [0.0, 1.0, 0.5, 0.25])]:
+                          (lambda x: (x - 0.5) ** 3, 2.0, [0.0, 1.0, 0.5])]:
         points = _stub_energy(monkeypatch, f)
         assert critical_omega_pa() == root
         assert list(points) == read
-    # A sign change is bisected to the relative width in x.
+    # A sign change is narrowed to the relative width in x, in fewer
+    # points than bisection's 17.
     points = _stub_energy(monkeypatch, lambda x: x - 0.0123)
     root = critical_omega_pa()
     assert abs(1.0 / root - 0.0123) <= stress_mod.CRITICAL_REL_WIDTH * 0.0123
-    assert list(points)[:3] == [0.0, 1.0, 0.5]
-    # The same sign at both ends: no root, and no midpoint read.
+    assert list(points)[:2] == [0.0, 1.0] and len(points) <= 9
+    # The same sign at both ends: no root, and no other point read.
     points = _stub_energy(monkeypatch, lambda x: 1.0 + x)
     assert critical_omega_pa() is None
     assert list(points) == [0.0, 1.0]
