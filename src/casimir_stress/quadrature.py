@@ -69,7 +69,9 @@ class Tolerance:
     admit the first grid of a one-dimensional pass.  matsubara_sum has
     its own cap on the number of terms, sums every frequency it
     evaluates, and stops after the first block of frequencies at whose
-    end its geometric tail is within rel_tol*|sum| + abs_tol.
+    end its geometric tail is within rel_tol*|sum| + abs_tol; it then
+    adds the geometric continuation of its last two terms, which that
+    tail bounds.
 
     A stress quantity combines several passes, and its ``converged``
     means that every one of them met its tolerance in each of its
@@ -501,9 +503,14 @@ def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureRes
     rel_tol*|sum| + abs_tol (unscaled); the decay ratio is the larger of
     the block's last two term ratios and the tail is summed from the
     larger of its last two terms, so a term that is small only by a sign
-    change cannot end the sum.  A hard cap of 1e5 terms returns
-    ``converged=False``.  The error estimate is that tail plus abs_tol,
-    over beta; values and errors have shape (m,) for m components.
+    change cannot end the sum.  Once it has converged, each component
+    adds the continuation c**2/(b - c) of its last two terms b and c,
+    where |c| < |b| and it is finite: Aitken's delta-squared on the
+    partial sums, and the exact tail of a geometric series.  That is at
+    most the tail bound, so the value moves by less than its estimate.
+    A hard cap of 1e5 terms returns ``converged=False``, with nothing
+    added.  The error estimate is that tail plus abs_tol, over beta;
+    values and errors have shape (m,) for m components.
     ``evaluations`` counts the terms summed, which are all the terms
     evaluated; a sum or error that is not finite raises QuadratureError.
     """
@@ -528,7 +535,14 @@ def matsubara_sum(g, beta: float, tol: Tolerance | None = None) -> QuadratureRes
         tail = np.divide(np.maximum(b, c) * ratio, 1.0 - ratio,
                          out=np.full_like(ratio, np.inf), where=ratio < 1.0)
         converged = bool(np.all(tail <= tol.rel_tol * np.abs(total) + tol.abs_tol))
-    if not converged:
+    if converged:
+        # Aitken's delta-squared on the partial sums: the signed tail
+        # c**2/(b - c) of the geometric series through the last two terms,
+        # added where they fall (|c| < |b|, so within the tail bound).
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rest = block[-1] ** 2 / (block[-2] - block[-1])
+        total = total + np.where((c < b) & np.isfinite(rest), rest, 0.0)
+    else:
         tail = np.where(np.isfinite(tail), tail, np.maximum(b, c))
     with np.errstate(over="ignore"):
         value, error = total / beta, (tail + tol.abs_tol) / beta

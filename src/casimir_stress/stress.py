@@ -54,11 +54,12 @@ coefficients fall off too, and the sum's own position at most 400 by
 the mirror factor alone, the sum is direct: blocks of frequencies share
 one ``x`` grid, every evaluated frequency is summed, and the tail is
 tested at each block's end until a geometric tail bound meets the
-tolerance.  Near a wall the walls reflect grazing modes at any
-``zeta_n``, so the position count leaves the reflection out.  ``tzz`` counts at the
+tolerance; the geometric continuation of the last two terms is added.
+Near a wall the walls reflect grazing modes at any ``zeta_n``, so the
+position count leaves the reflection out.  ``tzz`` counts at the
 midpoint, so it takes the midpoint row's route at every position.
 Beyond that (large ``beta`` or near a wall) a sum is split: each
-column's zero-temperature integral plus 21 windowed Matsubara terms of
+column's zero-temperature integral plus 25 windowed Matsubara terms of
 it minus their windowed integral, whatever ``beta`` and ``z`` are.  One
 pass over ``x`` gives both: the terms, and the integral on a fixed
 tanh-sinh rule in ``zeta`` whose weights carry the window.
@@ -486,8 +487,9 @@ def _thermal_direct(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
     Each quantity is one integrand, its weights times the kernel's
     columns at every node, so that each meets the tolerance on its own.
     Every evaluated frequency is summed; the tail is tested at each
-    block's end.  Each term's inner-quadrature error joins the tail
-    estimate with the term's weight (half for the zero frequency).
+    block's end, and its geometric continuation added.  Each term's
+    inner-quadrature error joins the tail estimate with the term's
+    weight (half for the zero frequency).
     """
     columns, matrix = _matrix([_summed(_QUANTITIES[name][2]) for name in names])
     parts = []
@@ -506,23 +508,25 @@ def _thermal_direct(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
 # The split.  With h = 2*pi/beta and a window w = erfc((zeta - Z)/sigma)/2,
 # a kernel column g sums to
 #     h*sum'(g) = int(g) + [h*sum'(g*w) - int(g*w)] + h*sum'(g*(1-w)) - int(g*(1-w)).
-# int(g) is the zero-T column; the bracket takes the 21 frequencies below
+# int(g) is the zero-T column; the bracket takes the 25 frequencies below
 # Z + 7*sigma and the windowed integral, on the level-5 tanh-sinh rule of
-# s = zeta/(Z + 7*sigma) with w in its weights.  Of its 382 nodes the 231
-# whose windowed weight exceeds 1e-20 of the largest are kept: erfc has
-# killed the window at the others.  The level-4 sum of the same nodes
-# (every other one) gives the rule's error.  By Poisson summation the last
-# difference is about 4*exp(-(beta*sigma)**2/4)*max|g|/beta, since g*(1-w)
-# is flat at zeta = 0 (1 - w(0) = 1e-17).  _WINDOW holds beta times Z,
-# sigma and Z + 7*sigma.
-_WINDOW = (60.0, 10.0, 130.0)
+# s = zeta/(Z + 7*sigma) with w in its weights: 256 frequencies in all.
+# Of the rule's 382 nodes the 231 whose windowed weight exceeds 1e-20 of
+# the largest are kept: erfc has killed the window at the others.  The
+# level-4 sum of the same nodes (every other one) gives the rule's error.
+# By Poisson summation the last difference is about
+# 4*exp(-(beta*sigma)**2/4)*max|g|/beta, 9.3e-16*max|g|/beta, since
+# g*(1-w) is flat at zeta = 0 (1 - w(0) = 1e-17).  _WINDOW holds beta
+# times Z, sigma and Z + 7*sigma; scaling all three alike leaves the
+# window, its rule and its kept nodes the same in s.
+_WINDOW = (72.0, 12.0, 156.0)
 
 
 def _window(zeta_beta):
     return np.array([0.5 * math.erfc((v - _WINDOW[0]) / _WINDOW[1]) for v in zeta_beta])
 
 
-# beta*h*w(zeta_n) of the 21 frequencies, half weight at n = 0.
+# beta*h*w(zeta_n) of the 25 frequencies, half weight at n = 0.
 _SPLIT_N = np.arange(math.floor(_WINDOW[2] / (2.0 * math.pi)) + 1)
 _SPLIT_WEIGHTS = np.where(_SPLIT_N, 2.0, 1.0) * math.pi * _window(2.0 * math.pi * _SPLIT_N)
 # That difference over max|g(zeta_n)|/beta; w(0) and the window past its
@@ -532,7 +536,7 @@ _WINDOW_MISS = 4.0 * math.exp(-0.25 * _WINDOW[1] ** 2)
 
 def _split_rule(floor):
     """The split's frequencies times beta, shape (n, 1), and its
-    contraction (n, 23): the 21 zeta_n, each its own column, then the
+    contraction (n, 27): the 25 zeta_n, each its own column, then the
     rule's nodes whose windowed weight exceeds ``floor`` times the
     largest, with beta times their level-5 and level-4 weights."""
     s, by_level = quadrature._axis(None, 5, None, False)
@@ -550,7 +554,7 @@ _SPLIT_ZETA, _SPLIT_RULE = _split_rule(1e-20)
 def _split(omega_p, z_over_a, beta, tol, names) -> QuadratureResult:
     """The named columns (B0, B2 and N, or D) split: each one's
     zero-temperature integral plus h*sum'(g*w) - int(g*w) of it, N's
-    being that of B0 - 3*B2.  One x-pass gives each column's 21 terms
+    being that of B0 - 3*B2.  One x-pass gives each column's 25 terms
     and its windowed integral at levels 5 and 4, all over beta.  The
     errors add: the zero-T pass's, the x-pass's, the rule's change
     |S5 - S4| and the aliasing bound.  The rule's change must meet the

@@ -118,6 +118,23 @@ THERMAL_ORACLE = {
 }
 
 
+# A point next to a wall at a plasma frequency so small that the walls
+# reflect grazing modes at every Matsubara frequency, so that the direct
+# sum's terms fall only like 1/n**2.  From ``perfbench/thermal_oracle.py``'s
+# ``thermal_point(1e-3, 1e-4, 5.0, h)`` at h = 0.005, about 3 s, which
+# tier-1 does not repeat.  At h = 0.01 it gives t00 = 3978877721.122086
+# and txx = 1989438860.5656507, within 2e-14 relative, and the same tzz.
+#
+# Keys are (omega_p * a, z / a, beta / a); values in 1/a**4.
+NEAR_WALL_THERMAL_ORACLE = {
+    (1e-3, 1e-4, 5.0): {
+        "t00": +3.978877721122027e+09,
+        "txx": +1.989438860565620e+09,
+        "tzz": -9.214745635811720e-03,
+    },
+}
+
+
 # Zero-temperature values at a plasma frequency so small that the p-wave
 # reflection lives in a thin layer zeta < omega_p, that is t < omega_p/u
 # in polar coordinates.  Produced by ``tests/de_oracle.py``

@@ -3,7 +3,9 @@
 Runs each invocation of the table through ``cli.main`` in process, with
 the memos cleared first, prints every cell, exit status and digest that
 moved from the stored table (value cells with both error estimates, for
-the change log), and rewrites the table::
+the change log), then one summary line per moved invocation (the cells
+moved, the largest relative move of a value cell and the largest move
+over its two estimates), and rewrites the table::
 
     PYTHONPATH=src python3 tests/regen_golden.py
 
@@ -74,22 +76,43 @@ def _entry(argv: str) -> tuple[dict, dict]:
     return entry, references
 
 
-def _moves(old: dict, new: dict) -> list[str]:
-    """Every key and cell of ``new`` that differs from ``old``."""
+def _number(cell) -> float | None:
+    """A printed cell as a float, or None for text such as a flag."""
+    try:
+        return float(cell) if isinstance(cell, str) else None
+    except ValueError:
+        return None
+
+
+def _moves(old: dict, new: dict) -> tuple[list[str], str]:
+    """Every key and cell of ``new`` that differs from ``old``, and a
+    summary: the cells moved, the largest relative move of a value cell,
+    and the largest move of one over its old and new estimates summed."""
     lines = [f"  {key}: {old[key]} -> {new[key]}" for key in ("status", "stdout", "stderr",
                                                                "columns") if old[key] != new[key]]
     columns = new["columns"] or []
+    cells, relative, over = 0, 0.0, []
     for old_row, row in zip(old["rows"], new["rows"]):
         for name, old_cell, cell in zip(columns, old_row, row):
             if old_cell == cell:
                 continue
+            cells += 1
             err = "err_" + name
-            estimates = (f" (err {old_row[columns.index(err)]} -> {row[columns.index(err)]})"
-                         if err in columns else "")
+            estimates = ""
+            before, after = _number(old_cell), _number(cell)
+            if not name.startswith("err_") and before and after is not None:
+                relative = max(relative, abs(after - before) / abs(before))
+            if err in columns:
+                errs = old_row[columns.index(err)], row[columns.index(err)]
+                estimates = f" (err {errs[0]} -> {errs[1]})"
+                if float(errs[0]) + float(errs[1]):
+                    over.append(abs(after - before) / (float(errs[0]) + float(errs[1])))
             lines.append(f"  {name} at {columns[0]} = {row[0]}: {old_cell} -> {cell}{estimates}")
     if len(old["rows"]) != len(new["rows"]):
         lines.append(f"  rows: {len(old['rows'])} -> {len(new['rows'])}")
-    return lines
+    summary = (f"{new['argv']}: {cells} cells moved, largest relative move {relative:.2g}, "
+               f"largest move over the two estimates {f'{max(over):.2g}' if over else '-'}")
+    return lines, summary
 
 
 def _render(entries: list[dict], references: dict) -> str:
@@ -105,7 +128,7 @@ def _render(entries: list[dict], references: dict) -> str:
 
 
 def main() -> int:
-    entries, moved = [], 0
+    entries, moved, summaries = [], 0, []
     for old in GOLDEN:
         new, printed = _entry(old["argv"])
         # --si prints them in J/m**3; tests/test_golden.py checks those.
@@ -114,11 +137,13 @@ def main() -> int:
             if references != REFERENCES:
                 print(f"{old['argv']}: references {REFERENCES} -> {references}")
                 moved += 1
-        lines = _moves(old, new)
+        lines, summary = _moves(old, new)
         if lines:
             print(old["argv"], *lines, sep="\n")
             moved += len(lines)
+            summaries.append(summary)
         entries.append(new)
+    print(*summaries, sep="\n")
     TABLE.write_text(_render(entries, references), encoding="utf-8")
     print(f"{moved} moved; wrote {TABLE.name} ({len(entries)} invocations)")
     return 0

@@ -12,7 +12,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from _frozen import LOW_OMEGA_ORACLE, MPMATH_ORACLE, ORACLE, THERMAL_ORACLE
+from _frozen import (LOW_OMEGA_ORACLE, MPMATH_ORACLE, NEAR_WALL_THERMAL_ORACLE, ORACLE,
+                     THERMAL_ORACLE)
 from asymptotic_laws import SMALL_OMEGA_P_PRESSURE
 from casimir_stress import (
     Geometry,
@@ -255,7 +256,12 @@ CLI_COLUMNS = {
 def test_thermal_values_match_frozen_oracle():
     # An independent fixed-rule oracle; each null-energy combination is a
     # single integrand here but a sum of two components there, so this
-    # also cross-checks the two routes at finite temperature.
+    # also cross-checks the two routes at finite temperature.  The direct
+    # sum adds the geometric continuation of its tail, and the split's
+    # window leaves a Poisson aliasing of 9.3e-16, so both routes also
+    # meet the oracle to 1e-12 relative: 4.0e-14 at worst, the beta = 5
+    # midpoint t00 (6.8e-12 there without the continuation, and 2.8e-12
+    # at beta = 100 with a window 5/6 as wide).
     for (omega_p, z, beta), expected in THERMAL_ORACLE.items():
         geom = Geometry(z)
         model = PlasmaModel(omega_p)
@@ -266,6 +272,7 @@ def test_thermal_values_match_frozen_oracle():
             miss = abs(res.value - ref)
             assert miss <= res.error_estimate + 1e-10 * abs(ref), (
                 name, omega_p, z, beta, res.value, res.error_estimate)
+            assert miss <= 1e-12 * abs(ref), (name, omega_p, z, beta, res.value)
 
 
 def test_cold_corners_converge_to_zero_temperature_plus_blackbody():
@@ -386,15 +393,14 @@ def test_near_wall_rows_split_where_the_walls_reflect_grazing_modes(monkeypatch)
     # Next to a wall the direct terms are set by grazing modes, which the
     # walls reflect at any zeta_n, so they fall only like 1/n**2.  Forced
     # direct, the row at (0.01, 1e-6, beta = 10) stops unconverged at the
-    # term cap, and t00 at (1e-3, 1e-4, beta = 5) misses the oracle by
-    # 1.8 times its error estimate, so neither point can join
-    # test_split_and_direct_sums_agree.  The position counts its terms by
-    # the mirror factor alone, so the position sums split, while tzz takes
-    # the midpoint's direct sum, whose few terms the reflection does cut.
-    # The oracle values are perfbench/thermal_oracle.py's thermal_point at
-    # h = 0.005; they move by 2e-14 at h = 0.01.
-    oracle = {"t00": 3.9788777211220274e9, "txx": 1.9894388605656202e9,
-              "tzz": -9.21474563581172e-3}
+    # term cap, and t00 at (1e-3, 1e-4, beta = 5) lies within its error
+    # estimate only by the geometric continuation of its tail
+    # (test_forced_direct_sum_next_to_a_wall_lies_within_its_estimate), so
+    # neither point joins test_split_and_direct_sums_agree.  The position
+    # counts its terms by the mirror factor alone, so the position sums
+    # split, while tzz takes the midpoint's direct sum, whose few terms
+    # the reflection does cut.
+    oracle = NEAR_WALL_THERMAL_ORACLE[1e-3, 1e-4, 5.0]
     routes = _record_routes(monkeypatch)
     for omega_p, z, beta in ((0.01, 1e-6, 10.0), (1e-3, 1e-4, 5.0)):
         model, thermal = PlasmaModel(omega_p), ThermalState.finite(beta)
@@ -406,6 +412,21 @@ def test_near_wall_rows_split_where_the_walls_reflect_grazing_modes(monkeypatch)
             if omega_p == 1e-3:
                 assert abs(res.value - oracle[name]) <= (
                     res.error_estimate + 1e-10 * abs(oracle[name])), (name, res)
+    stress_mod.clear_caches()
+
+
+def test_forced_direct_sum_next_to_a_wall_lies_within_its_estimate(monkeypatch):
+    # The direct sum's terms fall like 1/n**2 here, and its geometric tail
+    # bound is no bound for them (ROADMAP item 19).  Once the sum has
+    # converged, the geometric continuation of its last two terms takes
+    # the forced-direct t00 from 1.79 to 0.79 times its estimate of the
+    # frozen oracle, at the same 68,056 kernel points.
+    monkeypatch.setattr(stress_mod, "_SPLIT_ABOVE", math.inf)
+    stress_mod.clear_caches()
+    for (omega_p, z, beta), expected in NEAR_WALL_THERMAL_ORACLE.items():
+        res = energy_density(Geometry(z), PlasmaModel(omega_p), ThermalState.finite(beta))
+        assert res.converged and res.evaluations == 68_056
+        assert abs(res.value - expected["t00"]) <= res.error_estimate, res
     stress_mod.clear_caches()
 
 
@@ -481,13 +502,13 @@ def test_cold_thermal_row_sums_frequencies_in_blocks(monkeypatch):
 
 def test_cold_thermal_row_has_bounded_cost(monkeypatch):
     # At beta = 1000 and 1e4 a direct sum would need thousands of terms;
-    # the split needs 21 frequencies and one double integral, the
+    # the split needs 25 frequencies and one double integral, the
     # zero-temperature bound pass: each windowed correction is an x-pass
-    # over the 21 terms and the window's rule, and the zero-temperature
-    # position pass is one-dimensional.  A cold row of the five CLI
-    # quantities evaluates 105,528 kernel points, at the midpoint and next
-    # to a wall alike (135,742 with the windowed integral as a double
-    # integral of 56,918 nodes per column set).
+    # over the 25 terms and the window's 231 rule nodes, 256 frequencies,
+    # and the zero-temperature position pass is one-dimensional.  A cold
+    # row of the five CLI quantities evaluates 106,976 kernel points, at
+    # the midpoint and next to a wall alike (135,742 with the windowed
+    # integral as a double integral of 56,918 nodes per column set).
     calls = _count_thermal_work(monkeypatch)
     for beta in (1000.0, 1e4):
         for z in (0.5, 1e-3):
@@ -497,7 +518,7 @@ def test_cold_thermal_row_has_bounded_cost(monkeypatch):
                 assert op(Geometry(z), PlasmaModel(100.0), ThermalState.finite(beta)).converged
             assert len(_matsubara_terms(calls, beta)) <= 32
             assert calls["integrate_2d"] == 1
-            assert sum(zeta.size for zeta in calls["zeta"]) <= 106_000
+            assert sum(zeta.size for zeta in calls["zeta"]) <= 106_976
     assert calls["matsubara_sum"] == 0
 
 
@@ -561,24 +582,29 @@ def test_split_rows_converge_where_the_reflection_falls_within_the_window():
     stress_mod.clear_caches()
 
 
-def test_trimmed_window_rule_agrees_with_the_full_rule(monkeypatch):
+def test_trimmed_window_rule_agrees_with_the_full_rule():
     # The split keeps 231 of the level-5 rule's 382 nodes: at the others
     # the windowed weight is below 1e-20 of the largest.  At three points
     # of the independent thermal oracle, split whatever their route, the
-    # columns of the full rule agree with the trimmed ones to rounding.
-    trimmed = stress_mod._SPLIT_ZETA.size - stress_mod._SPLIT_N.size
-    full = stress_mod._split_rule(0.0)
-    assert trimmed == 231 and full[0].size - stress_mod._SPLIT_N.size == 382
+    # full rule's columns differ from the trimmed ones by the 151 dropped
+    # nodes' part of the windowed integral, and that part lies below
+    # 1e-15 of each column (3e-20 at most).  It is taken on its own: the
+    # two rules sum their nodes in different orders, and in N, the
+    # difference of the larger B0 and 3*B2, that order alone moves the
+    # total by up to 3.3e-15 at every floor from 1e-19 to 1e-24.
+    zeta, rule = stress_mod._split_rule(0.0)
+    dropped = ~np.isin(zeta[:, 0], stress_mod._SPLIT_ZETA[:, 0])
+    assert stress_mod._SPLIT_ZETA.size - stress_mod._SPLIT_N.size == 231
+    assert zeta.size - stress_mod._SPLIT_N.size == 382 and dropped.sum() == 151
     for z, beta in ((0.25, 5.0), (0.5, 100.0), (0.5, 1000.0)):
         for at, names in ((None, stress_mod._BOUND), (z, ("D",))):
             short = stress_mod._split(100.0, at, beta, Tolerance(), names)
-            with monkeypatch.context() as patch:
-                patch.setattr(stress_mod, "_SPLIT_ZETA", full[0])
-                patch.setattr(stress_mod, "_SPLIT_RULE", full[1])
-                long = stress_mod._split(100.0, at, beta, Tolerance(), names)
-            assert short.converged and long.converged
-            assert np.all(np.abs(long.value - short.value) <= 1e-15 * np.abs(short.value)), (
-                z, beta, names, long.value - short.value)
+            columns, matrix = stress_mod._matrix([stress_mod._summed({c: 1.0}) for c in names])
+            rest = stress_mod._frequency_integrals(zeta[dropped] / beta, matrix / beta, 100.0, at,
+                                                   Tolerance(), columns, rule[dropped, -2:])
+            rest = rest.value.reshape(len(names), 2)[:, 0]
+            assert short.converged
+            assert np.all(np.abs(rest) <= 1e-15 * np.abs(short.value)), (z, beta, names, rest)
 
 
 def test_thermal_x_passes_count_kernel_points_against_their_budget(monkeypatch):
@@ -679,7 +705,7 @@ def test_one_kernel_serves_every_reduction(monkeypatch):
 def test_thermal_profile_rows_share_tzz_and_the_bound_correction(monkeypatch):
     # Rows in CLI order: at beta = 5 (direct) tzz is summed once, at
     # beta = 1000 (split) the bound correction, one x-pass of decay scale
-    # 0.5 over the 21 frequencies and the window's rule, runs once; each
+    # 0.5 over the 25 frequencies and the window's rule, runs once; each
     # row adds its zero-temperature position pass over u and its position
     # correction's x-pass.  At beta = 20 the 19 rows of z in 0.05:0.95 mix
     # the routes: the edge rows z = 0.05 and 0.95 split, while the other
@@ -1005,7 +1031,7 @@ def test_near_wall_corner_follows_the_leading_law():
     # to z = 1e-60, with no t rule to resolve the p-wave layer
     # t < omega_p*z of the modes u ~ 1/z that dominate.  t00 and txx
     # follow the leading law there, whose error is O(omega_p*z), 1.2e-5
-    # at z = 1e-6.  At finite temperature the split adds a fixed 21-term
+    # at z = 1e-6.  At finite temperature the split adds a fixed 25-term
     # correction, and the thermal part is far below that error.  Nothing
     # here warns: the cost near a wall is bounded.
     model = PlasmaModel(10.0)
